@@ -498,9 +498,37 @@ pub fn write_response(
     stream.flush().map_err(|e| io_error(&e))
 }
 
-/// Serializes and writes one request.
-pub fn write_request(
-    stream: &mut TcpStream,
+/// Serializes one request, head and body, into one buffer — the
+/// request-side mirror of [`render_response`]. `close` selects
+/// `Connection: close` over `keep-alive`; a `soap_action` adds the SOAP
+/// 1.1 `Content-Type` and quoted `SOAPAction` headers.
+pub fn render_request(
+    method: &str,
+    target: &str,
+    host: &str,
+    soap_action: Option<&str>,
+    body: &[u8],
+    close: bool,
+) -> Vec<u8> {
+    let connection = if close { "close" } else { "keep-alive" };
+    let mut head =
+        format!("{method} {target} HTTP/1.1\r\nHost: {host}\r\nConnection: {connection}\r\n");
+    if let Some(action) = soap_action {
+        head.push_str(&format!(
+            "Content-Type: text/xml; charset=utf-8\r\nSOAPAction: \"{action}\"\r\n"
+        ));
+    }
+    head.push_str(&format!("Content-Length: {}\r\n\r\n", body.len()));
+    let mut out = head.into_bytes();
+    out.extend_from_slice(body);
+    out
+}
+
+/// Serializes and writes one request in a single `write_all`. Head and
+/// body leave together: written apart, Nagle's algorithm holds the body
+/// until the peer ACKs the head, which a delayed-ACK peer defers ~40 ms.
+pub fn write_request<W: Write>(
+    stream: &mut W,
     method: &str,
     target: &str,
     host: &str,
@@ -508,18 +536,8 @@ pub fn write_request(
     body: &[u8],
     close: bool,
 ) -> Result<(), HttpError> {
-    let connection = if close { "close" } else { "keep-alive" };
-    let mut head = format!(
-        "{method} {target} HTTP/1.1\r\nHost: {host}\r\nConnection: {connection}\r\n"
-    );
-    if let Some(action) = soap_action {
-        head.push_str(&format!(
-            "Content-Type: text/xml; charset=utf-8\r\nSOAPAction: \"{action}\"\r\n"
-        ));
-    }
-    head.push_str(&format!("Content-Length: {}\r\n\r\n", body.len()));
-    stream.write_all(head.as_bytes()).map_err(|e| io_error(&e))?;
-    stream.write_all(body).map_err(|e| io_error(&e))?;
+    let bytes = render_request(method, target, host, soap_action, body, close);
+    stream.write_all(&bytes).map_err(|e| io_error(&e))?;
     stream.flush().map_err(|e| io_error(&e))
 }
 
@@ -557,6 +575,87 @@ mod tests {
         assert_eq!(req.body, b"<x/>");
         assert!(req.keep_alive);
         assert_eq!(req.header("soapaction"), Some("\"echo\""));
+    }
+
+    #[test]
+    fn render_request_matches_the_golden_framing() {
+        let cases: [(Option<&str>, bool, &str); 4] = [
+            (
+                Some("echo"),
+                false,
+                "POST /svc HTTP/1.1\r\nHost: 127.0.0.1\r\nConnection: keep-alive\r\n\
+                 Content-Type: text/xml; charset=utf-8\r\nSOAPAction: \"echo\"\r\n\
+                 Content-Length: 4\r\n\r\n<x/>",
+            ),
+            (
+                Some("echo"),
+                true,
+                "POST /svc HTTP/1.1\r\nHost: 127.0.0.1\r\nConnection: close\r\n\
+                 Content-Type: text/xml; charset=utf-8\r\nSOAPAction: \"echo\"\r\n\
+                 Content-Length: 4\r\n\r\n<x/>",
+            ),
+            (
+                None,
+                false,
+                "POST /svc HTTP/1.1\r\nHost: 127.0.0.1\r\nConnection: keep-alive\r\n\
+                 Content-Length: 4\r\n\r\n<x/>",
+            ),
+            (
+                None,
+                true,
+                "POST /svc HTTP/1.1\r\nHost: 127.0.0.1\r\nConnection: close\r\n\
+                 Content-Length: 4\r\n\r\n<x/>",
+            ),
+        ];
+        for (action, close, golden) in cases {
+            let bytes = render_request("POST", "/svc", "127.0.0.1", action, b"<x/>", close);
+            assert_eq!(
+                String::from_utf8(bytes).unwrap(),
+                golden,
+                "{action:?} close={close}"
+            );
+        }
+    }
+
+    /// Records every `write` call so a test can count them.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_request_makes_exactly_one_write() {
+        for (action, close) in [(Some("echo"), false), (None, true)] {
+            let mut out = CountingWriter::default();
+            write_request(
+                &mut out,
+                "POST",
+                "/svc",
+                "127.0.0.1",
+                action,
+                b"<x/>",
+                close,
+            )
+            .unwrap();
+            assert_eq!(out.writes, 1, "{action:?} close={close}");
+            assert_eq!(
+                out.bytes,
+                render_request("POST", "/svc", "127.0.0.1", action, b"<x/>", close)
+            );
+        }
     }
 
     #[test]

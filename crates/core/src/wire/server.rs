@@ -71,9 +71,26 @@ pub const SHUTDOWN_PATH: &str = "/__admin/shutdown";
 /// drive loop (bounds accept latency vs. serving latency).
 const ACCEPT_BATCH: usize = 32;
 
-/// Reactor idle nap when no socket made progress. Short enough that
-/// deadline checks stay sharp, long enough not to spin a core.
+/// Longest reactor nap, reached after a run of idle passes. Short
+/// enough that deadline checks stay sharp, long enough that an idle
+/// server does not spin a core.
 const IDLE_NAP: Duration = Duration::from_micros(500);
+
+/// First nap after a pass that made progress: a busy reactor re-checks
+/// its sockets within tens of microseconds instead of a full
+/// [`IDLE_NAP`].
+const FIRST_NAP: Duration = Duration::from_micros(16);
+
+/// The nap to take on the next idle pass, given the one before it:
+/// back to [`FIRST_NAP`] once a pass made progress, otherwise twice
+/// `prev`, capped at [`IDLE_NAP`].
+fn next_nap(prev: Duration, progressed: bool) -> Duration {
+    if progressed {
+        FIRST_NAP
+    } else {
+        (prev * 2).min(IDLE_NAP)
+    }
+}
 
 /// One hosted echo service.
 pub struct HostedService {
@@ -87,7 +104,10 @@ pub struct HostedService {
 
 impl HostedService {
     /// Hosts one description, pre-parsing it server-side.
-    pub fn new(wsdl_xml: String) -> HostedService {
+    pub fn new(mut wsdl_xml: String) -> HostedService {
+        // Held for the server's lifetime: release the renderer's spare
+        // capacity rather than keep it allocated alongside the text.
+        wsdl_xml.shrink_to_fit();
         let defs = from_xml_str(&wsdl_xml).map_err(|e| e.to_string());
         HostedService { wsdl_xml, defs }
     }
@@ -817,6 +837,7 @@ fn reactor_loop(shared: &Shared, listener: &TcpListener) {
     let workers = shared.config.workers.max(1);
     let gauges = &shared.stats.gauges;
     let mut conns: Vec<Conn> = Vec::new();
+    let mut nap = FIRST_NAP;
     loop {
         let stopping = shared.stop.load(Ordering::SeqCst);
         let mut progressed = false;
@@ -866,8 +887,9 @@ fn reactor_loop(shared: &Shared, listener: &TcpListener) {
             return;
         }
         if !progressed {
-            std::thread::sleep(IDLE_NAP);
+            std::thread::sleep(nap);
         }
+        nap = next_nap(nap, progressed);
     }
 }
 
@@ -947,6 +969,22 @@ mod tests {
         stats.count_response(418);
         assert_eq!(stats.responses_fallback(), 1);
         assert_eq!(registry.counter("wire_server_responses_fallback_total"), 1);
+    }
+
+    #[test]
+    fn idle_nap_backs_off_to_the_cap_and_resets_on_progress() {
+        let mut nap = FIRST_NAP;
+        let mut schedule = vec![nap];
+        for _ in 0..6 {
+            nap = next_nap(nap, false);
+            schedule.push(nap);
+        }
+        let us: Vec<u128> = schedule.iter().map(Duration::as_micros).collect();
+        assert_eq!(us, [16, 32, 64, 128, 256, 500, 500]);
+        // The cap is IDLE_NAP: an idle server wakes every 500 µs.
+        assert_eq!(nap, IDLE_NAP);
+        assert_eq!(next_nap(IDLE_NAP, true), FIRST_NAP);
+        assert_eq!(next_nap(Duration::from_micros(64), true), FIRST_NAP);
     }
 
     #[test]

@@ -232,6 +232,64 @@ fn keep_alive_serves_multiple_requests() {
     server.shutdown();
 }
 
+/// Fifty SOAP POSTs back to back on one kept-alive socket: every body
+/// is byte-equal to the in-process `serve_echo`, and the run takes well
+/// under a second. A request written as two segments (head, then body)
+/// stalls each round trip on the peer's ~40 ms delayed ACK, which would
+/// put this run past 2 s.
+#[test]
+fn keep_alive_soap_posts_do_not_stall() {
+    use wsinterop::core::exchange::{first_survey_operation, serve_echo, SURVEY_PROBE};
+    use wsinterop::wsdl::soap;
+    use wsinterop::xml::writer::{write_document, WriteOptions};
+
+    const REQUESTS: usize = 50;
+    let services = host_survey_services(200);
+    let corpus: Vec<(String, String, String, String)> = services
+        .iter()
+        .filter_map(|(path, hosted)| {
+            let defs = hosted.defs.as_ref().ok()?;
+            let operation = first_survey_operation(&hosted.wsdl_xml)?;
+            let doc = soap::request(defs, &operation, SURVEY_PROBE).ok()?;
+            let request = write_document(&doc, &WriteOptions::compact());
+            let expected = serve_echo(defs, &request);
+            Some((path.clone(), operation, request, expected))
+        })
+        .collect();
+    assert!(!corpus.is_empty(), "survey must host invocable services");
+    let server =
+        WireServer::start(0, services, WireServerConfig::default()).expect("bind loopback");
+
+    let started = Instant::now();
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let limits = HttpLimits::default();
+    for i in 0..REQUESTS {
+        let (path, operation, request, expected) = &corpus[i % corpus.len()];
+        http::write_request(
+            &mut stream,
+            "POST",
+            path,
+            "127.0.0.1",
+            Some(operation),
+            request.as_bytes(),
+            false,
+        )
+        .expect("write request");
+        let response = http::read_response(&stream, &limits).expect("read response");
+        assert_eq!(response.body, expected.as_bytes(), "request {i} to {path}");
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "{REQUESTS} keep-alive requests took {elapsed:?}"
+    );
+    assert_eq!(server.stats().served(), REQUESTS);
+    server.shutdown();
+}
+
 /// Finds a request path whose `sock/…` site draws the wanted fault
 /// (and no interfering `wire/…` fault) from `plan`.
 fn path_with_fault(plan: &FaultPlan, deadline_ms: u64, want: impl Fn(&SocketFault) -> bool) -> String {
