@@ -134,6 +134,10 @@ impl ParsedService {
 
 /// FNV-1a over the description bytes. Stable across platforms and
 /// releases (the same constants as the fault plan's site hash).
+///
+/// This is the crate's one FNV-1a: the journal's frame checksums, the
+/// wire server's config hash, the virtual clock's span durations and
+/// the snapshot ring's frame checksums all call it.
 pub fn content_hash(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {

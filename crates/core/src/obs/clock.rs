@@ -16,17 +16,7 @@
 
 use std::time::Instant;
 
-/// FNV-1a over a byte string — same constants as
-/// [`crate::doccache::content_hash`], kept private here so the clock
-/// has no dependencies beyond `std`.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
+use crate::doccache::content_hash;
 
 /// A time source: either the process monotonic clock or a seeded
 /// virtual clock whose span durations are pure functions of the span
@@ -88,7 +78,7 @@ impl Clock {
                 bytes.extend_from_slice(key.as_bytes());
                 // Map into [1µs, ~4.2ms) so buckets spread over several
                 // histogram bins without ever looking like an outlier.
-                let ns = 1_000 + fnv1a(&bytes) % 4_194_304;
+                let ns = 1_000 + content_hash(&bytes) % 4_194_304;
                 Stopwatch::Virtual(ns)
             }
         }
@@ -144,6 +134,23 @@ mod tests {
             .start_span("gen/Metro/Axis1/java.util.Date")
             .elapsed_ns();
         assert_ne!(a, reseeded, "distinct seeds should (almost surely) differ");
+    }
+
+    #[test]
+    fn virtual_span_durations_are_pinned() {
+        // The virtual clock feeds histogram buckets that tests compare
+        // across runs and thread counts; its hash must never drift.
+        let clock = Clock::virtual_seeded(42);
+        assert_eq!(
+            clock
+                .start_span("gen/Metro/Axis1/java.util.Date")
+                .elapsed_ns(),
+            4_167_427
+        );
+        assert_eq!(
+            Clock::virtual_seeded(0).start_span("").elapsed_ns(),
+            1_719_725
+        );
     }
 
     #[test]

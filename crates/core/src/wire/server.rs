@@ -54,6 +54,7 @@ use wsinterop_wsdl::de::from_xml_str;
 use wsinterop_wsdl::{soap, Definitions};
 use wsinterop_xml::writer::{write_document, WriteOptions};
 
+use crate::doccache::content_hash;
 use crate::exchange::serve_echo;
 use crate::obs::{
     CounterHandle, GaugeHandle, HistogramHandle, MetricsRegistry, TraceEvent, TracePhase,
@@ -702,23 +703,19 @@ fn status_label(status: u16) -> std::borrow::Cow<'static, str> {
 /// FNV-1a over the numeric config fields — stable across runs of the
 /// same build + tuning, different for any retune.
 fn config_hash(config: &WireServerConfig) -> u64 {
-    fn mix(h: &mut u64, v: u64) {
-        for b in v.to_le_bytes() {
-            *h ^= u64::from(b);
-            *h = h.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    mix(&mut h, config.workers as u64);
-    mix(&mut h, config.queue_depth as u64);
-    mix(&mut h, config.reactors as u64);
-    mix(&mut h, config.read_timeout.as_millis() as u64);
-    mix(&mut h, config.write_timeout.as_millis() as u64);
-    mix(&mut h, config.total_timeout.as_millis() as u64);
-    mix(&mut h, config.retry_after_secs);
-    mix(&mut h, config.keep_alive_requests as u64);
-    mix(&mut h, config.request_seed);
-    h
+    let fields = [
+        config.workers as u64,
+        config.queue_depth as u64,
+        config.reactors as u64,
+        config.read_timeout.as_millis() as u64,
+        config.write_timeout.as_millis() as u64,
+        config.total_timeout.as_millis() as u64,
+        config.retry_after_secs,
+        config.keep_alive_requests as u64,
+        config.request_seed,
+    ];
+    let bytes: Vec<u8> = fields.iter().flat_map(|v| v.to_le_bytes()).collect();
+    content_hash(&bytes)
 }
 
 /// The running loopback endpoint. Dropping it without calling
@@ -1011,5 +1008,7 @@ mod tests {
         let mut c = WireServerConfig::default();
         c.request_seed ^= 1;
         assert_ne!(config_hash(&a), config_hash(&c));
+        // `/statusz` reports the hash; it must not drift across builds.
+        assert_eq!(config_hash(&a), 0x9b9a_c5aa_801b_d6ab);
     }
 }

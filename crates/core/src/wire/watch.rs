@@ -14,6 +14,8 @@ use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
+use crate::doccache::content_hash;
+
 use super::http::{self, HttpLimits};
 
 /// One `GET` against the admin plane over a fresh connection.
@@ -191,16 +193,6 @@ pub fn render_diff_table(rows: &[ScrapeDiff], only_changed: bool) -> String {
     out
 }
 
-/// FNV-1a over bytes — the snapshot ring's frame checksum.
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
 /// One journaled scrape: the raw sample map plus the caller's
 /// timestamp (the watch loop stamps wall-clock; tests stamp virtual
 /// time so frames are reproducible).
@@ -239,7 +231,7 @@ impl SnapshotFrame {
             "# snapshot seq={} at_ms={} checksum={:016x}\n{block}# end snapshot {}\n",
             self.seq,
             self.at_ms,
-            fnv64(block.as_bytes()),
+            content_hash(block.as_bytes()),
             self.seq
         )
     }
@@ -339,7 +331,7 @@ impl SnapshotRing {
                 block.push_str(line);
                 block.push('\n');
             }
-            let actual = fnv64(block.as_bytes());
+            let actual = content_hash(block.as_bytes());
             if actual != checksum {
                 return Err(format!(
                     "snapshot {seq} checksum mismatch: header {checksum:016x}, body {actual:016x}"
@@ -411,6 +403,16 @@ mod tests {
         let table_b = render_diff_table(&diff_samples(&prev, &next, 2_000), false);
         assert_eq!(table_a, table_b);
         assert!(table_a.contains("10.000"));
+    }
+
+    #[test]
+    fn snapshot_frame_checksum_is_pinned() {
+        // Snapshot files written by earlier builds must still verify.
+        let mut ring = SnapshotRing::new(1);
+        ring.push(1_000, scrape(&[("a_total", 7), ("wire_server_queued", 2)]));
+        let rendered = ring.render();
+        let header = "# snapshot seq=0 at_ms=1000 checksum=175e964def44947f\n";
+        assert!(rendered.starts_with(header), "{rendered}");
     }
 
     #[test]

@@ -160,7 +160,7 @@ fn resolve_ref(
     Ok(NameRef::new(ns_uri.unwrap_or_default(), local))
 }
 
-fn read_message(el: &Element, scope: &mut NsBindings) -> Result<Message, WsdlReadError> {
+fn read_message<'a>(el: &'a Element, scope: &mut NsBindings<'a>) -> Result<Message, WsdlReadError> {
     scope.push_element(el);
     let result = (|| {
         let name = require_name(el, "wsdl:message")?;
@@ -204,7 +204,10 @@ fn read_message(el: &Element, scope: &mut NsBindings) -> Result<Message, WsdlRea
     result
 }
 
-fn read_port_type(el: &Element, scope: &mut NsBindings) -> Result<PortType, WsdlReadError> {
+fn read_port_type<'a>(
+    el: &'a Element,
+    scope: &mut NsBindings<'a>,
+) -> Result<PortType, WsdlReadError> {
     scope.push_element(el);
     let result = (|| {
         let name = require_name(el, "wsdl:portType")?;
@@ -244,7 +247,7 @@ fn read_port_type(el: &Element, scope: &mut NsBindings) -> Result<PortType, Wsdl
     result
 }
 
-fn read_binding(el: &Element, scope: &mut NsBindings) -> Result<Binding, WsdlReadError> {
+fn read_binding<'a>(el: &'a Element, scope: &mut NsBindings<'a>) -> Result<Binding, WsdlReadError> {
     scope.push_element(el);
     let result = (|| {
         let name = require_name(el, "wsdl:binding")?;
@@ -312,7 +315,7 @@ fn read_binding(el: &Element, scope: &mut NsBindings) -> Result<Binding, WsdlRea
     result
 }
 
-fn read_service(el: &Element, scope: &mut NsBindings) -> Result<Service, WsdlReadError> {
+fn read_service<'a>(el: &'a Element, scope: &mut NsBindings<'a>) -> Result<Service, WsdlReadError> {
     scope.push_element(el);
     let result = (|| {
         let name = require_name(el, "wsdl:service")?;

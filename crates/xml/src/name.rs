@@ -1,7 +1,9 @@
 //! Qualified names ([`QName`]) and namespace-expanded names
 //! ([`ExpandedName`]) per *Namespaces in XML 1.0*.
 
+use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::str::FromStr;
 
 /// Well-known namespace URIs used throughout the workspace.
@@ -67,6 +69,18 @@ impl std::error::Error for ParseQNameError {}
 /// assert!(!is_ncname(""));
 /// ```
 pub fn is_ncname(s: &str) -> bool {
+    let bytes = s.as_bytes();
+    if bytes.is_ascii() {
+        return match bytes.split_first() {
+            Some((&first, rest)) => {
+                (first == b'_' || first.is_ascii_alphabetic())
+                    && rest
+                        .iter()
+                        .all(|&b| matches!(b, b'_' | b'-' | b'.') || b.is_ascii_alphanumeric())
+            }
+            None => false,
+        };
+    }
     let mut chars = s.chars();
     match chars.next() {
         Some(c) if c == '_' || c.is_alphabetic() => {}
@@ -91,10 +105,17 @@ pub fn is_ncname(s: &str) -> bool {
 /// assert_eq!(q.to_string(), "wsdl:definitions");
 /// # Ok::<(), wsinterop_xml::name::ParseQNameError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+///
+/// The name is stored as its lexical form in one allocation. Equality,
+/// ordering, hashing and `Debug` behave as on the `(prefix, local)` pair.
+#[derive(Clone, PartialEq, Eq)]
 pub struct QName {
-    prefix: Option<String>,
-    local: String,
+    /// `prefix:local` or `local`.
+    raw: Box<str>,
+    /// Byte offset of the local part: 0 when unprefixed, else one past
+    /// the colon. Equal `raw` strings imply equal offsets, since an
+    /// NCName holds no colon.
+    local_start: usize,
 }
 
 impl QName {
@@ -107,7 +128,10 @@ impl QName {
     pub fn local(local: impl Into<String>) -> QName {
         let local = local.into();
         assert!(is_ncname(&local), "invalid NCName for QName local part: {local:?}");
-        QName { prefix: None, local }
+        QName {
+            raw: local.into_boxed_str(),
+            local_start: 0,
+        }
     }
 
     /// Creates a prefixed `QName`.
@@ -120,17 +144,68 @@ impl QName {
         let local = local.into();
         assert!(is_ncname(&prefix), "invalid NCName for QName prefix: {prefix:?}");
         assert!(is_ncname(&local), "invalid NCName for QName local part: {local:?}");
-        QName { prefix: Some(prefix), local }
+        QName {
+            local_start: prefix.len() + 1,
+            raw: format!("{prefix}:{local}").into_boxed_str(),
+        }
     }
 
     /// The prefix, if any.
     pub fn prefix(&self) -> Option<&str> {
-        self.prefix.as_deref()
+        self.local_start
+            .checked_sub(1)
+            .map(|colon| &self.raw[..colon])
     }
 
     /// The local part.
     pub fn local_part(&self) -> &str {
-        &self.local
+        &self.raw[self.local_start..]
+    }
+
+    /// Returns `true` when `raw` is this name's lexical form (`prefix:local`
+    /// or `local`), without allocating.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use wsinterop_xml::QName;
+    /// let q = QName::prefixed("wsdl", "message");
+    /// assert!(q.eq_lexical("wsdl:message"));
+    /// assert!(!q.eq_lexical("message"));
+    /// assert!(QName::local("message").eq_lexical("message"));
+    /// ```
+    pub fn eq_lexical(&self, raw: &str) -> bool {
+        *self.raw == *raw
+    }
+}
+
+impl fmt::Debug for QName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("QName")
+            .field("prefix", &self.prefix())
+            .field("local", &self.local_part())
+            .finish()
+    }
+}
+
+impl Hash for QName {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.prefix().hash(state);
+        self.local_part().hash(state);
+    }
+}
+
+impl PartialOrd for QName {
+    fn partial_cmp(&self, other: &QName) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for QName {
+    fn cmp(&self, other: &QName) -> Ordering {
+        self.prefix()
+            .cmp(&other.prefix())
+            .then_with(|| self.local_part().cmp(other.local_part()))
     }
 }
 
@@ -139,33 +214,23 @@ impl FromStr for QName {
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         let err = |reason| ParseQNameError { raw: s.to_string(), reason };
-        match s.split_once(':') {
-            None => {
-                if is_ncname(s) {
-                    Ok(QName { prefix: None, local: s.to_string() })
-                } else {
-                    Err(err("local part is not an NCName"))
-                }
-            }
-            Some((p, l)) => {
-                if !is_ncname(p) {
-                    Err(err("prefix is not an NCName"))
-                } else if !is_ncname(l) {
-                    Err(err("local part is not an NCName"))
-                } else {
-                    Ok(QName { prefix: Some(p.to_string()), local: l.to_string() })
-                }
-            }
-        }
+        let local_start = match s.split_once(':') {
+            None if is_ncname(s) => 0,
+            None => return Err(err("local part is not an NCName")),
+            Some((p, _)) if !is_ncname(p) => return Err(err("prefix is not an NCName")),
+            Some((_, l)) if !is_ncname(l) => return Err(err("local part is not an NCName")),
+            Some((p, _)) => p.len() + 1,
+        };
+        Ok(QName {
+            raw: s.into(),
+            local_start,
+        })
     }
 }
 
 impl fmt::Display for QName {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match &self.prefix {
-            Some(p) => write!(f, "{}:{}", p, self.local),
-            None => f.write_str(&self.local),
-        }
+        f.write_str(&self.raw)
     }
 }
 
@@ -258,6 +323,71 @@ mod tests {
     fn ncname_unicode() {
         assert!(is_ncname("héllo"));
         assert!(!is_ncname("he llo"));
+        assert!(is_ncname("ünïcode"));
+        assert!(!is_ncname("٣x"), "a non-ASCII digit cannot start a name");
+        assert!(is_ncname("x٣"));
+    }
+
+    #[test]
+    fn ncname_ascii_fast_path_agrees_with_char_classes() {
+        for b in 0u8..0x80 {
+            let c = char::from(b);
+            let first = c == '_' || c.is_alphabetic();
+            let rest = first || c == '-' || c == '.' || c.is_alphanumeric();
+            assert_eq!(is_ncname(&c.to_string()), first, "{c:?} first");
+            assert_eq!(is_ncname(&format!("a{c}")), rest, "{c:?} rest");
+        }
+    }
+
+    #[test]
+    fn eq_lexical_matches_display() {
+        for raw in ["a", "p:a", "xsd:complexType"] {
+            let q: QName = raw.parse().unwrap();
+            for probe in ["a", "p:a", "pa", "p:", ":a", "xsd:complexType", "xsd:T", ""] {
+                let expected = q.to_string() == probe;
+                assert_eq!(q.eq_lexical(probe), expected, "{raw} vs {probe}");
+            }
+        }
+    }
+
+    /// The derived `(prefix, local)` behaviour the single-allocation
+    /// layout must keep: order, hash and `Debug`.
+    #[derive(Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+    struct Pair {
+        prefix: Option<String>,
+        local: String,
+    }
+
+    fn pair(q: &QName) -> Pair {
+        Pair {
+            prefix: q.prefix().map(str::to_string),
+            local: q.local_part().to_string(),
+        }
+    }
+
+    fn hash_of(v: &impl Hash) -> u64 {
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        v.hash(&mut h);
+        h.finish()
+    }
+
+    #[test]
+    fn qname_orders_hashes_and_debugs_as_the_pair() {
+        let raws = [
+            "a", "b", "ab", "a:b", "a:a", "ab:a", "b:a", "a-:b", "a.b", "é", "z:é",
+        ];
+        let names: Vec<QName> = raws.iter().map(|r| r.parse().unwrap()).collect();
+        for x in &names {
+            let debug = format!("{x:?}").replace("QName", "Pair");
+            assert_eq!(debug, format!("{:?}", pair(x)));
+            assert_eq!(hash_of(x), hash_of(&pair(x)), "{x}");
+            for y in &names {
+                assert_eq!(x.cmp(y), pair(x).cmp(&pair(y)), "{x} vs {y}");
+                assert_eq!(x == y, pair(x) == pair(y), "{x} vs {y}");
+            }
+        }
+        assert_eq!(QName::prefixed("a", "b"), "a:b".parse().unwrap());
+        assert_eq!(QName::local("b"), "b".parse().unwrap());
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! attribute **values** that are lexical QNames (`type="xsd:int"`,
 //! `message="tns:echoRequest"`) must be resolved against the bindings in
 //! scope at the element that carries them. [`NsBindings`] is a small
-//! stack consumers push/pop while descending.
+//! stack consumers push/pop while descending. It borrows the
+//! declarations from the tree, so pushing an element copies no strings.
 
 use crate::name::{ns, QName};
 use crate::tree::Element;
@@ -26,15 +27,19 @@ use crate::tree::Element;
 /// # Ok::<(), wsinterop_xml::ParseXmlError>(())
 /// ```
 #[derive(Debug, Clone, Default)]
-pub struct NsBindings {
-    frames: Vec<Vec<(Option<String>, String)>>,
+pub struct NsBindings<'a> {
+    /// Every binding in scope, innermost last.
+    bindings: Vec<(Option<&'a str>, &'a str)>,
+    /// Where each frame starts in `bindings`.
+    frames: Vec<usize>,
 }
 
-impl NsBindings {
+impl<'a> NsBindings<'a> {
     /// An empty scope with the `xml:` prefix predeclared.
-    pub fn new() -> NsBindings {
+    pub fn new() -> NsBindings<'a> {
         NsBindings {
-            frames: vec![vec![(Some("xml".to_string()), ns::XML.to_string())]],
+            bindings: vec![(Some("xml"), ns::XML)],
+            frames: vec![0],
         }
     }
 
@@ -42,29 +47,23 @@ impl NsBindings {
     ///
     /// Call once per element while descending; pair with
     /// [`NsBindings::pop`] when leaving the element.
-    pub fn push_element(&mut self, el: &Element) {
-        self.frames.push(
-            el.ns_decls()
-                .map(|(p, u)| (p.map(str::to_string), u.to_string()))
-                .collect(),
-        );
+    pub fn push_element(&mut self, el: &'a Element) {
+        self.frames.push(self.bindings.len());
+        self.bindings.extend(el.ns_decls());
     }
 
     /// Pops the innermost frame.
     pub fn pop(&mut self) {
-        self.frames.pop();
+        if let Some(start) = self.frames.pop() {
+            self.bindings.truncate(start);
+        }
     }
 
     /// Resolves a prefix (`None` = default namespace) to a URI.
     pub fn resolve(&self, prefix: Option<&str>) -> Option<&str> {
-        for frame in self.frames.iter().rev() {
-            for (p, uri) in frame.iter().rev() {
-                if p.as_deref() == prefix {
-                    return if uri.is_empty() { None } else { Some(uri) };
-                }
-            }
-        }
-        None
+        let (_, uri) = self.bindings.iter().rev().find(|(p, _)| *p == prefix)?;
+        // An empty URI un-declares the default namespace.
+        (!uri.is_empty()).then_some(*uri)
     }
 
     /// Resolves a lexical QName attribute value to `(ns-uri, local)`.
@@ -122,6 +121,26 @@ mod tests {
     fn undeclared_prefix_yields_none() {
         let scope = NsBindings::new();
         assert!(scope.resolve_qname_value("nope:T").is_none());
+    }
+
+    #[test]
+    fn empty_default_namespace_undeclares_it() {
+        let el = parse_element(r#"<a xmlns="urn:d"><b xmlns=""/></a>"#).unwrap();
+        let mut scope = NsBindings::new();
+        scope.push_element(&el);
+        scope.push_element(el.child_elements().next().unwrap());
+        assert_eq!(scope.resolve(None), None);
+        scope.pop();
+        assert_eq!(scope.resolve(None), Some("urn:d"));
+    }
+
+    #[test]
+    fn popping_the_base_frame_drops_the_xml_prefix() {
+        let mut scope = NsBindings::new();
+        scope.pop();
+        assert_eq!(scope.resolve(Some("xml")), None);
+        scope.pop();
+        assert_eq!(scope.resolve(Some("xml")), None);
     }
 
     #[test]

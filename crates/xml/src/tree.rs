@@ -8,6 +8,12 @@
 //! which builder code sets explicitly. Keeping the resolved URI on the
 //! node makes consumers (the WSDL parser, the WS-I checker) independent
 //! of prefix spelling.
+//!
+//! The resolved URI is shared: a parsed document holds one `Arc<str>` per
+//! namespace declaration, and every element in that namespace points at
+//! it.
+
+use std::sync::Arc;
 
 use crate::name::{ExpandedName, QName};
 
@@ -69,6 +75,11 @@ impl Attr {
         }
     }
 
+    /// Creates an attribute from an already-parsed name.
+    pub(crate) fn from_parts(name: QName, value: String) -> Attr {
+        Attr { name, value }
+    }
+
     /// The attribute name.
     pub fn name(&self) -> &QName {
         &self.name
@@ -108,7 +119,7 @@ impl Attr {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Element {
     name: QName,
-    ns_uri: Option<String>,
+    ns_uri: Option<Arc<str>>,
     attrs: Vec<Attr>,
     children: Vec<Node>,
 }
@@ -134,12 +145,18 @@ impl Element {
     ///
     /// Returns an error when `name` is not a lexically valid QName.
     pub fn try_new(name: &str) -> Result<Element, crate::name::ParseQNameError> {
-        Ok(Element {
-            name: name.parse()?,
-            ns_uri: None,
-            attrs: Vec::new(),
+        Ok(Element::from_parts(name.parse()?, None, Vec::new()))
+    }
+
+    /// Creates an element from an already-parsed name, its resolved
+    /// namespace and its attributes (the parser's constructor).
+    pub(crate) fn from_parts(name: QName, ns_uri: Option<Arc<str>>, attrs: Vec<Attr>) -> Element {
+        Element {
+            name,
+            ns_uri,
+            attrs,
             children: Vec::new(),
-        })
+        }
     }
 
     /// The element's lexical name.
@@ -154,7 +171,7 @@ impl Element {
 
     /// Sets the resolved namespace URI in place.
     pub fn set_ns_uri(&mut self, uri: impl Into<String>) {
-        self.ns_uri = Some(uri.into());
+        self.ns_uri = Some(Arc::from(uri.into()));
     }
 
     /// Builder form of [`Element::set_ns_uri`].
@@ -186,7 +203,7 @@ impl Element {
     pub fn attr(&self, name: &str) -> Option<&str> {
         self.attrs
             .iter()
-            .find(|a| a.name.to_string() == name)
+            .find(|a| a.name.eq_lexical(name))
             .map(|a| a.value())
     }
 
@@ -197,7 +214,7 @@ impl Element {
     /// Panics if `name` is not a lexically valid QName.
     pub fn set_attr(&mut self, name: &str, value: impl Into<String>) {
         let value = value.into();
-        if let Some(a) = self.attrs.iter_mut().find(|a| a.name.to_string() == name) {
+        if let Some(a) = self.attrs.iter_mut().find(|a| a.name.eq_lexical(name)) {
             a.value = value;
         } else {
             self.attrs.push(Attr::new(name, value));
@@ -280,16 +297,18 @@ impl Element {
 
     /// Direct child elements with the given resolved namespace and local
     /// name.
-    pub fn elements(&self, ns_uri: &str, local: &str) -> impl Iterator<Item = &Element> + '_ {
-        let ns_uri = ns_uri.to_string();
-        let local = local.to_string();
+    pub fn elements<'a>(
+        &'a self,
+        ns_uri: &'a str,
+        local: &'a str,
+    ) -> impl Iterator<Item = &'a Element> + 'a {
         self.child_elements()
-            .filter(move |e| e.is_named(&ns_uri, &local))
+            .filter(move |e| e.is_named(ns_uri, local))
     }
 
     /// First direct child element with the given resolved name.
     pub fn element(&self, ns_uri: &str, local: &str) -> Option<&Element> {
-        self.elements(ns_uri, local).next()
+        self.child_elements().find(|e| e.is_named(ns_uri, local))
     }
 
     /// First direct child element with the given *local* name, ignoring

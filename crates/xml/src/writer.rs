@@ -1,6 +1,7 @@
 //! Serialization of [`Document`]/[`Element`] trees to XML text.
 
 use crate::escape::{escape_attr, escape_text};
+use crate::name::QName;
 use crate::tree::{Document, Element, Node};
 
 /// Formatting options for [`write_document`] / [`write_element`].
@@ -78,10 +79,10 @@ pub fn write_element(el: &Element, opts: &WriteOptions) -> String {
 
 fn write_element_into(el: &Element, opts: &WriteOptions, depth: usize, out: &mut String) {
     out.push('<');
-    push_name(el, out);
+    push_name(el.name(), out);
     for attr in el.attrs() {
         out.push(' ');
-        out.push_str(&attr.name().to_string());
+        push_name(attr.name(), out);
         out.push_str("=\"");
         out.push_str(&escape_attr(attr.value()));
         out.push('"');
@@ -132,16 +133,16 @@ fn write_element_into(el: &Element, opts: &WriteOptions, depth: usize, out: &mut
         push_newline_indent(opts, depth, out);
     }
     out.push_str("</");
-    push_name(el, out);
+    push_name(el.name(), out);
     out.push('>');
 }
 
-fn push_name(el: &Element, out: &mut String) {
-    if let Some(p) = el.name().prefix() {
+fn push_name(name: &QName, out: &mut String) {
+    if let Some(p) = name.prefix() {
         out.push_str(p);
         out.push(':');
     }
-    out.push_str(el.name().local_part());
+    out.push_str(name.local_part());
 }
 
 fn push_newline_indent(opts: &WriteOptions, depth: usize, out: &mut String) {

@@ -1,5 +1,8 @@
-//! Property-based tests for the XML crate: escaping and write→parse
-//! roundtrips over randomly generated trees.
+//! Property-based tests for the XML crate: escaping, write→parse
+//! roundtrips over randomly generated trees, namespace resolution
+//! against a reference resolver, and duplicate-attribute rejection.
+
+use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 use wsinterop_xml::escape::{escape_attr, escape_text, unescape};
@@ -143,5 +146,182 @@ proptest! {
     #[test]
     fn parser_never_panics(raw in "\\PC{0,128}") {
         let _ = parse_document(&raw);
+    }
+}
+
+// ---- namespaces -------------------------------------------------------
+
+/// Prefixes the namespace generator declares; `xml`/`xmlns` are reserved.
+const PREFIXES: [&str; 3] = ["p", "q", "ns1"];
+/// Namespace URIs it binds them to.
+const URIS: [&str; 3] = ["urn:a", "urn:b", "http://example.org/c"];
+
+/// Names with non-ASCII letters too, so the parser's Unicode name path
+/// is exercised alongside its ASCII fast path.
+fn any_ncname() -> impl Strategy<Value = String> {
+    prop_oneof![ncname(), "[a-zA-Z_ßλ中][a-zA-Z0-9_.ßλ中-]{0,6}"]
+}
+
+/// One element of a namespace-heavy tree, before undeclared prefixes
+/// are fixed up.
+#[derive(Debug, Clone)]
+struct NsSpec {
+    prefix: Option<&'static str>,
+    local: String,
+    /// `xmlns:p="uri"` declarations, possibly shadowing an ancestor's.
+    decls: Vec<(&'static str, &'static str)>,
+    /// `xmlns="uri"`; `""` un-declares the default namespace.
+    default_decl: Option<&'static str>,
+    attrs: Vec<(Option<&'static str>, String, String)>,
+    children: Vec<NsSpec>,
+}
+
+fn arb_ns_spec(depth: u32) -> BoxedStrategy<NsSpec> {
+    let prefix = || prop::sample::select(PREFIXES.to_vec());
+    let node = (
+        prop::option::of(prefix()),
+        any_ncname(),
+        prop::collection::vec((prefix(), prop::sample::select(URIS.to_vec())), 0..3),
+        prop::option::of(prop::sample::select(vec!["urn:a", "urn:b", ""])),
+        prop::collection::vec((prop::option::of(prefix()), ncname(), attr_value()), 0..3),
+    );
+    let children = if depth == 0 {
+        (0usize..1).prop_map(|_| Vec::new()).boxed()
+    } else {
+        prop::collection::vec(arb_ns_spec(depth - 1), 0..3).boxed()
+    };
+    (node, children)
+        .prop_map(
+            |((prefix, local, decls, default_decl, attrs), children)| NsSpec {
+                prefix,
+                local,
+                decls,
+                default_decl,
+                attrs,
+                children,
+            },
+        )
+        .boxed()
+}
+
+/// Builds the element tree for `spec`. A prefix used on an element or
+/// attribute but not declared on it or an ancestor gets a declaration
+/// here, so the tree is always namespace-well-formed. No resolved
+/// namespace is set: that is the parser's job.
+fn realize(spec: &NsSpec, declared: &[&'static str]) -> Element {
+    let mut declared = declared.to_vec();
+    let name = match spec.prefix {
+        Some(p) => format!("{p}:{}", spec.local),
+        None => spec.local.clone(),
+    };
+    let mut el = Element::new(&name);
+    if let Some(uri) = spec.default_decl {
+        el.declare_ns(None, uri);
+    }
+    for (p, uri) in &spec.decls {
+        el.declare_ns(Some(p), uri);
+        declared.push(p);
+    }
+    let used = spec
+        .prefix
+        .into_iter()
+        .chain(spec.attrs.iter().filter_map(|a| a.0));
+    for p in used {
+        if !declared.contains(&p) {
+            el.declare_ns(Some(p), URIS[0]);
+            declared.push(p);
+        }
+    }
+    for (p, local, value) in &spec.attrs {
+        match p {
+            Some(p) => el.set_attr(&format!("{p}:{local}"), value.as_str()),
+            None => el.set_attr(local, value.as_str()),
+        }
+    }
+    for child in &spec.children {
+        el.push_element(realize(child, &declared));
+    }
+    el
+}
+
+/// The reference resolver: recomputes every element's namespace from
+/// the declarations in the tree, keeping a whole prefix→URI map per
+/// level (no shared stack, no sharing of URIs), and returns the tree
+/// with each `ns_uri` filled in.
+fn with_reference_ns(el: &Element, inherited: &BTreeMap<Option<String>, String>) -> Element {
+    let mut scope = inherited.clone();
+    for (p, uri) in el.ns_decls() {
+        scope.insert(p.map(str::to_string), uri.to_string());
+    }
+    let mut out = Element::new(&el.name().to_string());
+    let prefix = el.name().prefix().map(str::to_string);
+    if let Some(uri) = scope.get(&prefix).filter(|uri| !uri.is_empty()) {
+        out.set_ns_uri(uri.as_str());
+    }
+    for a in el.attrs() {
+        out.set_attr(&a.name().to_string(), a.value());
+    }
+    for child in el.child_elements() {
+        out.push_element(with_reference_ns(child, &scope));
+    }
+    out
+}
+
+/// Every element's resolved namespace, in document order.
+fn ns_uris(el: &Element) -> Vec<Option<String>> {
+    let mut out = Vec::new();
+    el.walk(&mut |e| out.push(e.ns_uri().map(str::to_string)));
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Namespaces declared on ancestors, shadowed in children and
+    /// un-declared with `xmlns=""` resolve on every element exactly as
+    /// the reference resolver says, under both writer layouts.
+    #[test]
+    fn parsed_namespaces_match_the_reference_resolver(spec in arb_ns_spec(3)) {
+        let tree = realize(&spec, &[]);
+        let expected = with_reference_ns(&tree, &BTreeMap::new());
+        for opts in [WriteOptions::compact(), WriteOptions::pretty()] {
+            let xml = write_document(&Document::new(tree.clone()), &opts);
+            let parsed = parse_document(&xml).unwrap();
+            prop_assert_eq!(ns_uris(parsed.root()), ns_uris(&expected), "{}", xml);
+            prop_assert_eq!(canonical(parsed.root()), canonical(&expected));
+        }
+    }
+
+    /// Repeating any attribute of a start tag — plain, prefixed or a
+    /// namespace declaration — is always rejected, at the repeat.
+    #[test]
+    fn duplicate_attributes_are_always_rejected(
+        attrs in prop::collection::vec(
+            (prop::option::of(prop::sample::select(vec!["p", "xmlns"])), any_ncname()),
+            1..5,
+        ),
+        pick in 0usize..4,
+        value in attr_value(),
+    ) {
+        // `xmlns:p` comes first so that `p:` attributes are declared.
+        let mut names = vec!["xmlns:p".to_string()];
+        names.extend(attrs.iter().map(|(p, local)| match p {
+            Some(p) => format!("{p}:{local}"),
+            None => local.clone(),
+        }));
+        names.push(names[1 + pick % attrs.len()].clone());
+        let mut xml = String::from("<e");
+        for name in &names {
+            xml.push_str(&format!(" {name}=\"{}\"", escape_attr(&value)));
+        }
+        xml.push_str("/>");
+        let err = parse_document(&xml).unwrap_err();
+        let first_dup = names
+            .iter()
+            .enumerate()
+            .find(|(i, n)| names[..*i].contains(n))
+            .map(|(_, n)| n)
+            .expect("the last name repeats an earlier one");
+        prop_assert_eq!(err.message(), format!("duplicate attribute `{first_dup}`"));
     }
 }

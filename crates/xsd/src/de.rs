@@ -154,9 +154,9 @@ fn read_occurs(el: &Element) -> Result<(u32, MaxOccurs), SchemaReadError> {
     Ok((min, max))
 }
 
-fn read_element_decl(
-    el: &Element,
-    scope: &mut NsBindings,
+fn read_element_decl<'a>(
+    el: &'a Element,
+    scope: &mut NsBindings<'a>,
 ) -> Result<ElementDecl, SchemaReadError> {
     scope.push_element(el);
     let result = (|| {
@@ -186,9 +186,9 @@ fn read_element_decl(
     result
 }
 
-fn read_complex_type(
-    el: &Element,
-    scope: &mut NsBindings,
+fn read_complex_type<'a>(
+    el: &'a Element,
+    scope: &mut NsBindings<'a>,
 ) -> Result<ComplexType, SchemaReadError> {
     scope.push_element(el);
     let result = (|| {
@@ -235,10 +235,10 @@ fn read_complex_type(
     result
 }
 
-fn read_group(
-    el: &Element,
+fn read_group<'a>(
+    el: &'a Element,
     compositor: Compositor,
-    scope: &mut NsBindings,
+    scope: &mut NsBindings<'a>,
 ) -> Result<Group, SchemaReadError> {
     scope.push_element(el);
     let result = (|| {
@@ -311,9 +311,9 @@ fn read_group(
     result
 }
 
-fn read_attribute(
-    el: &Element,
-    scope: &mut NsBindings,
+fn read_attribute<'a>(
+    el: &'a Element,
+    scope: &mut NsBindings<'a>,
 ) -> Result<AttributeDecl, SchemaReadError> {
     scope.push_element(el);
     let result = (|| {
@@ -344,9 +344,9 @@ fn read_attribute(
     result
 }
 
-fn read_simple_type(
-    el: &Element,
-    scope: &mut NsBindings,
+fn read_simple_type<'a>(
+    el: &'a Element,
+    scope: &mut NsBindings<'a>,
 ) -> Result<SimpleType, SchemaReadError> {
     scope.push_element(el);
     let result = (|| {
