@@ -77,6 +77,19 @@ fn start_instrumented(
     (server, registry, sink, path)
 }
 
+/// Output pin for the request-id stream: serial requests take the
+/// stream's ordinals in order, so their ids are fixed constants of the
+/// seed — a change to the mixer shows up here, not only as a
+/// collision.
+#[test]
+fn first_request_ids_are_pinned() {
+    let (server, _registry, _sink, _path) = start_instrumented(11);
+    let addr = server.addr();
+    let ids: Vec<u64> = (0..3).map(|_| request_id(&get(addr, "/healthz"))).collect();
+    assert_eq!(ids, [0x50f5_647d_2380_309d, 0xd517_1492_f6d0_63ef, 0xc261_a003_c920_4625]);
+    server.shutdown();
+}
+
 #[test]
 fn admin_endpoints_are_served_but_excluded_from_serving_metrics() {
     let (server, registry, _sink, path) = start_instrumented(11);
