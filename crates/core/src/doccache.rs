@@ -132,19 +132,15 @@ impl ParsedService {
     }
 }
 
-/// FNV-1a over the description bytes. Stable across platforms and
-/// releases (the same constants as the fault plan's site hash).
+/// FNV-1a over the description bytes: the catalog's
+/// [`wsinterop_typecat::rng::fnv1a`], the workspace's one
+/// implementation. Stable across platforms and releases.
 ///
-/// This is the crate's one FNV-1a: the journal's frame checksums, the
-/// wire server's config hash, the virtual clock's span durations and
-/// the snapshot ring's frame checksums all call it.
+/// The journal's frame checksums, the wire server's config hash, the
+/// virtual clock's span durations and the snapshot ring's frame
+/// checksums all call it.
 pub fn content_hash(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    wsinterop_typecat::rng::fnv1a(bytes)
 }
 
 /// Default number of independent lock stripes each memo is split

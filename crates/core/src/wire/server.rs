@@ -50,6 +50,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use wsinterop_typecat::rng::splitmix64;
 use wsinterop_wsdl::de::from_xml_str;
 use wsinterop_wsdl::{soap, Definitions};
 use wsinterop_xml::writer::{write_document, WriteOptions};
@@ -63,7 +64,6 @@ use crate::obs::{
 
 use super::conn::{Conn, Drive, Phase};
 use super::http::{self, HttpLimits, Request};
-use super::loadgen::splitmix64;
 
 /// The admin path that triggers a remote graceful shutdown.
 pub const SHUTDOWN_PATH: &str = "/__admin/shutdown";

@@ -24,7 +24,7 @@ impl DetRng {
     /// Creates a generator from a seed (zero is remapped internally).
     pub fn new(seed: u64) -> DetRng {
         DetRng {
-            state: seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1,
+            state: seed.wrapping_mul(GOLDEN_GAMMA) | 1,
         }
     }
 
@@ -61,15 +61,35 @@ impl DetRng {
     }
 }
 
-/// Stable 64-bit FNV-1a hash of a string, used to derive per-class
-/// deterministic attributes from fully-qualified names.
-pub fn fnv1a(s: &str) -> u64 {
+/// Stable 64-bit FNV-1a hash, used to derive per-class deterministic
+/// attributes from fully-qualified names.
+///
+/// This is the workspace's one FNV-1a: `wsinterop-core` calls it as
+/// `doccache::content_hash` for document identity, journal and
+/// snapshot checksums, config hashes and virtual-clock span keys.
+pub fn fnv1a(bytes: impl AsRef<[u8]>) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for byte in s.as_bytes() {
-        hash ^= u64::from(*byte);
+    for &byte in bytes.as_ref() {
+        hash ^= u64::from(byte);
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
     hash
+}
+
+/// 2^64 / φ, the odd increment of the splitmix64 stream.
+pub const GOLDEN_GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// The splitmix64 step: advances `x` by [`GOLDEN_GAMMA`] and returns it
+/// through the splitmix64 finalizer (full 64-bit avalanche,
+/// bijective). Calling it on `x`, `x + GOLDEN_GAMMA`,
+/// `x + 2 * GOLDEN_GAMMA`, … yields the standard splitmix64 stream
+/// seeded with `x`.
+#[inline]
+pub fn splitmix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(GOLDEN_GAMMA);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
 }
 
 #[cfg(test)]

@@ -28,8 +28,9 @@
 //!   [--halt-after-units N]              #   reproducers (crash/resume-safe)
 //!   [--fault-seed N] [--crash-fqcn F] [--hang-fqcn F]
 //!   [--max-body-bytes N] [--wire-timeout-ms N] [--shrink-budget N]
-//!   [--shards N --shard-dir DIR]        #   …multi-process shards, merged
-//!                                       #   bit-identical to one process
+//!   [--shards N --shard-dir DIR]        #   …supervised multi-process shards
+//!   [--max-respawns N]                  #   (as campaign, worker logs in DIR),
+//!                                       #   merged bit-identical to one process
 //! wsitool metrics [--stride N] [--seed N] [--json] [--out FILE]
 //!                                       # deterministic instrumented-campaign metrics
 //! wsitool journal inspect <file> [--json]  # decode a campaign journal
@@ -59,12 +60,13 @@
 //!
 //! The contract is documented in README.md and stable:
 //! `0` success, `1` runtime failure (including non-conformant audits),
-//! `2` usage errors, `3` sharded campaign completed after recovering
-//! one or more crashed/hung workers, `4` shard supervision gave up
-//! after exhausting a worker's respawn budget, `9` deterministic
-//! journal halt (`--halt-after-cells`).
+//! `2` usage errors, `3` sharded campaign or fuzz run completed after
+//! recovering one or more crashed/hung workers, `4` shard supervision
+//! gave up after exhausting a worker's respawn budget, `9`
+//! deterministic journal halt (`--halt-after-cells`).
 
-use std::process::ExitCode;
+use std::path::Path;
+use std::process::{Command, ExitCode};
 
 use wsinterop::core::campaign::ExchangeTransport;
 use wsinterop::core::exchange::{survey_sites_observed, ExchangeSurvey};
@@ -74,7 +76,7 @@ use wsinterop::core::registry::ServiceHost;
 use wsinterop::core::report::{Fig4, TableIII, Totals};
 use wsinterop::core::shard::{
     merge_metrics_files, merge_shard_dir, merge_trace_files, verify_exactly_once,
-    write_merged_journal, ShardSpec, Supervisor, SupervisorConfig,
+    write_merged_journal, ShardSpec, SupervisionOutcome, Supervisor, SupervisorConfig,
 };
 use wsinterop::core::wire;
 use wsinterop::core::Campaign;
@@ -93,16 +95,16 @@ use wsinterop::xml::writer::{write_document, WriteOptions};
 /// non-conformant audits).
 const EXIT_RUNTIME: u8 = 1;
 
-/// Exit code when a sharded campaign completed, but only after the
-/// supervisor recovered at least one crashed or hung worker — the run
-/// is good (merged output verified exactly-once and bit-identical),
-/// the distinct code makes the recovery visible to CI.
+/// Exit code when a sharded campaign or fuzz run completed, but only
+/// after the supervisor recovered at least one crashed or hung
+/// worker — the run is good (merged output verified exactly-once and
+/// bit-identical), the distinct code makes the recovery visible to CI.
 const EXIT_RECOVERED: u8 = 3;
 
 /// Exit code when shard supervision gave up: some worker exhausted
-/// its `--max-respawns` budget and the campaign is incomplete. No
-/// merged output is produced; per-shard journals keep the completed
-/// cells for a later `--resume`.
+/// its `--max-respawns` budget and the run is incomplete. No merged
+/// output is produced; per-shard journals keep the completed work for
+/// a later `--resume`.
 const EXIT_GAVE_UP: u8 = 4;
 
 fn main() -> ExitCode {
@@ -272,7 +274,7 @@ fn usage() -> ExitCode {
          \x20      [--transport in-process|tcp|both] [--journal FILE] [--resume]\n\
          \x20      [--halt-after-units N] [--fault-seed N] [--crash-fqcn F] [--hang-fqcn F]\n\
          \x20      [--max-body-bytes N] [--wire-timeout-ms N] [--shrink-budget N]\n\
-         \x20      [--shards N --shard-dir DIR | --shard K/N --shard-dir DIR]\n\
+         \x20      [--shards N --shard-dir DIR [--max-respawns N] | --shard K/N --shard-dir DIR]\n\
          \x20      [--trace-out FILE] [--metrics-out FILE] [--quiet]\n\
          \x20                        WSDL-guided property-based exchange fuzzing:\n\
          \x20                        per-pair outcome tables, tape-shrunk journaled\n\
@@ -1320,6 +1322,15 @@ fn parse_fuzz_opts(rest: &[&str]) -> Result<FuzzOpts, String> {
     if opts.shard.is_some() && opts.shard_dir.is_none() {
         return Err("--shard needs --shard-dir (per-shard journals live there)".to_string());
     }
+    if opts.shards.is_some() && opts.halt_after_units.is_some() {
+        return Err("--halt-after-units halts a single-process fuzz run; drop --shards".to_string());
+    }
+    if opts.shards.is_some() && (opts.metrics_out.is_some() || opts.trace_out.is_some()) {
+        return Err(
+            "--metrics-out and --trace-out observe a single-process fuzz run; drop --shards"
+                .to_string(),
+        );
+    }
     Ok(opts)
 }
 
@@ -1493,10 +1504,10 @@ fn fuzz_shard_worker(opts: &FuzzOpts, spec: ShardSpec) -> ExitCode {
     }
 }
 
-/// The supervising parent of a sharded fuzz run: spawns one worker
-/// process per shard, respawns failed workers (they resume their shard
-/// journal), then merges the per-shard journals into a canonical
-/// journal bit-identical to a single-process run.
+/// The supervising parent of a sharded fuzz run: [`run_shards`] over
+/// fuzz workers (a respawned worker resumes its shard journal), then
+/// merges the per-shard journals into a canonical journal
+/// bit-identical to a single-process run.
 fn fuzz_supervise(opts: &FuzzOpts, shards: usize) -> ExitCode {
     let config = fuzz_config(opts);
     println!(
@@ -1508,21 +1519,7 @@ fn fuzz_supervise(opts: &FuzzOpts, shards: usize) -> ExitCode {
         config.config_hash()
     );
     let dir = std::path::PathBuf::from(opts.shard_dir.as_deref().unwrap_or("wsitool-fuzz-shards"));
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        return fail(format!("cannot create shard dir {}: {e}", dir.display()));
-    }
-    if !opts.resume {
-        for k in 0..shards {
-            let _ = std::fs::remove_file(ShardSpec::new(k, shards).journal_file(&dir));
-        }
-        let _ = std::fs::remove_file(dir.join("merged.journal"));
-    }
-    let exe = match std::env::current_exe() {
-        Ok(exe) => exe,
-        Err(e) => return fail(format!("cannot locate own executable: {e}")),
-    };
-    let spawn = |spec: ShardSpec| {
-        let mut cmd = std::process::Command::new(&exe);
+    let worker_args = |cmd: &mut Command, spec: ShardSpec, _attempt: usize| {
         cmd.arg("fuzz")
             .arg("--cases")
             .arg(opts.cases.to_string())
@@ -1561,66 +1558,25 @@ fn fuzz_supervise(opts: &FuzzOpts, shards: usize) -> ExitCode {
         if let Some(budget) = opts.shrink_budget {
             cmd.arg("--shrink-budget").arg(budget.to_string());
         }
-        cmd.spawn()
     };
-    let mut incomplete: Vec<usize> = (0..shards).collect();
-    let mut respawns = 0usize;
-    for round in 0..=opts.max_respawns {
-        let mut children = Vec::new();
-        for &k in &incomplete {
-            match spawn(ShardSpec::new(k, shards)) {
-                Ok(child) => children.push((k, child)),
-                Err(e) => return fail(format!("cannot spawn fuzz shard {k}/{shards}: {e}")),
-            }
-        }
-        let mut failed = Vec::new();
-        for (k, mut child) in children {
-            match child.wait() {
-                Ok(status) if status.success() => {}
-                Ok(status) => {
-                    eprintln!("fuzz shard {k}/{shards}: exited with {status}; will resume");
-                    failed.push(k);
-                }
-                Err(e) => return fail(format!("cannot wait for fuzz shard {k}/{shards}: {e}")),
-            }
-        }
-        if failed.is_empty() {
-            incomplete.clear();
-            break;
-        }
-        if round < opts.max_respawns {
-            respawns += failed.len();
-        }
-        incomplete = failed;
-    }
-    if !incomplete.is_empty() {
-        eprintln!(
-            "fuzz supervision gave up: shard(s) {incomplete:?} incomplete after {} round(s); \
-             per-shard journals kept in {} for --resume",
-            opts.max_respawns + 1,
-            dir.display()
+    let supervision = SupervisorConfig {
+        max_respawns: opts.max_respawns,
+        ..SupervisorConfig::default()
+    };
+    // Fuzz journals hold unit batches, not cells: no chunks to account.
+    let no_chunks = |_: ServerId, _: &str| None;
+    run_shards(&dir, shards, opts.resume, supervision, worker_args, no_chunks, |_| {
+        let (outcome, merged_path) =
+            wsinterop::core::fuzz::merge_fuzz_shard_dir(&dir, shards, &config)
+                .map_err(|e| fail(format!("fuzz shard merge refused: {e}")))?;
+        print_fuzz_outcome(&outcome);
+        println!(
+            "journal: merged fuzz journal {} holds {} unit(s)",
+            merged_path.display(),
+            outcome.units.len()
         );
-        return ExitCode::from(EXIT_GAVE_UP);
-    }
-    let (outcome, merged_path) =
-        match wsinterop::core::fuzz::merge_fuzz_shard_dir(&dir, shards, &config) {
-            Ok(merged) => merged,
-            Err(e) => return fail(format!("fuzz shard merge refused: {e}")),
-        };
-    print_fuzz_outcome(&outcome);
-    println!(
-        "journal: merged fuzz journal {} holds {} unit(s)",
-        merged_path.display(),
-        outcome.units.len()
-    );
-    if respawns > 0 {
-        eprintln!(
-            "note: {respawns} fuzz worker respawn(s) recovered; merged output verified \
-             — exiting {EXIT_RECOVERED} to make the recovery visible"
-        );
-        return ExitCode::from(EXIT_RECOVERED);
-    }
-    ExitCode::SUCCESS
+        Ok(())
+    })
 }
 
 fn campaign(opts: &RunOpts) -> ExitCode {
@@ -1809,30 +1765,7 @@ fn supervise_campaign(opts: &RunOpts, shards: usize) -> ExitCode {
     // and every shard journal header — matches the unsharded run.
     echo_run_config(opts.stride, None, &base);
     let dir = std::path::PathBuf::from(opts.shard_dir.as_deref().unwrap_or("wsitool-shards"));
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        return fail(format!("cannot create shard dir {}: {e}", dir.display()));
-    }
-    if !opts.resume {
-        for k in 0..shards {
-            let spec = ShardSpec::new(k, shards);
-            for file in [
-                spec.journal_file(&dir),
-                spec.services_file(&dir),
-                spec.metrics_file(&dir),
-                spec.trace_file(&dir),
-                spec.pid_file(&dir),
-                spec.log_file(&dir),
-            ] {
-                let _ = std::fs::remove_file(file);
-            }
-        }
-    }
-    let exe = match std::env::current_exe() {
-        Ok(exe) => exe,
-        Err(e) => return fail(format!("cannot locate own executable: {e}")),
-    };
-    let spawner = |spec: ShardSpec, attempt: usize| {
-        let mut cmd = std::process::Command::new(&exe);
+    let worker_args = |cmd: &mut Command, spec: ShardSpec, attempt: usize| {
         cmd.arg("campaign")
             .arg(opts.stride.to_string())
             .arg("--shard")
@@ -1863,18 +1796,112 @@ fn supervise_campaign(opts: &RunOpts, shards: usize) -> ExitCode {
                 }
             }
         }
-        cmd
     };
     let chunk_map = chunk_index_map(opts);
-    let config = SupervisorConfig {
+    let chunk_index =
+        |server: ServerId, fqcn: &str| chunk_map.get(&(server, fqcn.to_string())).copied();
+    let supervision = SupervisorConfig {
         max_respawns: opts.max_respawns,
         heartbeat: std::time::Duration::from_millis(opts.heartbeat_ms),
         backoff_base: std::time::Duration::from_millis(opts.backoff_ms),
         ..SupervisorConfig::default()
     };
-    let supervisor = Supervisor::new(&dir, shards, spawner)
-        .with_config(config)
-        .with_chunk_index(|server, fqcn| chunk_map.get(&(server, fqcn.to_string())).copied());
+    run_shards(&dir, shards, opts.resume, supervision, worker_args, chunk_index, |outcome| {
+        let merged = merge_shard_dir(&dir, shards)
+            .map_err(|e| fail(format!("shard merge refused: {e}")))?;
+        verify_exactly_once(&merged, all_clients().len())
+            .map_err(|e| fail(format!("exactly-once verification failed: {e}")))?;
+        let merged_journal = dir.join("merged.journal");
+        write_merged_journal(&merged_journal, merged.config_hash, &merged.cells)
+            .map_err(|e| fail(format!("cannot write {}: {e}", merged_journal.display())))?;
+        let metrics = merge_metrics_files(&dir, shards)
+            .map_err(|e| fail(format!("metrics merge refused: {e}")))?;
+        std::fs::write(dir.join("merged.metrics.json"), metrics.render_json())
+            .map_err(|e| fail(format!("cannot write merged metrics: {e}")))?;
+        if let Some(path) = &opts.metrics_out {
+            std::fs::write(path, metrics.render_prometheus())
+                .map_err(|e| fail(format!("cannot write {path}: {e}")))?;
+            eprintln!("metrics: wrote {path}");
+        }
+        if let Some(path) = &opts.trace_out {
+            let inputs: Vec<std::path::PathBuf> = (0..shards)
+                .map(|k| ShardSpec::new(k, shards).trace_file(&dir))
+                .collect();
+            let events = merge_trace_files(&inputs, std::path::Path::new(path))
+                .map_err(|e| fail(format!("cannot merge traces into {path}: {e}")))?;
+            eprintln!("trace: merged {events} event(s) into {path}");
+        }
+        println!("{}", Fig4::from_results(&merged.results));
+        println!("{}", TableIII::from_results(&merged.results));
+        println!("{}", Totals::from_results(&merged.results));
+        println!(
+            "shards: {shards} worker(s), {} respawn(s) ({} hung), \
+             {} cell(s) re-claimed across {} chunk(s)",
+            outcome.respawns,
+            outcome.hung_workers,
+            outcome.reclaimed_cells,
+            outcome.chunks_reclaimed
+        );
+        println!(
+            "journal: merged journal {} holds {} cell(s)",
+            merged_journal.display(),
+            merged.cells.len()
+        );
+        Ok(())
+    })
+}
+
+/// The shared half of every `--shards N` parent (`campaign`, `fuzz`):
+/// prepares the shard dir, supervises `shards` worker copies of this
+/// binary with [`Supervisor`], and once every shard completed hands
+/// the outcome to `merge`, which merges the per-shard output and
+/// prints the record.
+///
+/// `worker_args(cmd, shard, attempt)` appends a worker's arguments;
+/// `chunk_index` feeds the re-claimed-chunk accounting. Outside
+/// `--resume`, stale per-shard files from an earlier run are removed
+/// first. A give-up exits [`EXIT_GAVE_UP`] with the shard journals
+/// kept for `--resume`; a recovered run exits [`EXIT_RECOVERED`] once
+/// `merge` has verified it.
+fn run_shards(
+    dir: &Path,
+    shards: usize,
+    resume: bool,
+    config: SupervisorConfig,
+    worker_args: impl Fn(&mut Command, ShardSpec, usize),
+    chunk_index: impl Fn(ServerId, &str) -> Option<usize>,
+    merge: impl FnOnce(&SupervisionOutcome) -> Result<(), ExitCode>,
+) -> ExitCode {
+    if let Err(e) = std::fs::create_dir_all(dir) {
+        return fail(format!("cannot create shard dir {}: {e}", dir.display()));
+    }
+    if !resume {
+        for k in 0..shards {
+            let spec = ShardSpec::new(k, shards);
+            for file in [
+                spec.journal_file(dir),
+                spec.services_file(dir),
+                spec.metrics_file(dir),
+                spec.trace_file(dir),
+                spec.pid_file(dir),
+                spec.log_file(dir),
+            ] {
+                let _ = std::fs::remove_file(file);
+            }
+        }
+        let _ = std::fs::remove_file(dir.join("merged.journal"));
+    }
+    let exe = match std::env::current_exe() {
+        Ok(exe) => exe,
+        Err(e) => return fail(format!("cannot locate own executable: {e}")),
+    };
+    let supervisor = Supervisor::new(dir, shards, |spec, attempt| {
+        let mut cmd = Command::new(&exe);
+        worker_args(&mut cmd, spec, attempt);
+        cmd
+    })
+    .with_config(config)
+    .with_chunk_index(chunk_index);
     let outcome = match supervisor.run() {
         Ok(outcome) => outcome,
         Err(e) => return fail(format!("supervision failed: {e}")),
@@ -1882,8 +1909,9 @@ fn supervise_campaign(opts: &RunOpts, shards: usize) -> ExitCode {
     if !outcome.all_completed() {
         for k in &outcome.gave_up {
             eprintln!(
-                "shard {k}/{shards}: gave up after {} spawn(s)",
-                outcome.worker_attempts[*k]
+                "shard {k}/{shards}: gave up after {} spawn(s); see {}",
+                outcome.worker_attempts[*k],
+                ShardSpec::new(*k, shards).log_file(dir).display()
             );
         }
         eprintln!(
@@ -1894,52 +1922,9 @@ fn supervise_campaign(opts: &RunOpts, shards: usize) -> ExitCode {
         );
         return ExitCode::from(EXIT_GAVE_UP);
     }
-    let merged = match merge_shard_dir(&dir, shards) {
-        Ok(merged) => merged,
-        Err(e) => return fail(format!("shard merge refused: {e}")),
-    };
-    if let Err(e) = verify_exactly_once(&merged, all_clients().len()) {
-        return fail(format!("exactly-once verification failed: {e}"));
+    if let Err(code) = merge(&outcome) {
+        return code;
     }
-    let merged_journal = dir.join("merged.journal");
-    if let Err(e) = write_merged_journal(&merged_journal, merged.config_hash, &merged.cells) {
-        return fail(format!("cannot write {}: {e}", merged_journal.display()));
-    }
-    let metrics = match merge_metrics_files(&dir, shards) {
-        Ok(metrics) => metrics,
-        Err(e) => return fail(format!("metrics merge refused: {e}")),
-    };
-    if let Err(e) = std::fs::write(dir.join("merged.metrics.json"), metrics.render_json()) {
-        return fail(format!("cannot write merged metrics: {e}"));
-    }
-    if let Some(path) = &opts.metrics_out {
-        if let Err(e) = std::fs::write(path, metrics.render_prometheus()) {
-            return fail(format!("cannot write {path}: {e}"));
-        }
-        eprintln!("metrics: wrote {path}");
-    }
-    if let Some(path) = &opts.trace_out {
-        let inputs: Vec<std::path::PathBuf> = (0..shards)
-            .map(|k| ShardSpec::new(k, shards).trace_file(&dir))
-            .collect();
-        match merge_trace_files(&inputs, std::path::Path::new(path)) {
-            Ok(events) => eprintln!("trace: merged {events} event(s) into {path}"),
-            Err(e) => return fail(format!("cannot merge traces into {path}: {e}")),
-        }
-    }
-    println!("{}", Fig4::from_results(&merged.results));
-    println!("{}", TableIII::from_results(&merged.results));
-    println!("{}", Totals::from_results(&merged.results));
-    println!(
-        "shards: {shards} worker(s), {} respawn(s) ({} hung), \
-         {} cell(s) re-claimed across {} chunk(s)",
-        outcome.respawns, outcome.hung_workers, outcome.reclaimed_cells, outcome.chunks_reclaimed
-    );
-    println!(
-        "journal: merged journal {} holds {} cell(s)",
-        merged_journal.display(),
-        merged.cells.len()
-    );
     if outcome.recovered() {
         eprintln!(
             "note: {} worker crash(es)/hang(s) recovered; merged output verified \

@@ -331,6 +331,107 @@ fn supervisor_gives_up_on_a_worker_that_always_dies() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+// --- fuzz supervision ----------------------------------------------
+
+/// A fuzz run whose shard workers, at `-j 1`, append units for a few
+/// seconds in the test profile, so a worker is reliably alive to be
+/// killed. Thread count does not change the journal bytes.
+const FUZZ_ARGS: [&str; 4] = ["--stride", "5", "--cases", "16"];
+
+#[cfg(unix)]
+#[test]
+fn sigkilled_fuzz_worker_is_respawned_and_the_merge_is_bit_identical() {
+    let dir = temp_dir("fuzz-kill");
+    let dir_str = dir.to_str().unwrap();
+    let reference = std::env::temp_dir().join(format!(
+        "wsitool-shard-test-{}-fuzz-plain.journal",
+        std::process::id()
+    ));
+    let mut plain_args = vec!["fuzz", "--quiet", "--journal", reference.to_str().unwrap()];
+    plain_args.extend(FUZZ_ARGS);
+    let plain = wsitool(&plain_args);
+    assert!(plain.status.success(), "{}", String::from_utf8_lossy(&plain.stderr));
+
+    let mut sharded_args =
+        vec!["fuzz", "--quiet", "--shards", "2", "--shard-dir", dir_str, "-j", "1"];
+    sharded_args.extend(FUZZ_ARGS);
+    let supervisor = Command::new(env!("CARGO_BIN_EXE_wsitool"))
+        .args(&sharded_args)
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("supervisor starts");
+
+    // Kill worker 1 through its pid file once it has committed a unit:
+    // the replacement must resume its journal, not redo or drop it.
+    let spec = ShardSpec::new(1, 2);
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(120);
+    let pid = loop {
+        assert!(std::time::Instant::now() < deadline, "worker 1 never committed a unit");
+        let committed = read_journal(&spec.journal_file(&dir)).map_or(0, |r| r.fuzz_units.len());
+        if committed > 0 {
+            break std::fs::read_to_string(spec.pid_file(&dir)).expect("pid file");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    };
+    let killed = Command::new("kill")
+        .args(["-9", pid.trim()])
+        .status()
+        .expect("kill runs");
+    assert!(killed.success());
+
+    let out = supervisor.wait_with_output().expect("supervisor finishes");
+    assert_eq!(out.status.code(), Some(3), "{}", String::from_utf8_lossy(&out.stderr));
+    let science = |stdout: &[u8]| -> String {
+        String::from_utf8_lossy(stdout)
+            .lines()
+            .filter(|l| !l.starts_with("journal:"))
+            .collect::<Vec<_>>()
+            .join("\n")
+    };
+    assert_eq!(science(&out.stdout), science(&plain.stdout));
+    assert_eq!(
+        std::fs::read(dir.join("merged.journal")).unwrap(),
+        std::fs::read(&reference).unwrap(),
+        "merged journal differs from the single-process journal"
+    );
+    // Worker stderr lands in the shard log, both attempts appended.
+    let log = std::fs::read_to_string(spec.log_file(&dir)).unwrap();
+    assert_eq!(log.matches("fuzz shard 1/2: journal").count(), 2, "{log}");
+    std::fs::remove_file(&reference).ok();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn fuzz_supervisor_gives_up_on_a_mismatched_shard_journal() {
+    let dir = temp_dir("fuzz-give-up");
+    let dir_str = dir.to_str().unwrap();
+    let small = ["--stride", "400", "--cases", "2", "--quiet"];
+    // A shard journal left behind by a run under another seed: every
+    // resume of shard 0 refuses it, so its budget runs out.
+    let mut seed_args = vec!["fuzz", "--shard", "0/2", "--shard-dir", dir_str, "--seed", "1"];
+    seed_args.extend(small);
+    assert!(wsitool(&seed_args).status.success());
+    let journal = ShardSpec::new(0, 2).journal_file(&dir);
+    let seeded = std::fs::read(&journal).unwrap();
+
+    let mut args = vec![
+        "fuzz", "--shards", "2", "--shard-dir", dir_str, "--resume", "--max-respawns", "1",
+    ];
+    args.extend(small);
+    let out = wsitool(&args);
+    assert_eq!(out.status.code(), Some(4), "{}", String::from_utf8_lossy(&out.stderr));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("supervision gave up"), "{stderr}");
+    assert!(!dir.join("merged.journal").exists());
+    // Both shard journals are kept; the refused one is untouched.
+    assert_eq!(std::fs::read(&journal).unwrap(), seeded);
+    assert!(ShardSpec::new(1, 2).journal_file(&dir).exists());
+    let log = std::fs::read_to_string(ShardSpec::new(0, 2).log_file(&dir)).unwrap();
+    assert_eq!(log.matches("does not match this campaign").count(), 2, "{log}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 // --- CLI flag matrix ------------------------------------------------
 
 #[test]
@@ -355,6 +456,10 @@ fn sharding_usage_errors_exit_2() {
         // chaos campaigns are single-process
         &["chaos", "--shards", "2"][..],
         &["chaos", "--shard", "0/2", "--shard-dir", "d"][..],
+        // single-process fuzz features a sharded fuzz run would drop
+        &["fuzz", "--shards", "2", "--halt-after-units", "1"][..],
+        &["fuzz", "--shards", "2", "--metrics-out", "m.txt"][..],
+        &["fuzz", "--shards", "2", "--trace-out", "t.jsonl"][..],
     ] {
         let out = wsitool(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");
