@@ -108,11 +108,10 @@ fn soap_messages(c: &mut Criterion) {
 fn parse_once(c: &mut Criterion) {
     // The parse-once pipeline's unit economics: one Artifact Generation
     // step paying the full text parse per cell, versus the shared
-    // pre-parsed document, versus a content-addressed memo replay.
+    // pre-parsed document.
     let entry = Metro.catalog().get("javax.swing.JTable").unwrap();
     let wsdl = Metro.deploy(entry).wsdl().unwrap().to_string();
-    let cache = DocCache::new();
-    let svc = cache.parse(wsdl.clone());
+    let svc = DocCache::new().parse(wsdl.clone());
     let (defs, facts) = (svc.defs().unwrap(), svc.facts().unwrap());
 
     let mut group = c.benchmark_group("parse_once");
@@ -121,9 +120,6 @@ fn parse_once(c: &mut Criterion) {
     });
     group.bench_function("shared_generate_from", |b| {
         b.iter(|| black_box(MetroClient.generate_from(defs, facts)))
-    });
-    group.bench_function("memoized_generate", |b| {
-        b.iter(|| black_box(cache.generate(&MetroClient, &svc)))
     });
     group.finish();
 }

@@ -33,15 +33,15 @@
 //! ## Parse-once pipeline
 //!
 //! The deploy phase parses and analyzes each published description
-//! exactly once into an [`Arc<ParsedService>`] work item, shared by the
+//! exactly once into a [`ParsedService`] work item, borrowed by the
 //! WS-I check, all eleven client `generate_from` calls and the chaos
-//! wire probe, behind a campaign-wide content-addressed [`DocCache`]
-//! memo (see [`crate::doccache`]). Fault-damaged sites bypass the memo
-//! and chaos-campaign generation cells keep the tool-fidelity text
-//! path, so cached and uncached runs produce bit-identical
-//! [`CampaignResults`]. [`Campaign::run_with_stats`] surfaces the
-//! parse/memo accounting; [`Campaign::with_doc_cache`] disables the
-//! sharing for equivalence tests and benchmarks.
+//! wire probe (see [`crate::doccache`]). Fault-damaged descriptions
+//! are parsed there too, damaged bytes and all, so chaos cells
+//! generate from that one parse as well. Shared-parse and text-path
+//! runs produce bit-identical [`CampaignResults`].
+//! [`Campaign::run_with_stats`] surfaces the parse accounting;
+//! [`Campaign::with_doc_cache`] switches generation back to the text
+//! path, the reference oracle for equivalence tests and benchmarks.
 //!
 //! ## Crash safety and supervision
 //!
@@ -58,7 +58,7 @@
 //! cell chunks), so breaker decisions are identical at any thread
 //! count.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
@@ -67,7 +67,7 @@ use wsinterop_compilers::{compiler_for, instantiate};
 use wsinterop_frameworks::client::{
     all_clients, classify_error, ClientId, ClientSubsystem, CompilationMode, ErrorClass,
 };
-use wsinterop_frameworks::fault::{is_transient_refusal, FaultyClient, FaultyServer};
+use wsinterop_frameworks::fault::{is_transient_refusal, FaultyServer};
 use wsinterop_frameworks::server::{all_servers, DeployOutcome, ServerId, ServerSubsystem};
 use wsinterop_wsi::Analyzer;
 
@@ -75,7 +75,7 @@ use crate::doccache::{content_hash, DocCache, ParsedService, PipelineStats};
 use crate::exchange::exchange_with_faults;
 use crate::faults::{
     deploy_site, gen_site, sock_site, wire_site, BreakerConfig, BreakerState, FaultKind, FaultLog,
-    FaultPlan, FaultReport, PlanClientHook, PlanServerHook, ResilienceConfig,
+    FaultPlan, FaultReport, PlanServerHook, ResilienceConfig,
 };
 use crate::journal::{JournalCell, JournalError, JournalWriter};
 use crate::shard::ShardSpec;
@@ -100,14 +100,9 @@ pub struct Campaign {
     faults: Option<FaultPlan>,
     /// The runner's coping budget for disruptions.
     resilience: ResilienceConfig,
-    /// Share parsed descriptions through the content-addressed memo
-    /// (`false` reproduces the historical parse-per-consumer pipeline).
+    /// Generate from the deploy-time parse (`false` re-parses the text
+    /// in every cell, the historical parse-per-consumer pipeline).
     doc_cache: bool,
-    /// Lock stripes for the doc-cache memos. Excluded from
-    /// [`Campaign::config_hash`]: striping only spreads contention,
-    /// memo contents — and therefore results — are identical at any
-    /// stripe count.
-    cache_stripes: usize,
     /// Write-ahead journal path (`None` disables journaling).
     journal: Option<PathBuf>,
     /// Replay already-journaled cells instead of executing them.
@@ -199,7 +194,6 @@ impl Campaign {
             faults: None,
             resilience: ResilienceConfig::default(),
             doc_cache: true,
-            cache_stripes: crate::doccache::DEFAULT_MEMO_STRIPES,
             journal: None,
             resume: false,
             breaker: None,
@@ -292,25 +286,14 @@ impl Campaign {
         self
     }
 
-    /// Enables or disables the shared parsed-description cache
-    /// (enabled by default). Disabling reproduces the historical
-    /// parse-per-consumer pipeline — results are bit-identical either
-    /// way, only the work count changes.
+    /// Enables or disables generation from the shared deploy-time
+    /// parse (enabled by default). Disabling sends every generation
+    /// cell down the text path, where the tool re-parses the published
+    /// text — the historical parse-per-consumer pipeline. Results are
+    /// bit-identical either way, only the work count changes.
     #[must_use]
     pub fn with_doc_cache(mut self, enabled: bool) -> Campaign {
         self.doc_cache = enabled;
-        self
-    }
-
-    /// Overrides the doc-cache memo stripe count (clamped to at least
-    /// 1; `1` reproduces the historical single-map memo). Excluded
-    /// from [`Campaign::config_hash`] — striping spreads lock
-    /// contention across the memo key space without changing what any
-    /// memo returns, so results are bit-identical at any stripe count
-    /// (pinned by the equivalence proptest in `tests/pipeline_cache`).
-    #[must_use]
-    pub fn with_cache_stripes(mut self, stripes: usize) -> Campaign {
-        self.cache_stripes = stripes.max(1);
         self
     }
 
@@ -469,7 +452,7 @@ impl Campaign {
     }
 
     /// Runs the campaign and additionally returns the parse-once
-    /// pipeline's parse/memo accounting.
+    /// pipeline's parse and generation accounting.
     ///
     /// # Panics
     ///
@@ -500,14 +483,15 @@ impl Campaign {
         let (log, cache) = match &self.obs {
             Some(obs) => (
                 FaultLog::with_registry(obs.metrics_arc()),
-                DocCache::with_config(self.cache_stripes, obs.metrics_arc()),
+                DocCache::with_registry(obs.metrics_arc()),
             ),
-            None => (
-                FaultLog::new(),
-                DocCache::with_stripe_count(self.cache_stripes),
-            ),
+            None => (FaultLog::new(), DocCache::new()),
         };
         let mut results = CampaignResults::default();
+        // Content hashes of every parsed description, for the stats'
+        // distinct-document count; the parses themselves are dropped
+        // with their server phase.
+        let mut distinct_docs = HashSet::new();
 
         // Open (or resume) the write-ahead journal before any work: a
         // mismatched or unreadable journal must fail the run up front,
@@ -574,8 +558,7 @@ impl Campaign {
             std::thread::scope(|scope| {
                 for _ in 0..self.threads {
                     scope.spawn(|| {
-                        let mut local: Vec<(ServiceRecord, Option<Arc<ParsedService>>)> =
-                            Vec::new();
+                        let mut local: Vec<(ServiceRecord, Option<ParsedService>)> = Vec::new();
                         loop {
                             let start = next
                                 .fetch_add(CLAIM_CHUNK, std::sync::atomic::Ordering::Relaxed);
@@ -600,9 +583,14 @@ impl Campaign {
                     });
                 }
             });
-            let mut deployed: Vec<(ServiceRecord, Option<Arc<ParsedService>>)> =
+            let mut deployed: Vec<(ServiceRecord, Option<ParsedService>)> =
                 into_inner_unpoisoned(records);
             deployed.sort_by(|a, b| a.0.fqcn.cmp(&b.0.fqcn));
+            distinct_docs.extend(
+                deployed
+                    .iter()
+                    .filter_map(|(_, svc)| svc.as_ref().map(ParsedService::content_hash)),
+            );
 
             // Testing phase: all clients × all published descriptions,
             // each description parsed once and shared by reference.
@@ -612,7 +600,7 @@ impl Campaign {
             // functions of the preceding stream — identical at any
             // thread count.
             let tests = Mutex::new(Vec::new());
-            let work: Vec<(&ServiceRecord, &Arc<ParsedService>)> = deployed
+            let work: Vec<(&ServiceRecord, &ParsedService)> = deployed
                 .iter()
                 .filter_map(|(record, svc)| svc.as_ref().map(|s| (record, s)))
                 .collect();
@@ -697,7 +685,7 @@ impl Campaign {
                 return Err(JournalError::Io(e));
             }
         }
-        let stats = cache.stats();
+        let stats = cache.stats(distinct_docs.len());
         if let Some(obs) = &self.obs {
             obs.sync_sink_counters();
         }
@@ -715,7 +703,7 @@ impl Campaign {
         plan: &FaultPlan,
         log: &FaultLog,
         server_id: ServerId,
-        work: &[(&ServiceRecord, &Arc<ParsedService>)],
+        work: &[(&ServiceRecord, &ParsedService)],
     ) -> Result<(), JournalError> {
         use crate::wire::{
             exchange_over_http, FaultProxy, HostedService, WireClient, WireClientConfig,
@@ -821,35 +809,6 @@ impl Campaign {
         Ok(())
     }
 
-    /// Parses a just-published description into the shared-by-`Arc`
-    /// work item for the test phase.
-    ///
-    /// Sites where the fault plan may have damaged the published bytes
-    /// bypass the content-addressed memo: damaged text must hit the
-    /// real parser, and its parse must never be shared with (or served
-    /// to) pristine sites. Cache-disabled runs parse unshared, which
-    /// reproduces the historical parse-per-consumer pipeline.
-    fn parse_published(
-        &self,
-        cache: &DocCache,
-        server_id: ServerId,
-        fqcn: &str,
-        wsdl_xml: String,
-    ) -> Arc<ParsedService> {
-        let damage_possible = self.faults.as_ref().is_some_and(|plan| {
-            let site = deploy_site(server_id, fqcn);
-            plan.decide(FaultKind::WsdlTruncation, &site)
-                || plan.decide(FaultKind::WsdlCorruption, &site)
-        });
-        if damage_possible {
-            cache.parse_bypassing_memo(wsdl_xml)
-        } else if self.doc_cache {
-            cache.parse(wsdl_xml)
-        } else {
-            cache.parse_unshared(wsdl_xml)
-        }
-    }
-
     /// One Service Description Generation step, with fault injection,
     /// transient-refusal retries and graceful handling of unparseable
     /// published descriptions.
@@ -861,7 +820,7 @@ impl Campaign {
         analyzer: &Analyzer,
         log: &FaultLog,
         cache: &DocCache,
-    ) -> (ServiceRecord, Option<Arc<ParsedService>>) {
+    ) -> (ServiceRecord, Option<ParsedService>) {
         let obs = self.obs.as_deref();
         let span = obs.map(|o| {
             o.begin_phase(
@@ -904,7 +863,9 @@ impl Campaign {
                 None,
             ),
             DeployOutcome::Deployed { wsdl_xml } => {
-                let svc = self.parse_published(cache, server_id, &entry.fqcn, wsdl_xml);
+                // The one parse every later step of this service reads —
+                // of the published bytes, damaged ones included.
+                let svc = cache.parse(wsdl_xml);
                 match svc.defs() {
                     Some(defs) => {
                         let report = analyzer.analyze(defs);
@@ -1084,11 +1045,11 @@ impl Campaign {
     /// panic isolation, the virtual step deadline and the per-cell
     /// watchdog.
     ///
-    /// Fault-free cells drive the shared parse straight into
-    /// `generate_from` (memoized when the cache is on) and never touch
-    /// the description text. Chaos cells keep the tool-fidelity text
-    /// path: injected corruption must reach the real parser, so the
-    /// fault hook wraps [`ClientSubsystem::generate`].
+    /// The client-side faults never touch the description: an injected
+    /// crash fires before the tool runs, and a slow step is virtual.
+    /// So chaos cells generate from the deploy-time parse exactly like
+    /// fault-free ones; a fault-damaged description was already parsed
+    /// there, damaged bytes and all.
     fn run_cell(
         &self,
         env: &CellEnv<'_>,
@@ -1097,32 +1058,21 @@ impl Campaign {
         client: &dyn ClientSubsystem,
     ) -> JournalCell {
         let server_id = env.server_id;
-        let (log, cache) = (env.log, env.cache);
-        let obs = self.obs.as_deref();
+        let log = env.log;
         let Some(plan) = &self.faults else {
-            if self.doc_cache {
-                return run_test(server_id, record, svc, client, cache, obs);
-            }
-            cache.note_text_generate();
-            return run_test_text(server_id, record, svc.wsdl_xml(), client, obs);
+            return self.generate_cell(env, record, svc, client);
         };
 
-        // Chaos cells over a fault-damaged description are accounted
-        // apart from pristine text-path cells: an injected-and-parsed
-        // site must never be double-counted as both.
-        if svc.fault_damaged() {
-            cache.note_fault_generate();
-        } else {
-            cache.note_text_generate();
-        }
-        let wsdl = svc.wsdl_xml();
         let site = gen_site(server_id, client.info().id, &record.fqcn);
-        let hook = PlanClientHook::new(plan, log);
-        let faulty = FaultyClient::new(client, &hook, site.clone());
+        let step = || {
+            if plan.decide(FaultKind::ClientGenPanic, &site) {
+                log.injected(FaultKind::ClientGenPanic, &site);
+                panic!("injected fault: artifact generator crashed at {site}");
+            }
+            self.generate_cell(env, record, svc, client)
+        };
         let mut cell = if self.resilience.isolate_panics {
-            match catch_unwind(AssertUnwindSafe(|| {
-                run_test_text(server_id, record, wsdl, &faulty, obs)
-            })) {
+            match catch_unwind(AssertUnwindSafe(step)) {
                 Ok(cell) => cell,
                 Err(_) => {
                     // The worker died mid-step; the test still gets a
@@ -1147,7 +1097,7 @@ impl Campaign {
                 }
             }
         } else {
-            run_test_text(server_id, record, wsdl, &faulty, obs)
+            step()
         };
 
         if let Some(virtual_ms) = plan.slow_virtual_ms(&site) {
@@ -1170,6 +1120,31 @@ impl Campaign {
             log.resolve(&site, cell.record.any_error() || cell.record.any_warning());
         }
         cell
+    }
+
+    /// One Artifact Generation step and its classification: from the
+    /// shared parse, or — with the doc cache off — down the text path,
+    /// where the tool re-parses the published text itself.
+    fn generate_cell(
+        &self,
+        env: &CellEnv<'_>,
+        record: &ServiceRecord,
+        svc: &ParsedService,
+        client: &dyn ClientSubsystem,
+    ) -> JournalCell {
+        let outcome = if self.doc_cache {
+            env.cache.generate(client, svc)
+        } else {
+            env.cache.note_text_generate();
+            client.generate(svc.wsdl_xml())
+        };
+        classify_outcome(
+            env.server_id,
+            record,
+            client.info(),
+            outcome,
+            self.obs.as_deref(),
+        )
     }
 }
 
@@ -1253,35 +1228,6 @@ fn wire_probe(
             span,
         );
     }
-}
-
-/// One fault-free test over the shared parse (the parse-once path).
-fn run_test(
-    server_id: ServerId,
-    record: &ServiceRecord,
-    svc: &ParsedService,
-    client: &dyn ClientSubsystem,
-    cache: &DocCache,
-    obs: Option<&Obs>,
-) -> JournalCell {
-    let info = client.info();
-    let outcome = cache.generate(client, svc);
-    classify_outcome(server_id, record, info, outcome, obs)
-}
-
-/// One test over description *text* — the tool-fidelity path, kept for
-/// cache-disabled runs and chaos cells whose faults must reach the
-/// real parser.
-fn run_test_text(
-    server_id: ServerId,
-    record: &ServiceRecord,
-    wsdl: &str,
-    client: &dyn ClientSubsystem,
-    obs: Option<&Obs>,
-) -> JournalCell {
-    let info = client.info();
-    let outcome = client.generate(wsdl);
-    classify_outcome(server_id, record, info, outcome, obs)
 }
 
 /// The classification steps shared by both generation paths, plus the
@@ -1469,9 +1415,9 @@ mod tests {
 
     #[test]
     fn cached_and_uncached_chaos_campaigns_are_bit_identical() {
-        // Under a fault plan, corrupted-WSDL sites bypass the memo and
-        // generation cells keep the text path — so the cache must be
-        // invisible to both the records and the fault accounting.
+        // Under a fault plan, chaos cells generate from the deploy-time
+        // parse, damaged bytes included — which must be invisible to
+        // both the records and the fault accounting.
         let (cached, cached_report, stats) = Campaign::sampled(97)
             .with_faults(FaultPlan::seeded(42))
             .run_with_stats();
@@ -1482,10 +1428,12 @@ mod tests {
         assert_eq!(cached.services, uncached.services);
         assert_eq!(cached.tests, uncached.tests);
         assert_eq!(cached_report, uncached_report);
-        // The seeded plan actually damaged some descriptions, and those
-        // parses stayed out of the memo.
-        assert!(stats.fault_bypasses > 0, "{stats:?}");
-        assert!(stats.text_generates > 0, "{stats:?}");
+        // The seeded plan actually damaged some descriptions, and no
+        // cell re-parsed its text.
+        let damaged = cached_report.counts(FaultKind::WsdlTruncation).injected
+            + cached_report.counts(FaultKind::WsdlCorruption).injected;
+        assert!(damaged > 0, "{cached_report:?}");
+        assert_eq!(stats.text_generates, 0, "{stats:?}");
     }
 
     #[test]
@@ -1493,18 +1441,13 @@ mod tests {
         let (results, _, stats) = Campaign::sampled(97).run_with_stats();
         let deployed = results.services.iter().filter(|s| s.deployed).count();
         assert!(deployed > 0);
-        // Parse-once: one parse per distinct description and no more,
-        // never more than one per deployed service; everything else is
-        // a memo hit.
-        assert_eq!(stats.fault_bypasses, 0);
+        // Parse-once: exactly one parse per deployed service, and one
+        // generation step over it per test cell.
         assert_eq!(stats.text_generates, 0);
-        assert_eq!(stats.parses, stats.distinct_docs);
-        assert!(stats.parses <= deployed);
-        assert_eq!(stats.parses + stats.doc_memo_hits, deployed);
-        // Every test cell either executed `generate_from` once per
-        // (client, document) or replayed the memoized outcome.
-        assert_eq!(stats.gen_runs + stats.gen_memo_hits, results.tests.len());
-        assert!(stats.gen_runs <= 11 * stats.distinct_docs);
+        assert_eq!(stats.parses, deployed);
+        assert!(stats.distinct_docs <= deployed);
+        assert_eq!(stats.gen_runs, results.tests.len());
+        assert_eq!(stats.gen_memo_hits, 0);
 
         // The historical pipeline parses per consumer: one WS-I parse
         // plus eleven client parses per deployed service.
@@ -1512,9 +1455,9 @@ mod tests {
             .with_doc_cache(false)
             .run_with_stats();
         assert_eq!(uncached.parses, 12 * deployed);
-        assert_eq!(uncached.doc_memo_hits, 0);
-        assert_eq!(uncached.gen_memo_hits, 0);
         assert_eq!(uncached.text_generates, 11 * deployed);
+        assert_eq!(uncached.gen_runs, 0);
+        assert_eq!(uncached.distinct_docs, stats.distinct_docs);
     }
 
     #[test]

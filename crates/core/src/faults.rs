@@ -28,9 +28,10 @@
 //! The *injected* faults modelled here are deliberately distinct from
 //! the *modeled* faults of the framework simulations (DESIGN.md §4):
 //! modeled faults are the paper's measured platform defects and are
-//! always on; injected faults are synthetic disruptions layered on top
-//! by wrapping subsystems in [`wsinterop_frameworks::fault`]
-//! decorators.
+//! always on; injected faults are synthetic disruptions layered on top:
+//! server-side ones by wrapping the deploy step in the
+//! [`wsinterop_frameworks::fault`] decorator, client-side ones by the
+//! campaign around its own generation call.
 
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
@@ -38,10 +39,8 @@ use std::fmt;
 use std::sync::{Arc, Mutex};
 
 use crate::sync::lock_unpoisoned;
-use wsinterop_frameworks::client::{ClientId, ClientSubsystem, GenOutcome};
-use wsinterop_frameworks::fault::{
-    ClientFaultHook, ServerFaultHook, TRANSIENT_REFUSAL_PREFIX,
-};
+use wsinterop_frameworks::client::ClientId;
+use wsinterop_frameworks::fault::{ServerFaultHook, TRANSIENT_REFUSAL_PREFIX};
 use wsinterop_frameworks::server::{DeployOutcome, ServerId, ServerSubsystem};
 use wsinterop_typecat::rng::{splitmix64, GOLDEN_GAMMA};
 use wsinterop_typecat::TypeEntry;
@@ -952,30 +951,6 @@ impl ServerFaultHook for PlanServerHook<'_> {
             }
             refused => refused,
         }
-    }
-}
-
-/// Plan-driven generation hook: panics inside the tool when the plan
-/// says so; transparent otherwise.
-pub struct PlanClientHook<'a> {
-    plan: &'a FaultPlan,
-    log: &'a FaultLog,
-}
-
-impl<'a> PlanClientHook<'a> {
-    /// A hook injecting `plan`'s generation-step faults.
-    pub fn new(plan: &'a FaultPlan, log: &'a FaultLog) -> PlanClientHook<'a> {
-        PlanClientHook { plan, log }
-    }
-}
-
-impl ClientFaultHook for PlanClientHook<'_> {
-    fn generate(&self, inner: &dyn ClientSubsystem, site: &str, wsdl_xml: &str) -> GenOutcome {
-        if self.plan.decide(FaultKind::ClientGenPanic, site) {
-            self.log.injected(FaultKind::ClientGenPanic, site);
-            panic!("injected fault: artifact generator crashed at {site}");
-        }
-        inner.generate(wsdl_xml)
     }
 }
 

@@ -1126,7 +1126,7 @@ mod tests {
         let u1 = unit(&[1, 4]);
         {
             let writer = JournalWriter::create(&path, 42, None).unwrap();
-            writer.append_fuzz_batch(&[r.clone()], &u0);
+            writer.append_fuzz_batch(std::slice::from_ref(&r), &u0);
             writer.append_fuzz_batch(&[], &u1);
             // The whole batch is one halt/stall tick.
             assert_eq!(writer.appended(), 2);

@@ -18,9 +18,9 @@
 //! fault-injection plan over the campaign (the chaos campaign, E12)
 //! and accounts for injected vs detected vs masked faults. The
 //! [`doccache`] module is the parse-once pipeline: each published
-//! description is parsed and analyzed exactly once, shared by `Arc`
-//! across all consumers behind a content-addressed memo — with cached
-//! and uncached runs provably bit-identical. The [`journal`] module is
+//! description is parsed and analyzed exactly once, at deploy time,
+//! and every consumer reads that parse — with shared-parse and
+//! text-path runs provably bit-identical. The [`journal`] module is
 //! the crash-safety layer: a write-ahead log of completed cells with a
 //! corruption-tolerant reader, so an interrupted campaign resumes
 //! bit-identically; the campaign supervises execution with a per-cell

@@ -4,7 +4,7 @@
 //! A panicking worker thread must never cascade into a poisoned-lock
 //! abort of the whole campaign: every guarded structure in this
 //! codebase holds either plain data (collections of finished records,
-//! memo maps, ring buffers) or state whose invariants are re-checked
+//! fault-log maps, ring buffers) or state whose invariants are re-checked
 //! by the reader, so recovering the inner value after a poison is
 //! always sound. These helpers are the single place that policy is
 //! encoded — `docs/CONCURRENCY.md` defines which locks exist, the

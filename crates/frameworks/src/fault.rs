@@ -1,24 +1,20 @@
-//! Fault-wrapping decorators for server and client subsystems.
+//! The fault-wrapping server decorator.
 //!
 //! A chaos campaign (see `wsinterop-core`'s `faults` module) does not
-//! modify the framework simulations themselves — it wraps them. The
-//! decorators here intercept the subsystem boundary and delegate the
+//! modify the framework simulations themselves — it wraps them.
+//! [`FaultyServer`] intercepts the deploy step (transient refusals,
+//! published-WSDL byte corruption/truncation) and delegates the
 //! *decision* of what to break to a hook, so the same subsystems serve
-//! both the faithful paper campaign and the fault-injected one:
+//! both the faithful paper campaign and the fault-injected one. The
+//! hook receives the *inner* subsystem and runs it itself, which lets
+//! it fail before the step, corrupt its output after, or skip it.
 //!
-//! * [`FaultyServer`] intercepts the deploy step (transient refusals,
-//!   published-WSDL byte corruption/truncation);
-//! * [`FaultyClient`] intercepts the artifact-generation step (panics,
-//!   mangled tool output).
-//!
-//! Hooks receive the *inner* subsystem and run it themselves, which
-//! lets them fail before the step, corrupt its output after, or skip
-//! it entirely. Hooks may panic to model tool crashes — the campaign
-//! runner isolates each test with `catch_unwind`.
+//! Client-side faults need no decorator: an injected generator crash
+//! fires before the tool runs and a slow step is virtual, so the
+//! campaign injects both around its own generation call.
 
 use wsinterop_typecat::TypeEntry;
 
-use crate::client::{ClientInfo, ClientSubsystem, GenOutcome};
 use crate::server::{DeployOutcome, ServerInfo, ServerSubsystem};
 
 /// Reason prefix marking a deployment refusal as *transient* — the
@@ -36,17 +32,6 @@ pub trait ServerFaultHook: Send + Sync {
     /// Runs the deploy step for `entry` on `inner`, injecting whatever
     /// faults the hook's plan prescribes for this site.
     fn deploy(&self, inner: &dyn ServerSubsystem, entry: &TypeEntry) -> DeployOutcome;
-}
-
-/// Decides what (if anything) to break around one generation call.
-/// `site` is an opaque key naming the (server, client, service) cell,
-/// chosen by the campaign, so decisions stay deterministic and
-/// reportable.
-pub trait ClientFaultHook: Send + Sync {
-    /// Runs the artifact-generation step at `site` on `inner`,
-    /// injecting whatever faults the hook's plan prescribes. May panic
-    /// to model a tool crash.
-    fn generate(&self, inner: &dyn ClientSubsystem, site: &str, wsdl_xml: &str) -> GenOutcome;
 }
 
 /// A server subsystem with a fault hook spliced into its deploy step.
@@ -76,51 +61,9 @@ impl ServerSubsystem for FaultyServer<'_> {
     }
 }
 
-/// A client subsystem with a fault hook spliced into its generation
-/// step, pinned to one campaign site.
-pub struct FaultyClient<'a> {
-    inner: &'a dyn ClientSubsystem,
-    hook: &'a dyn ClientFaultHook,
-    site: String,
-}
-
-impl<'a> FaultyClient<'a> {
-    /// Wraps `inner` for the campaign cell named by `site`.
-    pub fn new(
-        inner: &'a dyn ClientSubsystem,
-        hook: &'a dyn ClientFaultHook,
-        site: impl Into<String>,
-    ) -> FaultyClient<'a> {
-        FaultyClient {
-            inner,
-            hook,
-            site: site.into(),
-        }
-    }
-}
-
-impl ClientSubsystem for FaultyClient<'_> {
-    fn info(&self) -> ClientInfo {
-        self.inner.info()
-    }
-
-    fn generate(&self, wsdl_xml: &str) -> GenOutcome {
-        self.hook.generate(self.inner, &self.site, wsdl_xml)
-    }
-
-    fn generate_from(
-        &self,
-        defs: &wsinterop_wsdl::Definitions,
-        facts: &crate::client::facts::DocFacts,
-    ) -> GenOutcome {
-        self.inner.generate_from(defs, facts)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::client::MetroClient;
     use crate::server::Metro;
 
     struct PassThroughServer;
@@ -136,18 +79,6 @@ mod tests {
             DeployOutcome::Refused {
                 reason: format!("{TRANSIENT_REFUSAL_PREFIX} connection reset"),
             }
-        }
-    }
-
-    struct PanicHook;
-    impl ClientFaultHook for PanicHook {
-        fn generate(
-            &self,
-            _inner: &dyn ClientSubsystem,
-            site: &str,
-            _wsdl_xml: &str,
-        ) -> GenOutcome {
-            panic!("injected tool crash at {site}");
         }
     }
 
@@ -170,15 +101,5 @@ mod tests {
             other => panic!("unexpected: {other:?}"),
         }
         assert!(!is_transient_refusal("cannot bind class to any XSD type"));
-    }
-
-    #[test]
-    fn client_hook_panics_are_catchable() {
-        let hook = PanicHook;
-        let faulty = FaultyClient::new(&MetroClient, &hook, "gen/test/site");
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            faulty.generate("<irrelevant/>")
-        }));
-        assert!(result.is_err());
     }
 }

@@ -17,10 +17,9 @@
 //! The defects the generators plant are genuine flaws in the artifact
 //! model that the `wsinterop-compilers` toolchains then discover.
 //!
-//! The [`fault`] module adds decorators ([`fault::FaultyServer`],
-//! [`fault::FaultyClient`]) that splice externally-planned *injected*
-//! faults into the subsystem boundary — the substrate of the chaos
-//! campaign in `wsinterop-core`.
+//! The [`fault`] module adds a decorator ([`fault::FaultyServer`])
+//! that splices externally-planned *injected* faults into the deploy
+//! boundary — the substrate of the chaos campaign in `wsinterop-core`.
 //!
 //! ## Example
 //!

@@ -2843,9 +2843,9 @@ fn exchange_survey(opts: &SurveyOpts) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Times the stride-`N` campaign with the shared parsed-description
-/// cache on and off and writes the comparison (wall times + parse/memo
-/// counters) as a machine-readable JSON snapshot, so CI can track the
+/// Times the stride-`N` campaign generating from the shared deploy-time
+/// parse and down the per-cell text path, and writes the comparison
+/// (wall times + parse counters) as a machine-readable JSON snapshot, so CI can track the
 /// perf trajectory run over run.
 ///
 /// Unless `--skip-full`, it then runs the *full stride-1 paper matrix*
@@ -3109,18 +3109,14 @@ fn bench_campaign(
          \"journal_overhead_pct\": {journal_overhead_pct:.1},\n  \
          \"instrumented_ms\": {instrumented_ms:.3},\n  \
          \"instrumentation_overhead_pct\": {instrumentation_overhead_pct:.1},\n  \
-         \"shared\": {{ \"parses\": {sp}, \"distinct_docs\": {sd}, \"doc_memo_hits\": {sh}, \
-         \"gen_runs\": {sg}, \"gen_memo_hits\": {sgh}, \"fault_bypasses\": {sf} }},\n  \
+         \"shared\": {{ \"parses\": {sp}, \"distinct_docs\": {sd}, \"gen_runs\": {sg} }},\n  \
          \"per_cell\": {{ \"parses\": {pp}, \"text_generates\": {pt} }},\n  \
          \"scaling\": {scaling_json},\n  \
          \"full_matrix\": {full_matrix}\n}}\n",
         tests = results.tests.len(),
         sp = shared_stats.parses,
         sd = shared_stats.distinct_docs,
-        sh = shared_stats.doc_memo_hits,
         sg = shared_stats.gen_runs,
-        sgh = shared_stats.gen_memo_hits,
-        sf = shared_stats.fault_bypasses,
         pp = per_cell_stats.parses,
         pt = per_cell_stats.text_generates,
     );
