@@ -9,10 +9,19 @@
 //! parser's error paths), and pins a digest of the lot. A parser
 //! change that alters any document, fact or error message changes the
 //! digest.
+//!
+//! Two more digests pin the *written* bytes, which a parse result
+//! cannot see (whitespace, attribute order, escaping): every deployment
+//! outcome of every extension server at stride 1 — published WSDL and
+//! refusal reasons alike — and the compact SOAP envelopes the survey
+//! exchanges over the stride-20 corpus.
 
 use wsinterop::core::doccache::content_hash;
+use wsinterop::core::exchange::{first_survey_operation, serve_echo, SURVEY_PROBE};
 use wsinterop::frameworks::client::parse_for_generation;
-use wsinterop::frameworks::server::{all_servers, DeployOutcome};
+use wsinterop::frameworks::server::{all_servers, extension_servers, DeployOutcome};
+use wsinterop::wsdl::{de::from_xml_str, soap};
+use wsinterop::xml::writer::{write_document, WriteOptions};
 
 const STRIDE: usize = 20;
 
@@ -27,6 +36,11 @@ fn published() -> Vec<String> {
         }
     }
     docs
+}
+
+/// Folds `bytes` into a running digest.
+fn fold(digest: u64, bytes: &[u8]) -> u64 {
+    content_hash(&[&digest.to_le_bytes()[..], bytes].concat())
 }
 
 /// The nearest char boundary at or after `at`.
@@ -76,4 +90,54 @@ fn parse_for_generation_is_bit_identical_over_the_corpus() {
     }
     assert_eq!((docs.len(), parsed, readable), (364, 2912, 1157));
     assert_eq!(digest, 0xe428_6eb8_3adb_264b, "digest {digest:#018x}");
+}
+
+#[test]
+fn every_deployment_outcome_is_byte_identical() {
+    let mut digest = content_hash(b"");
+    let (mut outcomes, mut deployed, mut bytes) = (0usize, 0usize, 0usize);
+    for server in extension_servers() {
+        for entry in server.catalog().entries() {
+            let outcome = server.deploy(entry);
+            outcomes += 1;
+            if let DeployOutcome::Deployed { wsdl_xml } = &outcome {
+                deployed += 1;
+                bytes += wsdl_xml.len();
+            }
+            digest = fold(digest, format!("{outcome:?}").as_bytes());
+        }
+    }
+    assert_eq!((outcomes, deployed, bytes), (25_995, 9_728, 26_163_243));
+    assert_eq!(digest, 0xd613_76df_3277_6282, "digest {digest:#018x}");
+}
+
+#[test]
+fn survey_envelopes_are_byte_identical() {
+    let compact = WriteOptions::compact();
+    let mut digest = content_hash(b"");
+    let mut envelopes = 0usize;
+    let mut pin = |xml: String| {
+        envelopes += 1;
+        digest = fold(digest, xml.as_bytes());
+    };
+    for doc in published() {
+        let Some(op) = first_survey_operation(&doc) else {
+            pin(write_document(&soap::fault("Client", "no operations <&>"), &compact));
+            continue;
+        };
+        let defs = from_xml_str(&doc).expect("a published WSDL parses");
+        for value in [SURVEY_PROBE, "a<b & \"c\" > 'd'\t\u{e9}"] {
+            match soap::request(&defs, &op, value) {
+                Ok(request) => {
+                    let request = write_document(&request, &compact);
+                    pin(serve_echo(&defs, &request));
+                    pin(request);
+                }
+                Err(e) => pin(write_document(&soap::fault("Client", &e.to_string()), &compact)),
+            }
+        }
+        pin(write_document(&soap::fault("Server", &format!("`{op}` <failed> & \"quoted\"")), &compact));
+    }
+    assert_eq!(envelopes, 1_820);
+    assert_eq!(digest, 0x258a_92c0_c9b4_4f08, "digest {digest:#018x}");
 }
