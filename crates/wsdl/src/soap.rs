@@ -9,7 +9,7 @@
 use std::fmt;
 
 use wsinterop_xml::name::ns;
-use wsinterop_xml::{parse_document, Document, Element};
+use wsinterop_xml::{parse_arena, Document, Element};
 
 use crate::model::{Definitions, PartKind};
 
@@ -158,7 +158,7 @@ pub fn request_with_args(
 /// Fails when the input is not well-formed XML, not an envelope, or has
 /// an empty body.
 pub fn payload(xml: &str) -> Result<Element, SoapError> {
-    let doc = parse_document(xml).map_err(|e| SoapError::new(e.to_string()))?;
+    let doc = parse_arena(xml).map_err(|e| SoapError::new(e.to_string()))?;
     let root = doc.root();
     if !root.is_named(ns::SOAP_ENV, "Envelope") {
         return Err(SoapError::new(format!(
@@ -169,7 +169,7 @@ pub fn payload(xml: &str) -> Result<Element, SoapError> {
     let body = root
         .element(ns::SOAP_ENV, "Body")
         .ok_or_else(|| SoapError::new("envelope has no Body"))?;
-    let first = body.child_elements().next().cloned();
+    let first = body.child_elements().next().map(|el| el.to_element());
     first.ok_or_else(|| SoapError::new("Body is empty"))
 }
 

@@ -8,8 +8,12 @@
 //! * [`QName`] / [`ExpandedName`] — lexical and namespace-resolved names,
 //! * [`Element`] / [`Document`] — an owned document tree with builder
 //!   ergonomics and resolved namespace URIs on every element,
-//! * [`writer`] — pretty and compact serialization,
-//! * [`parser`] — a validating recursive-descent parser with positions,
+//! * [`writer`] — the streaming [`XmlWriter`] behind all pretty and
+//!   compact output, trees included,
+//! * [`parser`] — one validating parser with positions, filling a flat
+//!   [`Arena`] that borrows the input ([`parse_arena`]) or converting it
+//!   into the owned tree ([`parse_document`]),
+//! * [`arena`] — the parsed arena and its [`ElementRef`] view,
 //! * [`escape`] — entity escaping/unescaping.
 //!
 //! It exists because the offline crate set for this reproduction contains
@@ -37,6 +41,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod arena;
 pub mod escape;
 pub mod name;
 pub mod parser;
@@ -45,6 +50,7 @@ pub mod tree;
 pub mod writer;
 
 pub use name::{ExpandedName, QName};
-pub use parser::{parse_document, parse_element, ParseXmlError};
+pub use arena::{Arena, AttrRef, ElementRef};
+pub use parser::{parse_arena, parse_document, parse_element, ParseXmlError};
 pub use tree::{Attr, Document, Element, Node};
-pub use writer::{write_document, write_element, WriteOptions};
+pub use writer::{write_document, write_element, WriteOptions, XmlWriter};

@@ -152,9 +152,7 @@ impl QName {
 
     /// The prefix, if any.
     pub fn prefix(&self) -> Option<&str> {
-        self.local_start
-            .checked_sub(1)
-            .map(|colon| &self.raw[..colon])
+        split_at(&self.raw, self.local_start).0
     }
 
     /// The local part.
@@ -209,22 +207,41 @@ impl Ord for QName {
     }
 }
 
+/// Checks that `s` is a lexical QName without allocating, and returns
+/// the byte offset of its local part (0 when unprefixed).
+pub(crate) fn local_start(s: &str) -> Result<usize, ParseQNameError> {
+    let err = |reason| ParseQNameError { raw: s.to_string(), reason };
+    match s.split_once(':') {
+        None if is_ncname(s) => Ok(0),
+        None => Err(err("local part is not an NCName")),
+        Some((p, _)) if !is_ncname(p) => Err(err("prefix is not an NCName")),
+        Some((_, l)) if !is_ncname(l) => Err(err("local part is not an NCName")),
+        Some((p, _)) => Ok(p.len() + 1),
+    }
+}
+
+/// Splits a lexical name at `local_start` (as returned by
+/// [`local_start`]) into `(prefix, local)`.
+pub(crate) fn split_at(raw: &str, local_start: usize) -> (Option<&str>, &str) {
+    let prefix = local_start.checked_sub(1).map(|colon| &raw[..colon]);
+    (prefix, &raw[local_start..])
+}
+
+impl QName {
+    /// A name already checked by [`local_start`].
+    pub(crate) fn from_checked(raw: &str, local_start: usize) -> QName {
+        QName {
+            raw: raw.into(),
+            local_start,
+        }
+    }
+}
+
 impl FromStr for QName {
     type Err = ParseQNameError;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let err = |reason| ParseQNameError { raw: s.to_string(), reason };
-        let local_start = match s.split_once(':') {
-            None if is_ncname(s) => 0,
-            None => return Err(err("local part is not an NCName")),
-            Some((p, _)) if !is_ncname(p) => return Err(err("prefix is not an NCName")),
-            Some((_, l)) if !is_ncname(l) => return Err(err("local part is not an NCName")),
-            Some((p, _)) => p.len() + 1,
-        };
-        Ok(QName {
-            raw: s.into(),
-            local_start,
-        })
+        Ok(QName::from_checked(s, local_start(s)?))
     }
 }
 

@@ -1,28 +1,31 @@
-//! Tracking of in-scope namespace bindings while walking a tree.
+//! Tracking of in-scope namespace bindings while walking a document.
 //!
-//! The tree model resolves *element* namespaces at parse time, but
-//! attribute **values** that are lexical QNames (`type="xsd:int"`,
+//! The parser resolves *element* namespaces, but attribute **values**
+//! that are lexical QNames (`type="xsd:int"`,
 //! `message="tns:echoRequest"`) must be resolved against the bindings in
 //! scope at the element that carries them. [`NsBindings`] is a small
-//! stack consumers push/pop while descending. It borrows the
-//! declarations from the tree, so pushing an element copies no strings.
+//! stack consumers push/pop while descending an [`Arena`]. It borrows
+//! the declarations from the arena, so pushing an element copies no
+//! strings.
+//!
+//! [`Arena`]: crate::arena::Arena
 
-use crate::name::{ns, QName};
-use crate::tree::Element;
+use crate::arena::ElementRef;
+use crate::name::{local_start, ns, split_at};
 
 /// A stack of namespace-declaration frames.
 ///
 /// # Examples
 ///
 /// ```
-/// use wsinterop_xml::{parse_element, scope::NsBindings};
-/// let el = parse_element(r#"<a xmlns:x="urn:x"><b type="x:T"/></a>"#)?;
+/// use wsinterop_xml::{parse_arena, scope::NsBindings};
+/// let doc = parse_arena(r#"<a xmlns:x="urn:x"><b type="x:T"/></a>"#)?;
 /// let mut scope = NsBindings::new();
-/// scope.push_element(&el);
-/// let b = el.child_elements().next().unwrap();
+/// scope.push_element(doc.root());
+/// let b = doc.root().child_elements().next().unwrap();
 /// scope.push_element(b);
 /// let (ns_uri, local) = scope.resolve_qname_value(b.attr("type").unwrap()).unwrap();
-/// assert_eq!(ns_uri.as_deref(), Some("urn:x"));
+/// assert_eq!(ns_uri, Some("urn:x"));
 /// assert_eq!(local, "T");
 /// # Ok::<(), wsinterop_xml::ParseXmlError>(())
 /// ```
@@ -47,7 +50,7 @@ impl<'a> NsBindings<'a> {
     ///
     /// Call once per element while descending; pair with
     /// [`NsBindings::pop`] when leaving the element.
-    pub fn push_element(&mut self, el: &'a Element) {
+    pub fn push_element(&mut self, el: ElementRef<'a>) {
         self.frames.push(self.bindings.len());
         self.bindings.extend(el.ns_decls());
     }
@@ -60,28 +63,23 @@ impl<'a> NsBindings<'a> {
     }
 
     /// Resolves a prefix (`None` = default namespace) to a URI.
-    pub fn resolve(&self, prefix: Option<&str>) -> Option<&str> {
+    pub fn resolve(&self, prefix: Option<&str>) -> Option<&'a str> {
         let (_, uri) = self.bindings.iter().rev().find(|(p, _)| *p == prefix)?;
         // An empty URI un-declares the default namespace.
         (!uri.is_empty()).then_some(*uri)
     }
 
-    /// Resolves a lexical QName attribute value to `(ns-uri, local)`.
+    /// Resolves a lexical QName attribute value to `(ns-uri, local)`,
+    /// both borrowed.
     ///
     /// Returns `None` when the value is not a lexical QName or uses an
     /// undeclared prefix. Unprefixed values resolve to the in-scope
     /// default namespace (per XSD QName-resolution rules).
-    pub fn resolve_qname_value(&self, raw: &str) -> Option<(Option<String>, String)> {
-        let q: QName = raw.parse().ok()?;
-        match q.prefix() {
-            Some(p) => {
-                let uri = self.resolve(Some(p))?;
-                Some((Some(uri.to_string()), q.local_part().to_string()))
-            }
-            None => Some((
-                self.resolve(None).map(str::to_string),
-                q.local_part().to_string(),
-            )),
+    pub fn resolve_qname_value<'r>(&self, raw: &'r str) -> Option<(Option<&'a str>, &'r str)> {
+        let (prefix, local) = split_at(raw, local_start(raw).ok()?);
+        match prefix {
+            Some(p) => Some((Some(self.resolve(Some(p))?), local)),
+            None => Some((self.resolve(None), local)),
         }
     }
 }
@@ -89,16 +87,14 @@ impl<'a> NsBindings<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parse_element;
+    use crate::parse_arena;
 
     #[test]
     fn resolves_across_frames_with_shadowing() {
-        let el = parse_element(
-            r#"<a xmlns:p="urn:1"><b xmlns:p="urn:2"/></a>"#,
-        )
-        .unwrap();
+        let doc = parse_arena(r#"<a xmlns:p="urn:1"><b xmlns:p="urn:2"/></a>"#).unwrap();
+        let el = doc.root();
         let mut scope = NsBindings::new();
-        scope.push_element(&el);
+        scope.push_element(el);
         assert_eq!(scope.resolve(Some("p")), Some("urn:1"));
         let b = el.child_elements().next().unwrap();
         scope.push_element(b);
@@ -109,11 +105,11 @@ mod tests {
 
     #[test]
     fn unprefixed_value_uses_default_ns() {
-        let el = parse_element(r#"<a xmlns="urn:d"/>"#).unwrap();
+        let doc = parse_arena(r#"<a xmlns="urn:d"/>"#).unwrap();
         let mut scope = NsBindings::new();
-        scope.push_element(&el);
+        scope.push_element(doc.root());
         let (uri, local) = scope.resolve_qname_value("T").unwrap();
-        assert_eq!(uri.as_deref(), Some("urn:d"));
+        assert_eq!(uri, Some("urn:d"));
         assert_eq!(local, "T");
     }
 
@@ -125,9 +121,10 @@ mod tests {
 
     #[test]
     fn empty_default_namespace_undeclares_it() {
-        let el = parse_element(r#"<a xmlns="urn:d"><b xmlns=""/></a>"#).unwrap();
+        let doc = parse_arena(r#"<a xmlns="urn:d"><b xmlns=""/></a>"#).unwrap();
+        let el = doc.root();
         let mut scope = NsBindings::new();
-        scope.push_element(&el);
+        scope.push_element(el);
         scope.push_element(el.child_elements().next().unwrap());
         assert_eq!(scope.resolve(None), None);
         scope.pop();

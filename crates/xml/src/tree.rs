@@ -10,8 +10,11 @@
 //! of prefix spelling.
 //!
 //! The resolved URI is shared: a parsed document holds one `Arc<str>` per
-//! namespace declaration, and every element in that namespace points at
-//! it.
+//! namespace in use, and every element in that namespace points at it.
+//!
+//! Documents that are only read (WSDL and XSD) skip this tree: they are
+//! read through the [arena](crate::arena) view and written by streaming
+//! through an [`XmlWriter`](crate::writer::XmlWriter).
 
 use std::sync::Arc;
 

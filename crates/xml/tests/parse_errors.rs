@@ -87,6 +87,11 @@ const CASES: &[(&str, &str, &str)] = &[
         "XML parse error at 1:8: unterminated comment",
     ),
     (
+        "comment ending in `-`",
+        "<a><!-- a ---></a>",
+        "XML parse error at 1:8: `--` not allowed inside comment",
+    ),
+    (
         "DOCTYPE internal subset",
         "<!DOCTYPE a [<!ENTITY e \"v\">]><a/>",
         "XML parse error at 1:1: DOCTYPE internal subsets are not supported",

@@ -7,7 +7,7 @@ use std::collections::BTreeMap;
 use proptest::prelude::*;
 use wsinterop_xml::escape::{escape_attr, escape_text, unescape};
 use wsinterop_xml::writer::{write_document, WriteOptions};
-use wsinterop_xml::{parse_document, Document, Element, Node};
+use wsinterop_xml::{parse_arena, parse_document, Document, Element, ElementRef, Node};
 
 proptest! {
     /// Any string survives text-escape → unescape unchanged.
@@ -121,6 +121,28 @@ fn canonical(el: &Element) -> Element {
     out
 }
 
+/// Checks an arena view against a tree: name, resolved namespace,
+/// attributes in order, child elements in order, and text.
+fn assert_view_matches(view: ElementRef<'_>, el: &Element) {
+    assert_eq!(view.name(), el.name().to_string());
+    assert_eq!(view.ns_uri(), el.ns_uri());
+    let attrs: Vec<_> = view.attrs().map(|a| (a.name(), a.value())).collect();
+    let want: Vec<_> = el
+        .attrs()
+        .iter()
+        .map(|a| (a.name().to_string(), a.value()))
+        .collect();
+    assert_eq!(attrs.len(), want.len());
+    for ((name, value), (want_name, want_value)) in attrs.iter().zip(&want) {
+        assert_eq!((*name, *value), (want_name.as_str(), *want_value));
+    }
+    assert_eq!(view.text_content(), el.text_content());
+    assert_eq!(view.child_elements().count(), el.child_elements().count());
+    for (v, e) in view.child_elements().zip(el.child_elements()) {
+        assert_view_matches(v, e);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -140,6 +162,22 @@ proptest! {
         let xml = write_document(&doc, &WriteOptions::pretty());
         let parsed = parse_document(&xml).unwrap();
         prop_assert_eq!(canonical(parsed.root()), canonical(doc.root()));
+    }
+
+    /// The arena view and the owned tree `parse_document` converts it
+    /// into both read back what was written, under both layouts.
+    #[test]
+    fn arena_view_and_owned_tree_agree(el in arb_element(3)) {
+        let expected = canonical(&el);
+        let doc = Document::new(el);
+        for opts in [WriteOptions::compact(), WriteOptions::pretty()] {
+            let xml = write_document(&doc, &opts);
+            let arena = parse_arena(&xml).unwrap();
+            assert_view_matches(arena.root(), &expected);
+            let tree = parse_document(&xml).unwrap();
+            prop_assert_eq!(canonical(tree.root()), expected.clone());
+            assert_view_matches(arena.root(), tree.root());
+        }
     }
 
     /// Parsing never panics on arbitrary input.

@@ -13,8 +13,8 @@
 //!
 //! * [`model`] — the object model ([`Schema`], [`ComplexType`], …)
 //! * [`builtin`] — the built-in simple types ([`BuiltIn`])
-//! * [`ser`] — serialization to `wsinterop-xml` elements
-//! * [`de`] — parsing back from elements
+//! * [`ser`] — serialization through a `wsinterop-xml` writer
+//! * [`de`] — parsing back from a parsed element
 //! * [`lexical`] — lexical validation and canonical values (incl. a
 //!   self-contained base64 codec)
 //!
@@ -22,14 +22,18 @@
 //!
 //! ```
 //! use wsinterop_xsd::{Schema, ElementDecl, TypeRef, BuiltIn};
-//! use wsinterop_xsd::ser::{schema_to_element, SerOptions};
+//! use wsinterop_xsd::ser::{write_schema, SerOptions};
 //! use wsinterop_xsd::de::schema_from_element;
-//! use wsinterop_xml::scope::NsBindings;
+//! use wsinterop_xml::{parse_arena, scope::NsBindings, WriteOptions, XmlWriter};
 //!
 //! let mut schema = Schema::new("urn:quick");
 //! schema.elements.push(ElementDecl::typed("value", TypeRef::BuiltIn(BuiltIn::Long)));
-//! let el = schema_to_element(&schema, &SerOptions::default());
-//! let back = schema_from_element(&el, &NsBindings::new())?;
+//! let opts = WriteOptions::compact();
+//! let mut w = XmlWriter::new(&opts);
+//! write_schema(&mut w, &schema, &SerOptions::default());
+//! let xml = w.finish();
+//! let doc = parse_arena(&xml).unwrap();
+//! let back = schema_from_element(doc.root(), &NsBindings::new())?;
 //! assert_eq!(back, schema);
 //! # Ok::<(), wsinterop_xsd::de::SchemaReadError>(())
 //! ```
