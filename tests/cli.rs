@@ -75,6 +75,41 @@ fn matrix_shows_eleven_clients() {
     assert_eq!(stdout.lines().count(), 12); // header + 11 clients
 }
 
+/// The classes of the E6–E8 case studies, in `tests/case_studies.rs`
+/// order: E6's non-WS-I and operation-less Java classes, E7's DataSet
+/// family, then E8's Axis1, Axis2 and Visual Basic defect classes.
+const CASE_STUDY_CLASSES: [&str; 13] = [
+    "javax.xml.ws.wsaddressing.W3CEndpointReference",
+    "java.text.SimpleDateFormat",
+    "java.util.concurrent.Future",
+    "javax.xml.ws.Response",
+    "System.Data.DataSet",
+    "System.Data.DataTable",
+    "System.Data.DataTableCollection",
+    "java.lang.Exception",
+    "javax.xml.datatype.XMLGregorianCalendar",
+    "System.Web.UI.WebControls.Button",
+    "System.Web.UI.WebControls.Label",
+    "System.Web.UI.WebControls.TextBox",
+    "System.Web.UI.WebControls.CheckBox",
+];
+
+#[test]
+fn matrix_stdout_is_pinned_for_the_case_study_classes() {
+    let mut actual = String::new();
+    for fqcn in CASE_STUDY_CLASSES {
+        let out = wsitool(&["matrix", fqcn]);
+        assert!(out.status.success(), "{fqcn}");
+        actual.push_str(&String::from_utf8(out.stdout).expect("UTF-8 stdout"));
+    }
+    let expected = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/golden/matrix_case_studies.txt"
+    ))
+    .expect("golden matrix stdout");
+    assert_eq!(actual, expected);
+}
+
 #[test]
 fn invoke_roundtrips_a_value_through_a_bean_field() {
     // java.util.Properties has a string-typed bean field, so the CLI
