@@ -33,6 +33,6 @@ pub mod model;
 pub mod render;
 
 pub use model::{
-    ArtifactBundle, ArtifactLanguage, ClassDecl, CodeUnit, Expr, Function, LintMarker, Stmt,
-    TypeName, VarDecl,
+    ArtifactBundle, ArtifactLanguage, ClassDecl, CodeUnit, Expr, Function, LintMarker, Name,
+    Stmt, TypeName, VarDecl,
 };

@@ -7,8 +7,19 @@
 //! semantic checks over it. Every compilation failure reproduced from
 //! the paper corresponds to a genuine defect in this model (a dangling
 //! name, a duplicate variable, an inheritance cycle), not a flag.
+//!
+//! Every name in the model is a [`Name`]: the constants a generator
+//! emits (`endpoint`, `request`, built-in type names, the transport
+//! function) are borrowed `'static` strings, and only names taken from
+//! the input document are owned. Building a bundle therefore copies
+//! no constant.
 
+use std::borrow::Cow;
 use std::fmt;
+
+/// A name or source fragment in the model: borrowed when it is a
+/// generator constant, owned when it comes from the input document.
+pub type Name = Cow<'static, str>;
 
 /// The source language of an artifact bundle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -70,11 +81,11 @@ impl fmt::Display for ArtifactLanguage {
 
 /// A type name as written in generated source.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct TypeName(pub String);
+pub struct TypeName(pub Name);
 
 impl TypeName {
     /// Convenience constructor.
-    pub fn of(name: impl Into<String>) -> TypeName {
+    pub fn of(name: impl Into<Name>) -> TypeName {
         TypeName(name.into())
     }
 
@@ -94,14 +105,14 @@ impl fmt::Display for TypeName {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VarDecl {
     /// Variable name.
-    pub name: String,
+    pub name: Name,
     /// Declared type.
     pub type_name: TypeName,
 }
 
 impl VarDecl {
     /// Convenience constructor.
-    pub fn new(name: impl Into<String>, type_name: impl Into<String>) -> VarDecl {
+    pub fn new(name: impl Into<Name>, type_name: impl Into<Name>) -> VarDecl {
         VarDecl {
             name: name.into(),
             type_name: TypeName(type_name.into()),
@@ -113,17 +124,17 @@ impl VarDecl {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Expr {
     /// Reference to a parameter or local.
-    Var(String),
+    Var(Name),
     /// Reference to a field of `this`/`self`.
-    SelfField(String),
+    SelfField(Name),
     /// A literal (rendered verbatim).
-    Literal(String),
+    Literal(Name),
     /// Object construction.
     New(TypeName),
     /// A call to a free function.
     Call {
         /// Function name.
-        function: String,
+        function: Name,
         /// Arguments.
         args: Vec<Expr>,
     },
@@ -132,7 +143,7 @@ pub enum Expr {
         /// Receiver.
         receiver: Box<Expr>,
         /// Method name.
-        method: String,
+        method: Name,
         /// Arguments.
         args: Vec<Expr>,
     },
@@ -146,14 +157,14 @@ pub enum Stmt {
     /// Assignment to a local/param (`target = value`).
     Assign {
         /// Assignment target (resolved like [`Expr::Var`]).
-        target: String,
+        target: Name,
         /// Right-hand side.
         value: Expr,
     },
     /// Assignment to a field of `this`.
     AssignField {
         /// Field name on `this`.
-        field: String,
+        field: Name,
         /// Right-hand side.
         value: Expr,
     },
@@ -167,7 +178,7 @@ pub enum Stmt {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Function {
     /// Name.
-    pub name: String,
+    pub name: Name,
     /// Parameters, in order.
     pub params: Vec<VarDecl>,
     /// Return type; `None` = void.
@@ -178,7 +189,7 @@ pub struct Function {
 
 impl Function {
     /// An empty void function.
-    pub fn new(name: impl Into<String>) -> Function {
+    pub fn new(name: impl Into<Name>) -> Function {
         Function {
             name: name.into(),
             params: Vec::new(),
@@ -189,14 +200,14 @@ impl Function {
 
     /// Builder: adds a parameter.
     #[must_use]
-    pub fn param(mut self, name: impl Into<String>, type_name: impl Into<String>) -> Function {
+    pub fn param(mut self, name: impl Into<Name>, type_name: impl Into<Name>) -> Function {
         self.params.push(VarDecl::new(name, type_name));
         self
     }
 
     /// Builder: sets the return type.
     #[must_use]
-    pub fn returns(mut self, type_name: impl Into<String>) -> Function {
+    pub fn returns(mut self, type_name: impl Into<Name>) -> Function {
         self.return_type = Some(TypeName(type_name.into()));
         self
     }
@@ -213,7 +224,7 @@ impl Function {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClassDecl {
     /// Class name.
-    pub name: String,
+    pub name: Name,
     /// Superclass, if any.
     pub extends: Option<TypeName>,
     /// Fields.
@@ -224,7 +235,7 @@ pub struct ClassDecl {
 
 impl ClassDecl {
     /// An empty class.
-    pub fn new(name: impl Into<String>) -> ClassDecl {
+    pub fn new(name: impl Into<Name>) -> ClassDecl {
         ClassDecl {
             name: name.into(),
             extends: None,
@@ -235,14 +246,14 @@ impl ClassDecl {
 
     /// Builder: sets the superclass.
     #[must_use]
-    pub fn extends(mut self, type_name: impl Into<String>) -> ClassDecl {
+    pub fn extends(mut self, type_name: impl Into<Name>) -> ClassDecl {
         self.extends = Some(TypeName(type_name.into()));
         self
     }
 
     /// Builder: adds a field.
     #[must_use]
-    pub fn field(mut self, name: impl Into<String>, type_name: impl Into<String>) -> ClassDecl {
+    pub fn field(mut self, name: impl Into<Name>, type_name: impl Into<Name>) -> ClassDecl {
         self.fields.push(VarDecl::new(name, type_name));
         self
     }
@@ -267,7 +278,7 @@ pub enum LintMarker {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CodeUnit {
     /// File name (with extension).
-    pub file_name: String,
+    pub file_name: Name,
     /// Declared classes.
     pub classes: Vec<ClassDecl>,
     /// Free functions (C++/JScript/PHP-style units).
@@ -278,7 +289,7 @@ pub struct CodeUnit {
 
 impl CodeUnit {
     /// An empty unit.
-    pub fn new(file_name: impl Into<String>) -> CodeUnit {
+    pub fn new(file_name: impl Into<Name>) -> CodeUnit {
         CodeUnit {
             file_name: file_name.into(),
             classes: Vec::new(),
@@ -317,7 +328,7 @@ pub struct ArtifactBundle {
     /// Generated units.
     pub units: Vec<CodeUnit>,
     /// Name of the client proxy class an application would instantiate.
-    pub entry_point: Option<String>,
+    pub entry_point: Option<Name>,
 }
 
 impl ArtifactBundle {
@@ -339,7 +350,7 @@ impl ArtifactBundle {
 
     /// Builder: sets the proxy entry point.
     #[must_use]
-    pub fn entry(mut self, class_name: impl Into<String>) -> ArtifactBundle {
+    pub fn entry(mut self, class_name: impl Into<Name>) -> ArtifactBundle {
         self.entry_point = Some(class_name.into());
         self
     }

@@ -23,20 +23,23 @@ fn ident() -> impl Strategy<Value = String> {
 
 fn arb_expr() -> impl Strategy<Value = Expr> {
     let leaf = prop_oneof![
-        ident().prop_map(Expr::Var),
-        ident().prop_map(Expr::SelfField),
-        "[0-9]{1,4}".prop_map(Expr::Literal),
+        ident().prop_map(|n| Expr::Var(n.into())),
+        ident().prop_map(|n| Expr::SelfField(n.into())),
+        "[0-9]{1,4}".prop_map(|n| Expr::Literal(n.into())),
         ident().prop_map(|n| Expr::New(wsinterop_artifact::TypeName::of(n))),
     ];
     leaf.prop_recursive(2, 8, 3, |inner| {
         prop_oneof![
             (ident(), prop::collection::vec(inner.clone(), 0..3)).prop_map(
-                |(function, args)| Expr::Call { function, args }
+                |(function, args)| Expr::Call {
+                    function: function.into(),
+                    args,
+                }
             ),
             (inner.clone(), ident(), prop::collection::vec(inner, 0..2)).prop_map(
                 |(receiver, method, args)| Expr::MethodCall {
                     receiver: Box::new(receiver),
-                    method,
+                    method: method.into(),
                     args,
                 }
             ),
@@ -48,8 +51,14 @@ fn arb_stmt() -> impl Strategy<Value = Stmt> {
     prop_oneof![
         (ident(), ident(), prop::option::of(arb_expr()))
             .prop_map(|(n, t, init)| Stmt::Local(VarDecl::new(n, t), init)),
-        (ident(), arb_expr()).prop_map(|(target, value)| Stmt::Assign { target, value }),
-        (ident(), arb_expr()).prop_map(|(field, value)| Stmt::AssignField { field, value }),
+        (ident(), arb_expr()).prop_map(|(target, value)| Stmt::Assign {
+            target: target.into(),
+            value,
+        }),
+        (ident(), arb_expr()).prop_map(|(field, value)| Stmt::AssignField {
+            field: field.into(),
+            value,
+        }),
         arb_expr().prop_map(Stmt::Expr),
         prop::option::of(arb_expr()).prop_map(Stmt::Return),
     ]
@@ -135,7 +144,7 @@ proptest! {
             let source = render_unit(language, &unit);
             for class in &unit.classes {
                 prop_assert!(
-                    source.contains(&class.name),
+                    source.contains(&*class.name),
                     "{language}: class {} missing from output",
                     class.name
                 );
@@ -166,7 +175,7 @@ proptest! {
         for language in [ArtifactLanguage::Java, ArtifactLanguage::CSharp, ArtifactLanguage::VisualBasic] {
             let source = render_unit(language, &unit);
             for field in &class.fields {
-                prop_assert!(source.contains(&field.name), "{language}: {}", field.name);
+                prop_assert!(source.contains(&*field.name), "{language}: {}", field.name);
             }
         }
     }

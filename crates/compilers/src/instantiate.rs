@@ -10,18 +10,20 @@ use std::fmt;
 
 use wsinterop_artifact::ArtifactBundle;
 
-/// The result of the dynamic instantiation check.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct InstantiationOutcome {
+/// The result of the dynamic instantiation check. It borrows the
+/// proxy class name from the bundle; the text is formatted only when
+/// the outcome is displayed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct InstantiationOutcome<'a> {
     /// The client object could be constructed.
     pub constructed: bool,
     /// Number of service methods the client exposes.
     pub method_count: usize,
-    /// Human-readable detail.
-    pub detail: String,
+    /// The proxy class the generator designated, if any.
+    pub proxy: Option<&'a str>,
 }
 
-impl InstantiationOutcome {
+impl InstantiationOutcome<'_> {
     /// `true` when the client is usable: constructed *and* has at
     /// least one invocable method.
     pub fn usable(&self) -> bool {
@@ -34,36 +36,34 @@ impl InstantiationOutcome {
     }
 }
 
-impl fmt::Display for InstantiationOutcome {
+impl fmt::Display for InstantiationOutcome<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if !self.constructed {
-            write!(f, "instantiation failed: {}", self.detail)
-        } else {
-            write!(
+        match (self.constructed, self.proxy) {
+            (_, None) => {
+                f.write_str("instantiation failed: generator did not designate a proxy class")
+            }
+            (false, Some(name)) => {
+                write!(
+                    f,
+                    "instantiation failed: proxy class `{name}` was not generated"
+                )
+            }
+            (true, Some(name)) => write!(
                 f,
-                "client instantiated with {} method(s): {}",
-                self.method_count, self.detail
-            )
+                "client instantiated with {} method(s): proxy class `{name}`",
+                self.method_count
+            ),
         }
     }
 }
 
 /// Attempts to "instantiate" the bundle's entry-point client object.
-pub fn instantiate(bundle: &ArtifactBundle) -> InstantiationOutcome {
-    match bundle.entry_class() {
-        Some(class) => InstantiationOutcome {
-            constructed: true,
-            method_count: class.methods.len(),
-            detail: format!("proxy class `{}`", class.name),
-        },
-        None => InstantiationOutcome {
-            constructed: false,
-            method_count: 0,
-            detail: match &bundle.entry_point {
-                Some(name) => format!("proxy class `{name}` was not generated"),
-                None => "generator did not designate a proxy class".to_string(),
-            },
-        },
+pub fn instantiate(bundle: &ArtifactBundle) -> InstantiationOutcome<'_> {
+    let class = bundle.entry_class();
+    InstantiationOutcome {
+        constructed: class.is_some(),
+        method_count: class.map_or(0, |c| c.methods.len()),
+        proxy: bundle.entry_point.as_deref(),
     }
 }
 
@@ -75,9 +75,10 @@ mod tests {
     #[test]
     fn usable_client() {
         let bundle = ArtifactBundle::new(ArtifactLanguage::Python)
-            .unit(CodeUnit::new("client.py").class(
-                ClassDecl::new("Client").method(Function::new("echo")),
-            ))
+            .unit(
+                CodeUnit::new("client.py")
+                    .class(ClassDecl::new("Client").method(Function::new("echo"))),
+            )
             .entry("Client");
         let outcome = instantiate(&bundle);
         assert!(outcome.usable());

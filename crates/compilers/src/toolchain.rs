@@ -35,7 +35,7 @@ const CPP_BUILTINS: &[&str] = &[
     "wchar_t", "size_t", "time_t",
 ];
 
-fn base_dialect(builtins: &'static [&'static str], case_insensitive: bool) -> Dialect {
+const fn base_dialect(builtin_types: &'static [&'static str], case_insensitive: bool) -> Dialect {
     Dialect {
         duplicate_field: ("dup-field", "field `{}` is already defined"),
         duplicate_local: ("dup-local", "variable `{}` is already defined in scope"),
@@ -46,18 +46,54 @@ fn base_dialect(builtins: &'static [&'static str], case_insensitive: bool) -> Di
         unknown_function: ("unknown-fn", "call to undefined function `{}`"),
         inheritance_cycle: ("cycle", "cyclic inheritance involving `{}`"),
         case_insensitive,
-        builtin_types: builtins,
+        builtin_types,
     }
+}
+
+static JAVAC: Dialect = Dialect {
+    duplicate_local: ("javac:duplicate", "variable {} is already defined"),
+    unknown_variable: ("javac:cant-resolve", "cannot find symbol: variable {}"),
+    unknown_field: ("javac:cant-resolve", "cannot find symbol: variable {}"),
+    ..base_dialect(JAVA_BUILTINS, false)
+};
+
+static CSC: Dialect = Dialect {
+    unknown_type: ("CS0246", "the type or namespace name `{}` could not be found"),
+    duplicate_local: ("CS0128", "a local variable named `{}` is already defined"),
+    ..base_dialect(DOTNET_BUILTINS, false)
+};
+
+// VB reports case-folded duplicate members with the same code as
+// member collisions.
+static VBC: Dialect = Dialect {
+    member_collision: ("BC30260", "`{}` is already declared as a member of this class"),
+    duplicate_field: ("BC30260", "`{}` is already declared as a member of this class"),
+    ..base_dialect(DOTNET_BUILTINS, true)
+};
+
+static JSC: Dialect = Dialect {
+    unknown_function: ("JS1135", "reference to undefined transport function `{}`"),
+    ..base_dialect(DOTNET_BUILTINS, false)
+};
+
+static GPP: Dialect = Dialect {
+    unknown_type: ("gxx:undeclared", "`{}` was not declared in this scope"),
+    ..base_dialect(CPP_BUILTINS, false)
+};
+
+/// Every pass except the inheritance-cycle one, in report order.
+fn run_member_checks(bundle: &ArtifactBundle, dialect: &Dialect, out: &mut Vec<Diagnostic>) {
+    check_duplicate_fields(bundle, dialect, out);
+    check_duplicate_locals(bundle, dialect, out);
+    check_member_collisions(bundle, dialect, out);
+    check_name_resolution(bundle, dialect, out);
+    check_type_resolution(bundle, dialect, out);
+    check_function_calls(bundle, dialect, out);
 }
 
 fn run_common_checks(bundle: &ArtifactBundle, dialect: &Dialect) -> CompileOutcome {
     let mut outcome = CompileOutcome::clean();
-    check_duplicate_fields(bundle, dialect, &mut outcome.diagnostics);
-    check_duplicate_locals(bundle, dialect, &mut outcome.diagnostics);
-    check_member_collisions(bundle, dialect, &mut outcome.diagnostics);
-    check_name_resolution(bundle, dialect, &mut outcome.diagnostics);
-    check_type_resolution(bundle, dialect, &mut outcome.diagnostics);
-    check_function_calls(bundle, dialect, &mut outcome.diagnostics);
+    run_member_checks(bundle, dialect, &mut outcome.diagnostics);
     check_inheritance_cycles(bundle, dialect, &mut outcome.diagnostics);
     outcome
 }
@@ -76,16 +112,12 @@ impl Compiler for Javac {
     }
 
     fn compile(&self, bundle: &ArtifactBundle) -> CompileOutcome {
-        let mut dialect = base_dialect(JAVA_BUILTINS, false);
-        dialect.duplicate_local = ("javac:duplicate", "variable {} is already defined");
-        dialect.unknown_variable = ("javac:cant-resolve", "cannot find symbol: variable {}");
-        dialect.unknown_field = ("javac:cant-resolve", "cannot find symbol: variable {}");
-        let mut outcome = run_common_checks(bundle, &dialect);
+        let mut outcome = run_common_checks(bundle, &JAVAC);
         for unit in &bundle.units {
             if unit.lints.contains(&LintMarker::UncheckedOperations) {
                 outcome.diagnostics.push(Diagnostic::warning(
                     "javac:unchecked",
-                    unit.file_name.clone(),
+                    &*unit.file_name,
                     "uses unchecked or unsafe operations",
                 ));
             }
@@ -108,10 +140,7 @@ impl Compiler for Csc {
     }
 
     fn compile(&self, bundle: &ArtifactBundle) -> CompileOutcome {
-        let mut dialect = base_dialect(DOTNET_BUILTINS, false);
-        dialect.unknown_type = ("CS0246", "the type or namespace name `{}` could not be found");
-        dialect.duplicate_local = ("CS0128", "a local variable named `{}` is already defined");
-        run_common_checks(bundle, &dialect)
+        run_common_checks(bundle, &CSC)
     }
 }
 
@@ -131,17 +160,7 @@ impl Compiler for Vbc {
     }
 
     fn compile(&self, bundle: &ArtifactBundle) -> CompileOutcome {
-        let mut dialect = base_dialect(DOTNET_BUILTINS, true);
-        dialect.member_collision = (
-            "BC30260",
-            "`{}` is already declared as a member of this class",
-        );
-        // VB reports case-folded duplicate members with the same code.
-        dialect.duplicate_field = (
-            "BC30260",
-            "`{}` is already declared as a member of this class",
-        );
-        run_common_checks(bundle, &dialect)
+        run_common_checks(bundle, &VBC)
     }
 }
 
@@ -161,25 +180,18 @@ impl Compiler for Jsc {
     }
 
     fn compile(&self, bundle: &ArtifactBundle) -> CompileOutcome {
-        let mut dialect = base_dialect(DOTNET_BUILTINS, false);
-        dialect.unknown_function =
-            ("JS1135", "reference to undefined transport function `{}`");
         let mut outcome = CompileOutcome::clean();
-        let cycled = check_inheritance_cycles(bundle, &dialect, &mut Vec::new());
-        if cycled {
+        if check_inheritance_cycles(bundle, &JSC, &mut Vec::new()) {
             outcome.crashed = true;
             outcome.diagnostics.push(Diagnostic::error(
                 "JS0131",
-                bundle
-                    .entry_point
-                    .clone()
-                    .unwrap_or_else(|| "<bundle>".to_string()),
+                bundle.entry_point.as_deref().unwrap_or("<bundle>"),
                 "131 INTERNAL COMPILER CRASH",
             ));
             return outcome;
         }
-        let mut rest = run_common_checks(bundle, &dialect);
-        outcome.diagnostics.append(&mut rest.diagnostics);
+        // The cycle pass already ran and found nothing.
+        run_member_checks(bundle, &JSC, &mut outcome.diagnostics);
         outcome
     }
 }
@@ -198,21 +210,19 @@ impl Compiler for Gpp {
     }
 
     fn compile(&self, bundle: &ArtifactBundle) -> CompileOutcome {
-        let mut dialect = base_dialect(CPP_BUILTINS, false);
-        dialect.unknown_type = ("gxx:undeclared", "`{}` was not declared in this scope");
-        run_common_checks(bundle, &dialect)
+        run_common_checks(bundle, &GPP)
     }
 }
 
 /// Returns the compiler for a language, or `None` for dynamic
 /// languages whose artifacts are never compiled (PHP, Python).
-pub fn compiler_for(language: ArtifactLanguage) -> Option<Box<dyn Compiler>> {
+pub fn compiler_for(language: ArtifactLanguage) -> Option<&'static dyn Compiler> {
     match language {
-        ArtifactLanguage::Java => Some(Box::new(Javac)),
-        ArtifactLanguage::CSharp => Some(Box::new(Csc)),
-        ArtifactLanguage::VisualBasic => Some(Box::new(Vbc)),
-        ArtifactLanguage::JScript => Some(Box::new(Jsc)),
-        ArtifactLanguage::Cpp => Some(Box::new(Gpp)),
+        ArtifactLanguage::Java => Some(&Javac),
+        ArtifactLanguage::CSharp => Some(&Csc),
+        ArtifactLanguage::VisualBasic => Some(&Vbc),
+        ArtifactLanguage::JScript => Some(&Jsc),
+        ArtifactLanguage::Cpp => Some(&Gpp),
         ArtifactLanguage::Php | ArtifactLanguage::Python => None,
     }
 }

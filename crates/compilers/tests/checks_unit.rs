@@ -182,3 +182,36 @@ fn diagnostics_carry_locations() {
     let diag = outcome.errors().next().unwrap();
     assert_eq!(diag.location, "Located");
 }
+
+#[test]
+fn free_function_and_local_types_must_resolve() {
+    let bundle = ArtifactBundle::new(ArtifactLanguage::Cpp).unit(
+        CodeUnit::new("t.cpp")
+            .class(ClassDecl::new("P").method(
+                Function::new("m").stmt(Stmt::Local(VarDecl::new("tmp", "MissingLocal"), None)),
+            ))
+            .function(
+                Function::new("helper")
+                    .param("x", "MissingParam")
+                    .returns("MissingReturn")
+                    .stmt(Stmt::Local(
+                        VarDecl::new("y", "int"),
+                        Some(Expr::New(wsinterop_artifact::TypeName::of("MissingNew"))),
+                    )),
+            ),
+    );
+    let outcome = Gpp.compile(&bundle);
+    let unresolved: Vec<(&str, &str)> = outcome
+        .errors()
+        .map(|d| (d.location.as_str(), d.message.as_str()))
+        .collect();
+    assert_eq!(
+        unresolved,
+        [
+            ("P.m", "`MissingLocal` was not declared in this scope"),
+            ("<unit>.helper", "`MissingParam` was not declared in this scope"),
+            ("<unit>.helper", "`MissingReturn` was not declared in this scope"),
+            ("<unit>.helper", "`MissingNew` was not declared in this scope"),
+        ]
+    );
+}

@@ -1,7 +1,7 @@
 //! The remaining client subsystems: gSOAP (C++), Zend (PHP) and suds
 //! (Python).
 
-use wsinterop_artifact::ArtifactLanguage;
+use wsinterop_artifact::{ArtifactLanguage, VarDecl};
 use wsinterop_wsdl::Definitions;
 
 use super::facts::DocFacts;
@@ -75,11 +75,11 @@ impl ClientSubsystem for Zend {
         if facts.strict_java_fatal() || facts.has_type_parts {
             // The "uncommon data structure": unresolvable content is
             // exposed as an untyped raw member on the proxy.
-            if let Some(entry_name) = bundle.entry_point.clone() {
+            if let Some(entry_name) = &bundle.entry_point {
                 for unit in &mut bundle.units {
                     for class in &mut unit.classes {
-                        if class.name == entry_name {
-                            *class = class.clone().field("__raw_document", "mixed");
+                        if class.name == *entry_name {
+                            class.fields.push(VarDecl::new("__raw_document", "mixed"));
                         }
                     }
                 }

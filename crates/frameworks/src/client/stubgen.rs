@@ -8,8 +8,8 @@
 //! discover on their own.
 
 use wsinterop_artifact::{
-    ArtifactBundle, ArtifactLanguage, ClassDecl, CodeUnit, Expr, Function, LintMarker, Stmt,
-    VarDecl,
+    ArtifactBundle, ArtifactLanguage, ClassDecl, CodeUnit, Expr, Function, LintMarker, Name,
+    Stmt, TypeName, VarDecl,
 };
 use wsinterop_wsdl::{Definitions, PartKind};
 use wsinterop_xsd::{BuiltIn, ComplexType, ElementDecl, Particle, SimpleType, TypeRef};
@@ -47,11 +47,8 @@ pub fn generate(
     opts: &StubOptions,
     facts: &super::facts::DocFacts,
 ) -> ArtifactBundle {
-    let mut unit = CodeUnit::new(format!(
-        "{}.{}",
-        service_name(defs),
-        language.extension()
-    ));
+    let service = service_name(defs);
+    let mut unit = CodeUnit::new(format!("{service}.{}", language.extension()));
     if opts.unchecked_lint {
         unit.lints.push(LintMarker::UncheckedOperations);
     }
@@ -67,8 +64,7 @@ pub fn generate(
                     continue;
                 }
             }
-            unit.classes
-                .push(bean_class(defs, name, ct, language, opts, facts));
+            unit.classes.push(bean_class(name, ct, language, opts, facts));
         }
         for st in &schema.simple_types {
             unit.classes.push(enum_class(st, language));
@@ -76,8 +72,8 @@ pub fn generate(
     }
 
     // ---- proxy class ------------------------------------------------------
-    let proxy_name = format!("{}Proxy", service_name(defs));
-    let mut proxy = ClassDecl::new(&proxy_name).field("endpoint", string_type(language));
+    let proxy_name = format!("{service}Proxy");
+    let mut proxy = ClassDecl::new(proxy_name.clone()).field("endpoint", string_type(language));
     for port_type in &defs.port_types {
         for op in &port_type.operations {
             proxy = proxy.method(proxy_method(defs, op, language, opts));
@@ -88,11 +84,12 @@ pub fn generate(
     // ---- transport function ------------------------------------------------
     let omit_transport = opts.omit_transport_for_base64 && facts.base64_in_bean;
     if !omit_transport {
+        let string = string_type(language);
         unit.functions.push(
             Function::new(TRANSPORT_FN)
-                .param("action", string_type(language))
-                .param("payload", string_type(language))
-                .returns(string_type(language))
+                .param("action", string)
+                .param("payload", string)
+                .returns(string)
                 .stmt(Stmt::Return(Some(Expr::Var("payload".into())))),
         );
     }
@@ -101,12 +98,12 @@ pub fn generate(
 }
 
 /// The service's base name (used for files and the proxy class).
-pub fn service_name(defs: &Definitions) -> String {
+pub fn service_name(defs: &Definitions) -> &str {
     defs.services
         .first()
-        .map(|s| s.name.clone())
-        .or_else(|| defs.name.clone())
-        .unwrap_or_else(|| "Service".to_string())
+        .map(|s| s.name.as_str())
+        .or(defs.name.as_deref())
+        .unwrap_or("Service")
 }
 
 fn is_extension_base(defs: &Definitions, name: &str) -> bool {
@@ -138,75 +135,71 @@ fn element_references_type(el: &ElementDecl, name: &str) -> bool {
 }
 
 fn bean_class(
-    defs: &Definitions,
     name: &str,
     ct: &ComplexType,
     language: ArtifactLanguage,
     opts: &StubOptions,
     facts: &super::facts::DocFacts,
 ) -> ClassDecl {
-    let mut class = ClassDecl::new(name);
+    let mut class = ClassDecl::new(name.to_string());
 
     if let Some(TypeRef::Named { local, .. }) = &ct.extends {
-        if opts.jscript_extension_bug && facts.max_extension_depth >= 2 {
-            // Mis-linked chain: the base will be wired back to us by
-            // `fixup_jscript_cycle`, producing a genuine cycle.
-            class = class.extends(local.clone());
-        } else {
-            class = class.extends(local.clone());
-        }
+        // Under the JScript extension bug (depth ≥ 2) the base is later
+        // wired back to this class by `fixup_jscript_cycle`, producing a
+        // genuine cycle.
+        class = class.extends(local.clone());
     }
 
     let fault_bug = opts.fault_wrapper_bug && facts.fault_wrapper_types.iter().any(|t| t == name);
     let calendar_bug =
         opts.local_prefix_bug && facts.gyearmonth_types.iter().any(|t| t == name);
 
-    for particle in flatten(&ct.content) {
+    each_leaf(&ct.content, &mut |particle| {
         let Particle::Element(el) = particle else {
             // Wildcards and refs become an opaque DOM-ish member.
             let index = class.fields.len();
-            class = class.field(format!("any{index}"), object_type(language));
-            continue;
+            class.fields.push(VarDecl::new(format!("any{index}"), object_type(language)));
+            return;
         };
-        let field_type = element_type_name(defs, el, language);
+        let field_type = element_type_name(el, language);
         if fault_bug && el.name == "message" {
             // The Axis1 defect: field emitted under the wrong name while
             // the accessor still reads the schema name.
-            class = class.field("message1", field_type.clone()).method(
+            class.fields.push(VarDecl::new("message1", field_type.clone()));
+            class.methods.push(
                 Function::new("getMessage")
                     .returns(field_type)
                     .stmt(Stmt::Return(Some(Expr::SelfField("message".into())))),
             );
-            continue;
-        }
-        if calendar_bug && is_gyearmonth(el) {
+        } else if calendar_bug && is_gyearmonth(el) {
             // The Axis2 defect: the setter parameter lost its `local_`
             // prefix but the body still assigns to the prefixed name.
-            class = class.field(el.name.clone(), field_type.clone()).method(
+            class.fields.push(VarDecl::new(el.name.clone(), field_type.clone()));
+            class.methods.push(
                 Function::new(format!("set_{}", el.name))
                     .param(el.name.clone(), field_type)
                     .stmt(Stmt::Assign {
-                        target: format!("local_{}", el.name),
-                        value: Expr::Var(el.name.clone()),
+                        target: format!("local_{}", el.name).into(),
+                        value: Expr::Var(el.name.clone().into()),
                     }),
             );
-            continue;
+        } else {
+            class.fields.push(VarDecl::new(el.name.clone(), field_type));
         }
-        class = class.field(el.name.clone(), field_type);
-    }
+    });
     class
 }
 
-fn flatten(group: &wsinterop_xsd::Group) -> Vec<&Particle> {
-    let mut out = Vec::new();
+/// Visits the particles of `group` in document order, descending into
+/// nested groups.
+fn each_leaf<'a>(group: &'a wsinterop_xsd::Group, visit: &mut dyn FnMut(&'a Particle)) {
     for particle in &group.particles {
         if let Particle::Group(inner) = particle {
-            out.extend(flatten(inner));
+            each_leaf(inner, visit);
         } else {
-            out.push(particle);
+            visit(particle);
         }
     }
-    out
 }
 
 fn is_gyearmonth(el: &ElementDecl) -> bool {
@@ -214,7 +207,7 @@ fn is_gyearmonth(el: &ElementDecl) -> bool {
 }
 
 fn enum_class(st: &SimpleType, language: ArtifactLanguage) -> ClassDecl {
-    let mut class = ClassDecl::new(&st.name);
+    let mut class = ClassDecl::new(st.name.clone());
     for value in &st.enumeration {
         class = class.field(format!("VALUE_{value}"), string_type(language));
     }
@@ -229,7 +222,7 @@ fn proxy_method(
 ) -> Function {
     let param_type = message_param_type(defs, op.input.as_ref(), language);
     let return_type = message_param_type(defs, op.output.as_ref(), language);
-    let mut f = Function::new(&op.name)
+    let mut f = Function::new(op.name.clone())
         .param("request", param_type)
         .returns(return_type);
     if opts.duplicate_local_bug {
@@ -245,17 +238,13 @@ fn proxy_method(
             ));
     }
     f = f.stmt(Stmt::Expr(Expr::Call {
-        function: TRANSPORT_FN.to_string(),
+        function: TRANSPORT_FN.into(),
         args: vec![
-            Expr::Literal(quoted(&op.name)),
+            Expr::Literal(format!("\"{}\"", op.name).into()),
             Expr::Var("request".into()),
         ],
     }));
     f.stmt(Stmt::Return(Some(Expr::Var("request".into()))))
-}
-
-fn quoted(s: &str) -> String {
-    format!("\"{s}\"")
 }
 
 /// Resolves the stub-level type for a message reference: the wrapper
@@ -265,49 +254,47 @@ fn message_param_type(
     defs: &Definitions,
     message_ref: Option<&wsinterop_wsdl::NameRef>,
     language: ArtifactLanguage,
-) -> String {
+) -> Name {
+    let object = || object_type(language).into();
     let Some(message_ref) = message_ref else {
-        return object_type(language);
+        return object();
     };
     let Some(message) = defs.message(&message_ref.local) else {
-        return object_type(language);
+        return object();
     };
     let Some(part) = message.parts.first() else {
-        return object_type(language);
+        return object();
     };
     match &part.kind {
         PartKind::Type(type_ref) => type_ref_name(type_ref, language),
         PartKind::Element(_) => {
             let Some(wrapper) = defs.resolve_part_element(part) else {
-                return object_type(language);
+                return object();
             };
             let Some(inline) = &wrapper.inline else {
-                return object_type(language);
+                return object();
             };
             match inline.content.particles.first() {
-                Some(Particle::Element(el)) => element_type_name(defs, el, language),
-                _ => object_type(language),
+                Some(Particle::Element(el)) => element_type_name(el, language),
+                _ => object(),
             }
         }
     }
 }
 
-fn element_type_name(
-    _defs: &Definitions,
-    el: &ElementDecl,
-    language: ArtifactLanguage,
-) -> String {
+fn element_type_name(el: &ElementDecl, language: ArtifactLanguage) -> Name {
     match &el.type_ref {
         Some(type_ref) => type_ref_name(type_ref, language),
-        None => object_type(language),
+        None => object_type(language).into(),
     }
 }
 
-/// Per-language rendering of a schema type reference.
-pub fn type_ref_name(type_ref: &TypeRef, language: ArtifactLanguage) -> String {
+/// Per-language rendering of a schema type reference: a named type
+/// keeps the document's name, a built-in borrows its language name.
+pub fn type_ref_name(type_ref: &TypeRef, language: ArtifactLanguage) -> Name {
     match type_ref {
-        TypeRef::Named { local, .. } => local.clone(),
-        TypeRef::BuiltIn(b) => builtin_name(*b, language).to_string(),
+        TypeRef::Named { local, .. } => local.clone().into(),
+        TypeRef::BuiltIn(b) => builtin_name(*b, language).into(),
     }
 }
 
@@ -377,13 +364,13 @@ fn string_type(language: ArtifactLanguage) -> &'static str {
     builtin_name(BuiltIn::String, language)
 }
 
-fn object_type(language: ArtifactLanguage) -> String {
+fn object_type(language: ArtifactLanguage) -> &'static str {
     use ArtifactLanguage as L;
     match language {
-        L::Java | L::VisualBasic => "Object".to_string(),
-        L::CSharp | L::JScript => "object".to_string(),
-        L::Cpp => "void*".to_string(),
-        L::Php | L::Python => "mixed".to_string(),
+        L::Java | L::VisualBasic => "Object",
+        L::CSharp | L::JScript => "object",
+        L::Cpp => "void*",
+        L::Php | L::Python => "mixed",
     }
 }
 
@@ -391,7 +378,7 @@ fn object_type(language: ArtifactLanguage) -> String {
 /// first emitted base class gets wired back to its derived class,
 /// forming a genuine inheritance cycle.
 pub fn fixup_jscript_cycle(bundle: &mut ArtifactBundle) {
-    let mut pair: Option<(String, String)> = None;
+    let mut pair: Option<(Name, Name)> = None;
     for class in bundle.all_classes() {
         if let Some(base) = &class.extends {
             if bundle.all_classes().any(|c| c.name == base.0) {
@@ -404,7 +391,7 @@ pub fn fixup_jscript_cycle(bundle: &mut ArtifactBundle) {
         for unit in &mut bundle.units {
             for class in &mut unit.classes {
                 if class.name == base {
-                    class.extends = Some(wsinterop_artifact::TypeName(derived.clone()));
+                    class.extends = Some(TypeName(derived.clone()));
                 }
             }
         }

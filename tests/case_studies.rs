@@ -180,7 +180,7 @@ fn e8_axis1_exception_wrapper_attribute_misnaming() {
         for class in &mut unit.classes {
             for field in &mut class.fields {
                 if field.name == "message1" {
-                    field.name = "message".to_string();
+                    field.name = "message".into();
                 }
             }
         }
