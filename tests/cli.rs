@@ -375,3 +375,53 @@ fn telemetry_usage_errors_exit_2() {
         assert_eq!(out.status.code(), Some(2), "{args:?}");
     }
 }
+
+/// One row of `tests/golden/cli_usage_errors.txt`: the argv, the exit
+/// code and the first stderr line it must produce.
+struct UsageRow<'a> {
+    argv: Vec<&'a str>,
+    code: i32,
+    first_line: &'a str,
+}
+
+fn usage_rows(corpus: &str) -> Vec<UsageRow<'_>> {
+    corpus
+        .lines()
+        .filter(|line| !line.starts_with('#'))
+        .map(|line| {
+            let mut fields = line.split('\t');
+            let (Some(argv), Some(code), Some(first_line), None) =
+                (fields.next(), fields.next(), fields.next(), fields.next())
+            else {
+                panic!("malformed golden row: {line:?}");
+            };
+            UsageRow {
+                argv: argv.split(' ').collect(),
+                code: code.parse().expect("numeric exit code"),
+                first_line,
+            }
+        })
+        .collect()
+}
+
+const USAGE_CORPUS: &str = include_str!("golden/cli_usage_errors.txt");
+
+#[test]
+fn usage_error_corpus_replays_row_for_row() {
+    let mut diverged = Vec::new();
+    for row in usage_rows(USAGE_CORPUS) {
+        let out = wsitool(&row.argv);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let first_line = stderr.lines().next().unwrap_or("");
+        if out.status.code() != Some(row.code) || first_line != row.first_line {
+            diverged.push(format!(
+                "{}: want {} `{}`, got {:?} `{first_line}`",
+                row.argv.join(" "),
+                row.code,
+                row.first_line,
+                out.status.code()
+            ));
+        }
+    }
+    assert!(diverged.is_empty(), "{}", diverged.join("\n"));
+}
