@@ -8,7 +8,7 @@
 //! allocates nothing, and a finding's location and message are
 //! formatted only when the finding is made.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 
 use wsinterop_artifact::{ArtifactBundle, ClassDecl, Expr, Function, Stmt};
@@ -416,34 +416,106 @@ pub fn check_function_calls(bundle: &ArtifactBundle, dialect: &Dialect, out: &mu
 }
 
 /// Inheritance cycles across the bundle's classes.
+///
+/// A chain follows `extends` through the first class of each name, so
+/// every chain either leaves the bundle or enters a cycle at one entry
+/// class, which is the name reported. Each class's entry is resolved
+/// once and shared by every chain through it, so the pass is linear.
+/// Up to `INLINE_NAMES` classes it allocates nothing.
 pub fn check_inheritance_cycles(
     bundle: &ArtifactBundle,
     dialect: &Dialect,
     out: &mut Vec<Diagnostic>,
 ) -> bool {
+    let count = bundle.all_classes().count();
+    let mut inline = [Link::default(); INLINE_NAMES];
+    let mut spilled = Vec::new();
+    let links: &mut [Link] = if count <= INLINE_NAMES {
+        &mut inline[..count]
+    } else {
+        spilled.resize(count, Link::default());
+        &mut spilled
+    };
+    for (link, class) in links.iter_mut().zip(bundle.all_classes()) {
+        link.name = &class.name;
+    }
+    let by_name: Option<HashMap<&str, usize>> = (count > INLINE_NAMES).then(|| {
+        let mut map = HashMap::with_capacity(count);
+        for (i, link) in links.iter().enumerate() {
+            map.entry(link.name).or_insert(i);
+        }
+        map
+    });
+    // The position of the first class named `name`.
+    let first = |links: &[Link], name: &str| match &by_name {
+        Some(map) => map.get(name).copied(),
+        None => links.iter().position(|link| link.name == name),
+    };
+    for (i, class) in bundle.all_classes().enumerate() {
+        let next = class.extends.as_ref().and_then(|t| first(links, t.as_str()));
+        links[i].next = next;
+    }
     let mut found = false;
     for class in bundle.all_classes() {
-        let mut seen = NameSet::new(false);
-        let mut current = Some(&*class.name);
-        while let Some(name) = current {
-            if !seen.insert(name) {
-                report(
-                    out,
-                    dialect.inheritance_cycle,
-                    Site::Class(&class.name),
-                    name,
-                );
-                found = true;
-                break;
-            }
-            current = bundle
-                .all_classes()
-                .find(|c| c.name == name)
-                .and_then(|c| c.extends.as_ref())
-                .map(|t| t.as_str());
+        let Some(start) = first(links, &class.name) else { continue };
+        if let Some(entry) = cycle_entry(links, start) {
+            let name = links[entry].name;
+            report(out, dialect.inheritance_cycle, Site::Class(&class.name), name);
+            found = true;
         }
     }
     found
+}
+
+/// One class in [`check_inheritance_cycles`]' walk.
+#[derive(Clone, Copy, Default)]
+struct Link<'a> {
+    name: &'a str,
+    /// The first class named by this class's `extends`.
+    next: Option<usize>,
+    chain: Chain,
+}
+
+#[derive(Clone, Copy, Default)]
+enum Chain {
+    #[default]
+    Unseen,
+    /// On the walk in progress.
+    OnPath,
+    /// Resolved: the cycle entry the chain reaches, if any.
+    Enters(Option<usize>),
+}
+
+/// The cycle entry the chain from `start` reaches, resolving every
+/// class it passes so no later chain walks them again.
+fn cycle_entry(links: &mut [Link], start: usize) -> Option<usize> {
+    let mut at = Some(start);
+    while let Some(i) = at.filter(|&i| matches!(links[i].chain, Chain::Unseen)) {
+        links[i].chain = Chain::OnPath;
+        at = links[i].next;
+    }
+    let on_path = |links: &[Link], at: Option<usize>| {
+        at.filter(|&i| matches!(links[i].chain, Chain::OnPath))
+    };
+    let entry = match at.map(|i| (i, links[i].chain)) {
+        None => None,
+        Some((_, Chain::Enters(entry))) => entry,
+        // The walk closed a loop at `i`: each class on it is its own entry.
+        Some((i, _)) => {
+            let mut at = Some(i);
+            while let Some(j) = on_path(links, at) {
+                links[j].chain = Chain::Enters(Some(j));
+                at = links[j].next;
+            }
+            Some(i)
+        }
+    };
+    let mut at = Some(start);
+    while let Some(j) = on_path(links, at) {
+        links[j].chain = Chain::Enters(entry);
+        at = links[j].next;
+    }
+    entry
 }
 
 /// The one expression a statement evaluates, if any.

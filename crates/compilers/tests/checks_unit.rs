@@ -154,6 +154,36 @@ fn three_class_cycle_detected_and_crashes_jsc_only() {
     assert!(jsc.crashed);
 }
 
+/// One `extends` chain of `n` classes, each extending the one before.
+fn extends_chain(n: usize) -> ArtifactBundle {
+    let unit = (1..n).fold(CodeUnit::new("Chain.java").class(ClassDecl::new("C0")), |unit, i| {
+        unit.class(ClassDecl::new(format!("C{i}")).extends(format!("C{}", i - 1)))
+    });
+    ArtifactBundle::new(ArtifactLanguage::Java).unit(unit)
+}
+
+/// The fastest of `rounds` compiles of `bundle`, in seconds.
+fn fastest_compile(bundle: &ArtifactBundle, rounds: usize) -> f64 {
+    (0..rounds)
+        .map(|_| {
+            let started = std::time::Instant::now();
+            assert!(Javac.compile(bundle).success());
+            started.elapsed().as_secs_f64()
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+#[test]
+fn a_long_extends_chain_compiles_in_linear_time() {
+    // Eight times the classes may cost about eight times the time;
+    // quadratic would be 64x and a chain walk with a linear lookup per
+    // step 512x. The bound is a ratio, so it holds on any machine.
+    let (short, long) = (extends_chain(200), extends_chain(1_600));
+    fastest_compile(&short, 1);
+    let ratio = fastest_compile(&long, 3) / fastest_compile(&short, 5);
+    assert!(ratio < 24.0, "8x the classes took {ratio:.1}x the time");
+}
+
 #[test]
 fn extension_to_platform_type_is_fine() {
     let class = ClassDecl::new("Derived").extends("java.lang.Exception");

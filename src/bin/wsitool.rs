@@ -2,55 +2,8 @@
 //! assessment approach (the counterpart of the tool the paper
 //! published alongside the study).
 //!
-//! ```text
-//! wsitool catalogs                      # platform catalog statistics
-//! wsitool deploy <fqcn>                 # publish one service, print its WSDL
-//! wsitool audit <fqcn|file.wsdl>        # WS-I BP 1.1 audit
-//! wsitool matrix <fqcn>                 # one service × all 11 clients
-//! wsitool campaign [stride]             # run the (sub-)campaign, print reports
-//!   [--journal FILE] [--resume]         #   …crash-safe: journal cells, resume
-//!   [--breaker N[,C]]                   #   …per-client circuit breaker
-//!   [--trace-out FILE] [--metrics-out FILE] [--quiet]
-//!                                       #   …telemetry: JSON-lines trace, metrics
-//!                                       #   snapshot, suppress progress + report
-//!   [--shards N --shard-dir DIR]        #   …supervised multi-process sharding:
-//!   [--max-respawns N] [--heartbeat-ms N] [--backoff-ms N]
-//!   [--worker-halt K:C] [--worker-stall K:C]
-//!                                       #   …N supervised workers, crash/hang
-//!                                       #   recovery, deterministic merge
-//!   [--shard K/N --shard-dir DIR]       #   …run as one worker shard (spawned by
-//!                                       #   the supervisor; always resumes)
-//! wsitool chaos [--stride N] [--seed N] # fault-injected campaign + fault report
-//! wsitool fuzz [--cases N] [--seed N]   # WSDL-guided property-based exchange
-//!   [--stride N] [-j N]                 #   fuzzing: seeded XSD payload generators,
-//!   [--transport in-process|tcp|both]   #   real-socket or in-process execution,
-//!   [--journal FILE] [--resume]         #   choice-tape shrinking, journaled
-//!   [--halt-after-units N]              #   reproducers (crash/resume-safe)
-//!   [--fault-seed N] [--crash-fqcn F] [--hang-fqcn F]
-//!   [--max-body-bytes N] [--wire-timeout-ms N] [--shrink-budget N]
-//!   [--shards N --shard-dir DIR]        #   …supervised multi-process shards
-//!   [--max-respawns N]                  #   (as campaign, worker logs in DIR),
-//!                                       #   merged bit-identical to one process
-//! wsitool metrics [--stride N] [--seed N] [--json] [--out FILE]
-//!                                       # deterministic instrumented-campaign metrics
-//! wsitool journal inspect <file> [--json]  # decode a campaign journal
-//! wsitool invoke <fqcn> [value]         # deploy + typed echo roundtrip
-//! wsitool export [stride] [dir]         # run + write services.tsv / tests.tsv
-//! wsitool complexity                    # run the complexity-extension matrix
-//! wsitool serve [--port N] [--stride N] # hardened loopback SOAP endpoint
-//! wsitool loadgen [--ops N] [--seed N]  # seeded deterministic load run (slow-loris /
-//!   [--clients N] [--bench-out FILE]    #   abort / oversized / admin-scrape mixes)
-//!   [--scrape-pct N]                    #   against a self-hosted endpoint; BENCH_wire.json
-//! wsitool watch --addr HOST:PORT        # live introspection: poll /metrics + /healthz,
-//!   [--interval-ms N] [--count N]       #   deterministic rate/delta table per scrape,
-//!   [--snapshots FILE] [--ring N]       #   checksummed snapshot-ring journal
-//! wsitool exchange-survey [--stride N] [--transport tcp|in-process]
-//!                                       # Communication/Execution survey (E15)
-//! wsitool bench-campaign [--stride N] [--iters N] [--out FILE]
-//!                [--full-stride N] [--full-shards N] [--skip-full]
-//!                                       # time shared vs per-cell parse + the
-//!                                       # sharded full paper matrix, write JSON
-//! ```
+//! `usage()` lists every command and each flag it accepts. A command
+//! rejects, as a usage error, any argument it would not read.
 //!
 //! Every campaign-family command echoes a `run config:` line with the
 //! stride, seed and campaign config hash, so any run can be reproduced
@@ -67,10 +20,12 @@
 
 use std::path::Path;
 use std::process::{Command, ExitCode};
+use std::str::FromStr;
 
 use wsinterop::core::campaign::ExchangeTransport;
 use wsinterop::core::exchange::{survey_sites_observed, ExchangeSurvey};
 use wsinterop::core::faults::BreakerConfig;
+use wsinterop::core::fuzz::{FuzzConfig, FuzzTransport};
 use wsinterop::core::obs::{Clock, Obs};
 use wsinterop::core::registry::ServiceHost;
 use wsinterop::core::report::{Fig4, TableIII, Totals};
@@ -108,143 +63,123 @@ const EXIT_RECOVERED: u8 = 3;
 const EXIT_GAVE_UP: u8 = 4;
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut argv = args.iter().map(String::as_str);
-    match argv.next() {
-        Some("catalogs") => catalogs(),
-        Some("deploy") => with_fqcn(argv.next(), deploy),
-        Some("audit") => {
-            let mut rest: Vec<&str> = argv.collect();
-            let xml = rest.iter().position(|a| *a == "--xml").map(|i| {
-                rest.remove(i);
-            });
-            match rest.first() {
-                Some(target) => audit(target, xml.is_some()),
-                None => usage(),
-            }
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let argv: Vec<&str> = argv.iter().map(String::as_str).collect();
+    match dispatch(Args::new(&argv)) {
+        Ok(code) => code,
+        Err(e) => {
+            eprintln!("{e}");
+            usage()
         }
-        Some("matrix") => with_fqcn(argv.next(), matrix),
-        Some("invoke") => {
-            let Some(fqcn) = argv.next() else {
-                return usage();
-            };
-            invoke(fqcn, argv.next())
-        }
-        Some("campaign") => {
-            let rest: Vec<&str> = argv.collect();
-            match parse_run_opts(&rest) {
-                Ok(opts) => campaign(&opts),
-                Err(e) => {
-                    eprintln!("{e}");
-                    usage()
-                }
-            }
-        }
-        Some("journal") => {
-            let rest: Vec<&str> = argv.collect();
-            match rest.as_slice() {
-                ["inspect", path] => journal_inspect(path, false),
-                ["inspect", path, "--json"] | ["inspect", "--json", path] => {
-                    journal_inspect(path, true)
-                }
-                _ => usage(),
-            }
-        }
-        Some("metrics") => {
-            let rest: Vec<&str> = argv.collect();
-            match parse_metrics_opts(&rest) {
-                Ok(opts) => metrics_cmd(&opts),
-                Err(e) => {
-                    eprintln!("{e}");
-                    usage()
-                }
-            }
-        }
-        Some("bench-campaign") => {
-            let rest: Vec<&str> = argv.collect();
-            let flag = |name: &str| {
-                rest.iter()
-                    .position(|a| *a == name)
-                    .and_then(|i| rest.get(i + 1))
-                    .copied()
-            };
-            bench_campaign(
-                flag("--stride").and_then(|v| v.parse().ok()),
-                flag("--iters").and_then(|v| v.parse().ok()),
-                flag("--out"),
-                flag("--full-stride").and_then(|v| v.parse().ok()),
-                flag("--full-shards").and_then(|v| v.parse().ok()),
-                rest.contains(&"--skip-full"),
-                rest.contains(&"--scaling"),
-            )
-        }
-        Some("chaos") => {
-            let rest: Vec<&str> = argv.collect();
-            match parse_run_opts(&rest) {
-                Ok(opts) => chaos(&opts),
-                Err(e) => {
-                    eprintln!("{e}");
-                    usage()
-                }
-            }
-        }
-        Some("fuzz") => {
-            let rest: Vec<&str> = argv.collect();
-            match parse_fuzz_opts(&rest) {
-                Ok(opts) => fuzz_cmd(&opts),
-                Err(e) => {
-                    eprintln!("{e}");
-                    usage()
-                }
-            }
-        }
-        Some("export") => export(
-            argv.next().and_then(|s| s.parse().ok()),
-            argv.next().unwrap_or("."),
-        ),
-        Some("complexity") => complexity(),
-        Some("serve") => {
-            let rest: Vec<&str> = argv.collect();
-            match parse_serve_opts(&rest) {
-                Ok(opts) => serve(&opts),
-                Err(e) => {
-                    eprintln!("{e}");
-                    usage()
-                }
-            }
-        }
-        Some("loadgen") => {
-            let rest: Vec<&str> = argv.collect();
-            match parse_loadgen_opts(&rest) {
-                Ok(opts) => loadgen_cmd(&opts),
-                Err(e) => {
-                    eprintln!("{e}");
-                    usage()
-                }
-            }
-        }
-        Some("watch") => {
-            let rest: Vec<&str> = argv.collect();
-            match parse_watch_opts(&rest) {
-                Ok(opts) => watch_cmd(&opts),
-                Err(e) => {
-                    eprintln!("{e}");
-                    usage()
-                }
-            }
-        }
-        Some("exchange-survey") => {
-            let rest: Vec<&str> = argv.collect();
-            match parse_survey_opts(&rest) {
-                Ok(opts) => exchange_survey(&opts),
-                Err(e) => {
-                    eprintln!("{e}");
-                    usage()
-                }
-            }
-        }
-        _ => usage(),
     }
+}
+
+/// Parses one command line and runs it; `Err` is a usage error.
+fn dispatch(mut args: Args) -> Result<ExitCode, String> {
+    let command = args.next().ok_or("no command given")?;
+    Ok(match command {
+        "catalogs" => args.done().map(|()| catalogs())?,
+        "complexity" => args.done().map(|()| complexity())?,
+        "deploy" => deploy(args.only("deploy needs <fqcn>")?),
+        "matrix" => matrix(args.only("matrix needs <fqcn>")?),
+        "audit" => {
+            let (target, xml) = args.target_and_switch("--xml", "audit needs <fqcn|file>")?;
+            audit(target, xml)
+        }
+        "invoke" => {
+            let fqcn = args.next().ok_or("invoke needs <fqcn>")?;
+            let value = args.next();
+            args.done()?;
+            invoke(fqcn, value)
+        }
+        "journal" => {
+            if args.next() != Some("inspect") {
+                return Err("journal needs `inspect <file>`".to_string());
+            }
+            let (path, json) = args.target_and_switch("--json", "journal inspect needs <file>")?;
+            journal_inspect(path, json)
+        }
+        "export" => {
+            let stride = args.next().map(|raw| parse("stride", raw)).transpose()?;
+            let dir = args.next().unwrap_or(".");
+            args.done()?;
+            export(stride, dir)
+        }
+        "campaign" => campaign(&RunOpts::parse(args, false)?),
+        "chaos" => chaos(&RunOpts::parse(args, true)?),
+        "fuzz" => fuzz_cmd(&FuzzOpts::parse(args)?),
+        "metrics" => metrics_cmd(&MetricsOpts::parse(args)?),
+        "serve" => serve(&ServeOpts::parse(args)?),
+        "loadgen" => loadgen_cmd(&LoadgenOpts::parse(args)?),
+        "watch" => watch_cmd(&WatchOpts::parse(args)?),
+        "exchange-survey" => exchange_survey(&SurveyOpts::parse(args)?),
+        "bench-campaign" => bench_campaign(&BenchOpts::parse(args)?),
+        other => return Err(format!("unknown command `{other}`")),
+    })
+}
+
+/// A cursor over one command's arguments, in argv order. A parser
+/// takes each argument with [`Args::next`] and a flag's value with
+/// [`Args::value`], [`Args::path`] or [`Args::num`], so the leftmost
+/// bad argument is the one reported and the last occurrence of a flag
+/// wins. A value is the next argument, whatever it looks like.
+struct Args<'a> {
+    rest: std::slice::Iter<'a, &'a str>,
+}
+
+impl<'a> Args<'a> {
+    fn new(argv: &'a [&'a str]) -> Args<'a> {
+        Args { rest: argv.iter() }
+    }
+
+    fn next(&mut self) -> Option<&'a str> {
+        self.rest.next().copied()
+    }
+
+    /// The value of `flag`; at the end of argv, `{flag} needs {needs}`.
+    fn value(&mut self, flag: &str, needs: &str) -> Result<&'a str, String> {
+        self.next().ok_or_else(|| format!("{flag} needs {needs}"))
+    }
+
+    fn path(&mut self, flag: &str) -> Result<Option<String>, String> {
+        Ok(Some(self.value(flag, "a file path")?.to_string()))
+    }
+
+    fn num<T: FromStr>(&mut self, flag: &str) -> Result<T, String> {
+        parse(flag, self.value(flag, "a value")?)
+    }
+
+    /// Rejects the first argument left over.
+    fn done(mut self) -> Result<(), String> {
+        self.next().map_or(Ok(()), |arg| Err(unrecognized(arg)))
+    }
+
+    /// The one positional argument of a command that takes nothing else.
+    fn only(mut self, needs: &str) -> Result<&'a str, String> {
+        let arg = self.next().ok_or(needs)?;
+        self.done().map(|()| arg)
+    }
+
+    /// One positional argument and an optional `switch`, in either order.
+    fn target_and_switch(mut self, switch: &str, needs: &str) -> Result<(&'a str, bool), String> {
+        let (mut target, mut on) = (None, false);
+        while let Some(arg) = self.next() {
+            match arg {
+                _ if arg == switch => on = true,
+                _ if target.is_none() => target = Some(arg),
+                _ => return Err(unrecognized(arg)),
+            }
+        }
+        Ok((target.ok_or(needs)?, on))
+    }
+}
+
+fn parse<T: FromStr>(flag: &str, raw: &str) -> Result<T, String> {
+    raw.parse().map_err(|_| format!("{flag}: cannot parse `{raw}`"))
+}
+
+fn unrecognized(arg: &str) -> String {
+    format!("unrecognized argument `{arg}`")
 }
 
 fn usage() -> ExitCode {
@@ -257,8 +192,8 @@ fn usage() -> ExitCode {
          \x20 audit   <fqcn|file> [--xml]  WS-I Basic Profile 1.1 audit\n\
          \x20 matrix  <fqcn>         one service against all 11 clients\n\
          \x20 invoke  <fqcn> [val]   deploy + typed echo roundtrip\n\
-         \x20 campaign [stride] [--extended] [--no-cache]  run the campaign (default stride 50)\n\
-         \x20          [--fuzz N]  …append a fuzz axis: N property-based cases per deployed service\n\
+         \x20 campaign [stride] [--stride N] [--extended] [--no-cache]  run the campaign (default stride 50)\n\
+         \x20          [--fuzz N [--seed N]]  …append a fuzz axis: N property-based cases per deployed service\n\
          \x20          [--journal FILE] [--resume] [--breaker N[,C]] [--halt-after-cells N]\n\
          \x20          [--trace-out FILE] [--metrics-out FILE] [--quiet]\n\
          \x20          [--shards N] [--shard-dir DIR] [--max-respawns N]\n\
@@ -267,10 +202,12 @@ fn usage() -> ExitCode {
          \x20                        …supervised multi-process sharding: N workers,\n\
          \x20                        crash/hang recovery, deterministic merged output\n\
          \x20          [--shard K/N --shard-dir DIR]  run as worker shard K of N\n\
-         \x20 chaos [--stride N] [--seed N] [--transport tcp|in-process]\n\
-         \x20       fault-injected campaign + fault report; `tcp` probes real sockets\n\
-         \x20       (accepts the same --journal/--resume/--breaker/--trace-out flags as campaign)\n\
-         \x20 fuzz [--cases N] [--seed N] [--stride N] [-j N] [--extended]\n\
+         \x20 chaos [stride] [--stride N] [--seed N] [--transport tcp|in-process]\n\
+         \x20       [--extended] [--no-cache] [--journal FILE] [--resume] [--breaker N[,C]]\n\
+         \x20       [--halt-after-cells N] [--trace-out FILE] [--metrics-out FILE] [--quiet]\n\
+         \x20                        single-process fault-injected campaign + fault report;\n\
+         \x20                        `tcp` probes real sockets\n\
+         \x20 fuzz [--cases N] [--seed N] [--stride N] [-j|--threads N] [--extended]\n\
          \x20      [--transport in-process|tcp|both] [--journal FILE] [--resume]\n\
          \x20      [--halt-after-units N] [--fault-seed N] [--crash-fqcn F] [--hang-fqcn F]\n\
          \x20      [--max-body-bytes N] [--wire-timeout-ms N] [--shrink-budget N]\n\
@@ -302,15 +239,17 @@ fn usage() -> ExitCode {
          \x20                        deterministic counter-rate / gauge-delta table per\n\
          \x20                        scrape, journal a checksummed snapshot ring\n\
          \x20 exchange-survey [--stride N] [--transport tcp|in-process] [--addr HOST:PORT]\n\
-         \x20                 [--shutdown-server]  Communication/Execution survey (E15)\n\
+         \x20                 [--shutdown-server] [--trace-out FILE] [--metrics-out FILE]\n\
+         \x20                        Communication/Execution survey (E15)\n\
          \x20 bench-campaign [--stride N] [--iters N] [--out FILE] [--scaling]\n\
          \x20                [--full-stride N] [--full-shards N] [--skip-full]\n\
          \x20                        time shared vs per-cell parse, then the sharded\n\
          \x20                        full paper matrix; --scaling adds the -j1..-jN\n\
          \x20                        thread ladder + output bit-identity check; write JSON\n\
          \n\
-         exit codes: 0 success, 1 runtime failure, 2 usage error,\n\
-         \x20           3 recovered worker crash(es), 4 supervision gave up, 9 journal halt"
+         exit codes: 0 success, 1 runtime failure, 2 usage error (including\n\
+         \x20           an argument the command does not read), 3 recovered worker\n\
+         \x20           crash(es), 4 supervision gave up, 9 journal halt"
     );
     ExitCode::from(2)
 }
@@ -319,13 +258,6 @@ fn usage() -> ExitCode {
 fn fail(message: impl std::fmt::Display) -> ExitCode {
     eprintln!("{message}");
     ExitCode::from(EXIT_RUNTIME)
-}
-
-fn with_fqcn(arg: Option<&str>, run: fn(&str) -> ExitCode) -> ExitCode {
-    match arg {
-        Some(fqcn) => run(fqcn),
-        None => usage(),
-    }
 }
 
 /// Finds the platform owning `fqcn` together with its catalog entry —
@@ -554,38 +486,124 @@ fn complexity() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Options shared by the campaign-family commands (`campaign`,
-/// `chaos`), parsed index-based so flag *values* are never mistaken
-/// for a positional stride.
-struct RunOpts {
-    stride: usize,
-    seed: u64,
-    extended: bool,
-    no_cache: bool,
+/// The crash-recovery flags `campaign`/`chaos` and `fuzz` share: a
+/// single-process journal, or a supervised set of shard workers.
+#[derive(Default)]
+struct Recovery {
     journal: Option<String>,
     resume: bool,
-    breaker: Option<BreakerConfig>,
-    halt_after: Option<usize>,
-    transport: ExchangeTransport,
-    trace_out: Option<String>,
-    metrics_out: Option<String>,
-    quiet: bool,
-    /// Worker mode: run exactly this shard of the campaign
-    /// (`--shard K/N`, normally passed by the supervisor).
+    /// Worker mode: run exactly this shard (`--shard K/N`, normally
+    /// passed by the supervisor).
     shard: Option<ShardSpec>,
-    /// Supervisor mode: partition the campaign across N worker
-    /// processes (`--shards N`).
+    /// Supervisor mode: partition the run across N worker processes.
     shards: Option<usize>,
     /// Directory holding the per-shard journals / metrics / traces and
     /// the merged artifacts.
     shard_dir: Option<String>,
+    max_respawns: Option<usize>,
+}
+
+impl Recovery {
+    /// Takes `flag` and its value when it is a recovery flag.
+    fn take(&mut self, flag: &str, args: &mut Args) -> Result<bool, String> {
+        match flag {
+            "--journal" => self.journal = args.path(flag)?,
+            "--resume" => self.resume = true,
+            "--shard" => {
+                let spec = ShardSpec::parse(args.value(flag, "K/N (e.g. 0/3)")?);
+                self.shard = Some(spec.map_err(|e| format!("--shard: {e}"))?);
+            }
+            "--shards" => self.shards = Some(args.num(flag)?),
+            "--shard-dir" => self.shard_dir = Some(args.value(flag, "a directory path")?.into()),
+            "--max-respawns" => self.max_respawns = Some(args.num(flag)?),
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    /// Supervisor mode (`--shards`) and worker mode (`--shard`) are
+    /// mutually exclusive and journal per shard; each remaining flag
+    /// needs the mode that reads it.
+    fn validate(&self) -> Result<(), String> {
+        let (supervisor, worker) = (self.shards.is_some(), self.shard.is_some());
+        if supervisor && worker {
+            return Err("--shards (supervisor) and --shard (worker) are mutually exclusive".into());
+        }
+        if self.shards == Some(0) {
+            return Err("--shards: need at least one worker".into());
+        }
+        if worker && self.shard_dir.is_none() {
+            return Err("--shard needs --shard-dir (per-shard artifacts live there)".into());
+        }
+        if (supervisor || worker) && self.journal.is_some() {
+            return Err("sharding manages its own per-shard journals; drop --journal and use --shard-dir".into());
+        }
+        if !supervisor && self.max_respawns.is_some() {
+            return Err("--max-respawns needs --shards (it drives the supervisor)".into());
+        }
+        if !supervisor && !worker && self.shard_dir.is_some() {
+            return Err("--shard-dir needs --shard or --shards".into());
+        }
+        if self.resume && !supervisor && self.journal.is_none() {
+            return Err("--resume needs --journal or --shards (it replays their journals)".into());
+        }
+        Ok(())
+    }
+
+    fn shard_dir(&self, default: &str) -> std::path::PathBuf {
+        self.shard_dir.as_deref().unwrap_or(default).into()
+    }
+
+    /// Supervision with the `--max-respawns` budget.
+    fn supervision(&self) -> SupervisorConfig {
+        let defaults = SupervisorConfig::default();
+        SupervisorConfig {
+            max_respawns: self.max_respawns.unwrap_or(defaults.max_respawns),
+            ..defaults
+        }
+    }
+}
+
+/// The telemetry flags `campaign`/`chaos` and `fuzz` share.
+#[derive(Default)]
+struct Telemetry {
+    trace_out: Option<String>,
+    metrics_out: Option<String>,
+    quiet: bool,
+}
+
+impl Telemetry {
+    /// Takes `flag` and its value when it is a telemetry flag.
+    fn take(&mut self, flag: &str, args: &mut Args) -> Result<bool, String> {
+        match flag {
+            "--trace-out" => self.trace_out = args.path(flag)?,
+            "--metrics-out" => self.metrics_out = args.path(flag)?,
+            "--quiet" => self.quiet = true,
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+}
+
+/// Options of the campaign-family commands (`campaign`, `chaos`).
+#[derive(Default)]
+struct RunOpts {
+    stride: usize,
+    /// The fault seed of `chaos` and of the `--fuzz` axis.
+    seed: Option<u64>,
+    extended: bool,
+    no_cache: bool,
+    breaker: Option<BreakerConfig>,
+    halt_after: Option<usize>,
+    transport: ExchangeTransport,
+    recovery: Recovery,
+    telemetry: Telemetry,
     /// Deterministic hang switch: sleep forever (holding the journal
     /// lock) after N appends. Worker-side counterpart of
     /// `--halt-after-cells`.
     stall_after: Option<usize>,
-    max_respawns: usize,
-    heartbeat_ms: u64,
-    backoff_ms: u64,
+    heartbeat_ms: Option<u64>,
+    backoff_ms: Option<u64>,
     /// Chaos injection for the supervisor: make worker K exit with the
     /// journal-halt code after C cells — on its *first* attempt only.
     worker_halt: Option<(usize, usize)>,
@@ -597,267 +615,137 @@ struct RunOpts {
     fuzz_cases: Option<usize>,
 }
 
-fn parse_run_opts(rest: &[&str]) -> Result<RunOpts, String> {
-    let mut opts = RunOpts {
-        stride: 50,
-        seed: 42,
-        extended: false,
-        no_cache: false,
-        journal: None,
-        resume: false,
-        breaker: None,
-        halt_after: None,
-        transport: ExchangeTransport::default(),
-        trace_out: None,
-        metrics_out: None,
-        quiet: false,
-        shard: None,
-        shards: None,
-        shard_dir: None,
-        stall_after: None,
-        max_respawns: 3,
-        heartbeat_ms: 30_000,
-        backoff_ms: 50,
-        worker_halt: None,
-        worker_stall: None,
-        fuzz_cases: None,
-    };
-    let mut i = 0;
-    while i < rest.len() {
-        match rest[i] {
-            "--extended" => opts.extended = true,
-            "--no-cache" => opts.no_cache = true,
-            "--resume" => opts.resume = true,
-            "--quiet" => opts.quiet = true,
-            "--trace-out" => {
-                i += 1;
-                let Some(path) = rest.get(i) else {
-                    return Err("--trace-out needs a file path".to_string());
-                };
-                opts.trace_out = Some(path.to_string());
+impl RunOpts {
+    /// Parses `campaign` arguments, or `chaos` ones when `chaos` is set:
+    /// chaos reads `--transport` but neither `--fuzz` nor the sharding
+    /// flags. A bare number is the stride.
+    fn parse(mut args: Args, chaos: bool) -> Result<RunOpts, String> {
+        let mut o = RunOpts { stride: 50, ..RunOpts::default() };
+        while let Some(arg) = args.next() {
+            match arg {
+                "--extended" => o.extended = true,
+                "--no-cache" => o.no_cache = true,
+                "--stride" => o.stride = args.num(arg)?,
+                "--seed" => o.seed = Some(args.num(arg)?),
+                "--halt-after-cells" => o.halt_after = Some(args.num(arg)?),
+                "--breaker" => o.breaker = Some(parse_breaker(&mut args)?),
+                "--transport" if chaos => o.transport = parse_transport(&mut args)?,
+                "--fuzz" if !chaos => o.fuzz_cases = Some(args.num(arg)?),
+                "--stall-after-cells" if !chaos => o.stall_after = Some(args.num(arg)?),
+                "--heartbeat-ms" if !chaos => o.heartbeat_ms = Some(args.num(arg)?),
+                "--backoff-ms" if !chaos => o.backoff_ms = Some(args.num(arg)?),
+                "--worker-halt" if !chaos => o.worker_halt = Some(worker_chaos(&mut args, arg)?),
+                "--worker-stall" if !chaos => o.worker_stall = Some(worker_chaos(&mut args, arg)?),
+                // Chaos runs are single-process.
+                "--shard" | "--shards" | "--shard-dir" | "--max-respawns" if chaos => {
+                    return Err(unrecognized(arg))
+                }
+                _ if o.recovery.take(arg, &mut args)? || o.telemetry.take(arg, &mut args)? => {}
+                bare => o.stride = bare.parse().map_err(|_| unrecognized(bare))?,
             }
-            "--metrics-out" => {
-                i += 1;
-                let Some(path) = rest.get(i) else {
-                    return Err("--metrics-out needs a file path".to_string());
-                };
-                opts.metrics_out = Some(path.to_string());
-            }
-            "--stride" => {
-                i += 1;
-                opts.stride = parse_flag_value(rest, i, "--stride")?;
-            }
-            "--seed" => {
-                i += 1;
-                opts.seed = parse_flag_value(rest, i, "--seed")?;
-            }
-            "--halt-after-cells" => {
-                i += 1;
-                opts.halt_after = Some(parse_flag_value(rest, i, "--halt-after-cells")?);
-            }
-            "--journal" => {
-                i += 1;
-                let Some(path) = rest.get(i) else {
-                    return Err("--journal needs a file path".to_string());
-                };
-                opts.journal = Some(path.to_string());
-            }
-            "--breaker" => {
-                i += 1;
-                let Some(spec) = rest.get(i) else {
-                    return Err("--breaker needs N or N,C (threshold[,cooldown])".to_string());
-                };
-                opts.breaker = Some(parse_breaker(spec)?);
-            }
-            "--transport" => {
-                i += 1;
-                let Some(raw) = rest.get(i) else {
-                    return Err("--transport needs `tcp` or `in-process`".to_string());
-                };
-                opts.transport = parse_transport(raw)?;
-            }
-            "--shard" => {
-                i += 1;
-                let Some(spec) = rest.get(i) else {
-                    return Err("--shard needs K/N (e.g. 0/3)".to_string());
-                };
-                opts.shard = Some(ShardSpec::parse(spec).map_err(|e| format!("--shard: {e}"))?);
-            }
-            "--shards" => {
-                i += 1;
-                opts.shards = Some(parse_flag_value(rest, i, "--shards")?);
-            }
-            "--shard-dir" => {
-                i += 1;
-                let Some(dir) = rest.get(i) else {
-                    return Err("--shard-dir needs a directory path".to_string());
-                };
-                opts.shard_dir = Some(dir.to_string());
-            }
-            "--stall-after-cells" => {
-                i += 1;
-                opts.stall_after = Some(parse_flag_value(rest, i, "--stall-after-cells")?);
-            }
-            "--max-respawns" => {
-                i += 1;
-                opts.max_respawns = parse_flag_value(rest, i, "--max-respawns")?;
-            }
-            "--heartbeat-ms" => {
-                i += 1;
-                opts.heartbeat_ms = parse_flag_value(rest, i, "--heartbeat-ms")?;
-            }
-            "--backoff-ms" => {
-                i += 1;
-                opts.backoff_ms = parse_flag_value(rest, i, "--backoff-ms")?;
-            }
-            "--worker-halt" => {
-                i += 1;
-                let Some(spec) = rest.get(i) else {
-                    return Err("--worker-halt needs K:C (worker index : cell count)".to_string());
-                };
-                opts.worker_halt = Some(parse_worker_chaos(spec, "--worker-halt")?);
-            }
-            "--worker-stall" => {
-                i += 1;
-                let Some(spec) = rest.get(i) else {
-                    return Err("--worker-stall needs K:C (worker index : cell count)".to_string());
-                };
-                opts.worker_stall = Some(parse_worker_chaos(spec, "--worker-stall")?);
-            }
-            "--fuzz" => {
-                i += 1;
-                opts.fuzz_cases = Some(parse_flag_value(rest, i, "--fuzz")?);
-            }
-            bare => match bare.parse::<usize>() {
-                Ok(stride) => opts.stride = stride,
-                Err(_) => return Err(format!("unrecognized argument `{bare}`")),
-            },
         }
-        i += 1;
+        o.stride = o.stride.max(1);
+        o.validate(chaos)?;
+        Ok(o)
     }
-    opts.stride = opts.stride.max(1);
-    validate_shard_opts(&opts)?;
-    Ok(opts)
+
+    /// Both sharding modes are incompatible with the circuit breaker
+    /// (breaker state depends on the full preceding per-client cell
+    /// stream, which a shard does not see); every flag needs the mode
+    /// that reads it.
+    fn validate(&self, chaos: bool) -> Result<(), String> {
+        self.recovery.validate()?;
+        let (supervisor, worker) = (self.recovery.shards.is_some(), self.recovery.shard.is_some());
+        if (supervisor || worker) && self.breaker.is_some() {
+            return Err("sharding is incompatible with --breaker: breaker state depends on the \
+                        full per-client cell stream, which a shard does not see"
+                .into());
+        }
+        if (supervisor || worker) && self.fuzz_cases.is_some() {
+            return Err("--fuzz rides the single-process campaign; shard the fuzz axis with \
+                        `wsitool fuzz --shards N` instead"
+                .into());
+        }
+        if supervisor && self.halt_after.is_some() {
+            return Err("--halt-after-cells halts the supervisor itself; use --worker-halt K:C to \
+                        halt one worker"
+                .into());
+        }
+        if self.stall_after.is_some() && !worker {
+            return Err("--stall-after-cells needs --shard (it stalls the worker's journal writer)".into());
+        }
+        if !supervisor {
+            for (flag, set) in [
+                ("--worker-halt", self.worker_halt.is_some()),
+                ("--worker-stall", self.worker_stall.is_some()),
+                ("--heartbeat-ms", self.heartbeat_ms.is_some()),
+                ("--backoff-ms", self.backoff_ms.is_some()),
+            ] {
+                if set {
+                    return Err(format!("{flag} needs --shards (it drives the supervisor)"));
+                }
+            }
+        }
+        if let Some(n) = self.recovery.shards {
+            for (flag, pair) in [
+                ("--worker-halt", self.worker_halt),
+                ("--worker-stall", self.worker_stall),
+            ] {
+                if let Some((k, _)) = pair.filter(|&(k, _)| k >= n) {
+                    return Err(format!("{flag}: worker index {k} out of range (shards={n})"));
+                }
+            }
+        }
+        if self.halt_after.is_some() && !worker && self.recovery.journal.is_none() {
+            return Err("--halt-after-cells needs --journal (it halts the journal writer)".into());
+        }
+        if !chaos && self.seed.is_some() && self.fuzz_cases.is_none() {
+            return Err("--seed needs --fuzz (a campaign draws nothing else from it)".into());
+        }
+        Ok(())
+    }
+
+    /// The sampled campaign these options select, before any layer.
+    fn base(&self) -> Campaign {
+        if self.extended {
+            Campaign::extended_sampled(self.stride)
+        } else {
+            Campaign::sampled(self.stride)
+        }
+    }
+
+    fn seed(&self) -> u64 {
+        self.seed.unwrap_or(42)
+    }
 }
 
 /// Parses the `K:C` argument of `--worker-halt` / `--worker-stall`.
-fn parse_worker_chaos(spec: &str, flag: &str) -> Result<(usize, usize), String> {
+fn worker_chaos(args: &mut Args, flag: &str) -> Result<(usize, usize), String> {
+    let spec = args.value(flag, "K:C (worker index : cell count)")?;
     let parsed = spec.split_once(':').and_then(|(k, c)| {
         Some((k.parse::<usize>().ok()?, c.parse::<usize>().ok()?))
     });
     parsed.ok_or_else(|| format!("{flag}: cannot parse `{spec}` (want K:C)"))
 }
 
-/// The sharding flag matrix: supervisor mode (`--shards`) and worker
-/// mode (`--shard`) are mutually exclusive; both are incompatible with
-/// single-process journalling and with the circuit breaker (breaker
-/// state depends on the full preceding per-client cell stream, which a
-/// shard does not see); the chaos/supervision knobs belong to exactly
-/// one of the two modes.
-fn validate_shard_opts(opts: &RunOpts) -> Result<(), String> {
-    let supervisor = opts.shards.is_some();
-    let worker = opts.shard.is_some();
-    if supervisor && worker {
-        return Err("--shards (supervisor) and --shard (worker) are mutually exclusive".to_string());
-    }
-    if let Some(n) = opts.shards {
-        if n == 0 {
-            return Err("--shards: need at least one worker".to_string());
-        }
-    }
-    if worker && opts.shard_dir.is_none() {
-        return Err("--shard needs --shard-dir (per-shard artifacts live there)".to_string());
-    }
-    if (supervisor || worker) && opts.breaker.is_some() {
-        return Err(
-            "sharding is incompatible with --breaker: breaker state depends on the \
-             full per-client cell stream, which a shard does not see"
-                .to_string(),
-        );
-    }
-    if (supervisor || worker) && opts.fuzz_cases.is_some() {
-        return Err(
-            "--fuzz rides the single-process campaign; shard the fuzz axis with \
-             `wsitool fuzz --shards N` instead"
-                .to_string(),
-        );
-    }
-    if (supervisor || worker) && opts.journal.is_some() {
-        return Err(
-            "sharding manages its own per-shard journals; drop --journal and use --shard-dir"
-                .to_string(),
-        );
-    }
-    if supervisor && opts.halt_after.is_some() {
-        return Err(
-            "--halt-after-cells halts the supervisor itself; use --worker-halt K:C to \
-             halt one worker"
-                .to_string(),
-        );
-    }
-    if opts.stall_after.is_some() && !worker && opts.journal.is_none() {
-        return Err("--stall-after-cells needs --shard or --journal (it stalls the journal writer)"
-            .to_string());
-    }
-    if !supervisor {
-        for (flag, set) in [
-            ("--worker-halt", opts.worker_halt.is_some()),
-            ("--worker-stall", opts.worker_stall.is_some()),
-        ] {
-            if set {
-                return Err(format!("{flag} needs --shards (it drives the supervisor)"));
-            }
-        }
-    }
-    if let Some(n) = opts.shards {
-        for (flag, pair) in [
-            ("--worker-halt", opts.worker_halt),
-            ("--worker-stall", opts.worker_stall),
-        ] {
-            if let Some((k, _)) = pair {
-                if k >= n {
-                    return Err(format!("{flag}: worker index {k} out of range (shards={n})"));
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-fn parse_flag_value<T: std::str::FromStr>(
-    rest: &[&str],
-    i: usize,
-    flag: &str,
-) -> Result<T, String> {
-    let Some(raw) = rest.get(i) else {
-        return Err(format!("{flag} needs a value"));
-    };
-    raw.parse()
-        .map_err(|_| format!("{flag}: cannot parse `{raw}`"))
-}
-
-fn parse_transport(raw: &str) -> Result<ExchangeTransport, String> {
-    match raw {
+fn parse_transport(args: &mut Args) -> Result<ExchangeTransport, String> {
+    match args.value("--transport", "`tcp` or `in-process`")? {
         "tcp" => Ok(ExchangeTransport::TcpLoopback),
         "in-process" => Ok(ExchangeTransport::InProcess),
-        other => Err(format!(
-            "--transport: `{other}` is not `tcp` or `in-process`"
-        )),
+        other => Err(format!("--transport: `{other}` is not `tcp` or `in-process`")),
     }
 }
 
-fn parse_breaker(spec: &str) -> Result<BreakerConfig, String> {
+fn parse_breaker(args: &mut Args) -> Result<BreakerConfig, String> {
+    let spec = args.value("--breaker", "N or N,C (threshold[,cooldown])")?;
+    let bad = || format!("--breaker: cannot parse `{spec}` (want N or N,C)");
     let (threshold, cooldown) = match spec.split_once(',') {
         Some((t, c)) => (t, Some(c)),
         None => (spec, None),
     };
-    let threshold: u32 = threshold
-        .parse()
-        .map_err(|_| format!("--breaker: cannot parse `{spec}` (want N or N,C)"))?;
+    let threshold: u32 = threshold.parse().map_err(|_| bad())?;
     let cooldown: u32 = match cooldown {
-        Some(c) => c
-            .parse()
-            .map_err(|_| format!("--breaker: cannot parse `{spec}` (want N or N,C)"))?,
+        Some(c) => c.parse().map_err(|_| bad())?,
         None => BreakerConfig::default().cooldown_cells,
     };
     Ok(BreakerConfig::new(threshold, cooldown))
@@ -865,8 +753,8 @@ fn parse_breaker(spec: &str) -> Result<BreakerConfig, String> {
 
 /// Applies the journal/supervision options to a configured campaign.
 fn apply_run_opts(mut campaign: Campaign, opts: &RunOpts) -> Campaign {
-    if let Some(path) = &opts.journal {
-        campaign = campaign.with_journal(path.as_str()).with_resume(opts.resume);
+    if let Some(path) = &opts.recovery.journal {
+        campaign = campaign.with_journal(path.as_str()).with_resume(opts.recovery.resume);
         if let Some(halt) = opts.halt_after {
             campaign = campaign.with_halt_after_cells(halt);
         }
@@ -879,15 +767,15 @@ fn apply_run_opts(mut campaign: Campaign, opts: &RunOpts) -> Campaign {
 
 /// Builds the run's telemetry observer: real clock, optional JSON-lines
 /// trace stream, live progress meter unless `--quiet`. Every campaign
-/// run carries one — observation is proven not to perturb results, and
-/// the end-of-run report rides on it.
-fn build_observer(opts: &RunOpts) -> Result<std::sync::Arc<Obs>, String> {
+/// and fuzz run carries one — observation is proven not to perturb
+/// results, and the end-of-run report rides on it.
+fn build_observer(telemetry: &Telemetry) -> Result<std::sync::Arc<Obs>, String> {
     let obs = Obs::new(Clock::monotonic());
-    if let Some(path) = &opts.trace_out {
+    if let Some(path) = &telemetry.trace_out {
         obs.set_trace_out(std::path::Path::new(path))
             .map_err(|e| format!("cannot open trace output {path}: {e}"))?;
     }
-    if !opts.quiet {
+    if !telemetry.quiet {
         obs.progress().enable();
     }
     Ok(std::sync::Arc::new(obs))
@@ -896,18 +784,18 @@ fn build_observer(opts: &RunOpts) -> Result<std::sync::Arc<Obs>, String> {
 /// Post-run telemetry: close the progress meter, write the metrics
 /// snapshot when asked, and print the phase-latency report to stderr
 /// (stdout stays the byte-stable scientific record).
-fn finish_observability(obs: &Obs, opts: &RunOpts) -> Result<(), ExitCode> {
-    if !opts.quiet {
+fn finish_observability(obs: &Obs, telemetry: &Telemetry) -> Result<(), ExitCode> {
+    if !telemetry.quiet {
         obs.progress().finish(obs.clock());
     }
-    if let Some(path) = &opts.metrics_out {
+    if let Some(path) = &telemetry.metrics_out {
         if let Err(e) = std::fs::write(path, obs.metrics_text()) {
             eprintln!("cannot write {path}: {e}");
             return Err(ExitCode::FAILURE);
         }
         eprintln!("metrics: wrote {path}");
     }
-    if !opts.quiet {
+    if !telemetry.quiet {
         eprint!("{}", obs.render_report());
     }
     Ok(())
@@ -925,9 +813,9 @@ fn echo_run_config(stride: usize, seed: Option<u64>, campaign: &Campaign) {
 
 /// Pre-run journal status (prefixed `journal:` so diffs between clean
 /// and resumed runs can filter bookkeeping lines).
-fn announce_journal(opts: &RunOpts) {
-    let Some(path) = &opts.journal else { return };
-    if !opts.resume {
+fn announce_journal(recovery: &Recovery) {
+    let Some(path) = &recovery.journal else { return };
+    if !recovery.resume {
         println!("journal: writing to {path}");
         return;
     }
@@ -948,8 +836,8 @@ fn announce_journal(opts: &RunOpts) {
 }
 
 /// Post-run journal status.
-fn journal_summary(opts: &RunOpts) {
-    let Some(path) = &opts.journal else { return };
+fn journal_summary(recovery: &Recovery) {
+    let Some(path) = &recovery.journal else { return };
     if let Ok(read) = wsinterop::core::journal::read_journal(std::path::Path::new(path)) {
         println!("journal: {path} holds {} cell(s)", read.cells.len());
     }
@@ -1085,32 +973,26 @@ fn journal_inspect(path: &str, json: bool) -> ExitCode {
 
 fn chaos(opts: &RunOpts) -> ExitCode {
     use wsinterop::core::faults::FaultPlan;
-    if opts.shards.is_some() || opts.shard.is_some() {
-        eprintln!("sharding supports the plain campaign only (chaos runs are single-process)");
-        return usage();
-    }
     println!(
         "running chaos campaign with stride {}, seed {}, {} transport…",
-        opts.stride, opts.seed, opts.transport
+        opts.stride,
+        opts.seed(),
+        opts.transport
     );
-    let base = if opts.extended {
-        Campaign::extended_sampled(opts.stride)
-    } else {
-        Campaign::sampled(opts.stride)
-    };
-    let obs = match build_observer(opts) {
+    let obs = match build_observer(&opts.telemetry) {
         Ok(obs) => obs,
         Err(e) => return fail(e),
     };
     let run = apply_run_opts(
-        base.with_doc_cache(!opts.no_cache)
-            .with_faults(FaultPlan::seeded(opts.seed))
+        opts.base()
+            .with_doc_cache(!opts.no_cache)
+            .with_faults(FaultPlan::seeded(opts.seed()))
             .with_transport(opts.transport),
         opts,
     )
     .with_observer(std::sync::Arc::clone(&obs));
-    echo_run_config(opts.stride, Some(opts.seed), &run);
-    announce_journal(opts);
+    echo_run_config(opts.stride, Some(opts.seed()), &run);
+    announce_journal(&opts.recovery);
     // Injected panics are part of the experiment; keep the default
     // hook's backtraces out of the report.
     std::panic::set_hook(Box::new(|_| {}));
@@ -1130,23 +1012,22 @@ fn chaos(opts: &RunOpts) -> ExitCode {
     println!("{stats}");
     let classified = results.tests.len();
     println!("classified {classified} tests under fault injection; campaign completed without aborting");
-    journal_summary(opts);
-    if let Err(code) = finish_observability(&obs, opts) {
+    journal_summary(&opts.recovery);
+    if let Err(code) = finish_observability(&obs, &opts.telemetry) {
         return code;
     }
     ExitCode::SUCCESS
 }
 
 /// Options for `wsitool fuzz`.
+#[derive(Default)]
 struct FuzzOpts {
     cases: usize,
     seed: u64,
     stride: usize,
     threads: Option<usize>,
     extended: bool,
-    transport: wsinterop::core::fuzz::FuzzTransport,
-    journal: Option<String>,
-    resume: bool,
+    transport: FuzzTransport,
     halt_after_units: Option<usize>,
     /// `--fault-seed N`: arm the chaos-rate fault plan under seed N
     /// (default: the silent plan — only forced sites fire).
@@ -1160,178 +1041,56 @@ struct FuzzOpts {
     max_body_bytes: Option<usize>,
     wire_timeout_ms: Option<u64>,
     shrink_budget: Option<usize>,
-    shard: Option<ShardSpec>,
-    shards: Option<usize>,
-    shard_dir: Option<String>,
-    max_respawns: usize,
-    quiet: bool,
-    trace_out: Option<String>,
-    metrics_out: Option<String>,
+    recovery: Recovery,
+    telemetry: Telemetry,
 }
 
-fn parse_fuzz_opts(rest: &[&str]) -> Result<FuzzOpts, String> {
-    let mut opts = FuzzOpts {
-        cases: 16,
-        seed: 42,
-        stride: 200,
-        threads: None,
-        extended: false,
-        transport: wsinterop::core::fuzz::FuzzTransport::InProcess,
-        journal: None,
-        resume: false,
-        halt_after_units: None,
-        fault_seed: None,
-        crash_fqcn: None,
-        hang_fqcn: None,
-        max_body_bytes: None,
-        wire_timeout_ms: None,
-        shrink_budget: None,
-        shard: None,
-        shards: None,
-        shard_dir: None,
-        max_respawns: 3,
-        quiet: false,
-        trace_out: None,
-        metrics_out: None,
-    };
-    let mut i = 0;
-    while i < rest.len() {
-        match rest[i] {
-            "--extended" => opts.extended = true,
-            "--resume" => opts.resume = true,
-            "--quiet" => opts.quiet = true,
-            "--cases" => {
-                i += 1;
-                opts.cases = parse_flag_value(rest, i, "--cases")?;
+impl FuzzOpts {
+    fn parse(mut args: Args) -> Result<FuzzOpts, String> {
+        let mut o = FuzzOpts { cases: 16, seed: 42, stride: 200, ..FuzzOpts::default() };
+        while let Some(arg) = args.next() {
+            match arg {
+                "--extended" => o.extended = true,
+                "--cases" => o.cases = args.num(arg)?,
+                "--seed" => o.seed = args.num(arg)?,
+                "--stride" => o.stride = args.num(arg)?,
+                "-j" | "--threads" => o.threads = Some(args.num("-j")?),
+                "--transport" => {
+                    let raw = args.value(arg, "in-process, tcp or both")?;
+                    o.transport = FuzzTransport::parse(raw).map_err(|e| format!("--transport: {e}"))?;
+                }
+                "--halt-after-units" => o.halt_after_units = Some(args.num(arg)?),
+                "--fault-seed" => o.fault_seed = Some(args.num(arg)?),
+                "--crash-fqcn" => o.crash_fqcn = Some(args.value(arg, "a service class name")?.into()),
+                "--hang-fqcn" => o.hang_fqcn = Some(args.value(arg, "a service class name")?.into()),
+                "--max-body-bytes" => o.max_body_bytes = Some(args.num(arg)?),
+                "--wire-timeout-ms" => o.wire_timeout_ms = Some(args.num(arg)?),
+                "--shrink-budget" => o.shrink_budget = Some(args.num(arg)?),
+                _ if o.recovery.take(arg, &mut args)? || o.telemetry.take(arg, &mut args)? => {}
+                bare => return Err(unrecognized(bare)),
             }
-            "--seed" => {
-                i += 1;
-                opts.seed = parse_flag_value(rest, i, "--seed")?;
-            }
-            "--stride" => {
-                i += 1;
-                opts.stride = parse_flag_value(rest, i, "--stride")?;
-            }
-            "-j" | "--threads" => {
-                i += 1;
-                opts.threads = Some(parse_flag_value(rest, i, "-j")?);
-            }
-            "--transport" => {
-                i += 1;
-                let Some(raw) = rest.get(i) else {
-                    return Err("--transport needs in-process, tcp or both".to_string());
-                };
-                opts.transport =
-                    wsinterop::core::fuzz::FuzzTransport::parse(raw).map_err(|e| format!("--transport: {e}"))?;
-            }
-            "--journal" => {
-                i += 1;
-                let Some(path) = rest.get(i) else {
-                    return Err("--journal needs a file path".to_string());
-                };
-                opts.journal = Some(path.to_string());
-            }
-            "--halt-after-units" => {
-                i += 1;
-                opts.halt_after_units = Some(parse_flag_value(rest, i, "--halt-after-units")?);
-            }
-            "--fault-seed" => {
-                i += 1;
-                opts.fault_seed = Some(parse_flag_value(rest, i, "--fault-seed")?);
-            }
-            "--crash-fqcn" => {
-                i += 1;
-                let Some(fqcn) = rest.get(i) else {
-                    return Err("--crash-fqcn needs a service class name".to_string());
-                };
-                opts.crash_fqcn = Some(fqcn.to_string());
-            }
-            "--hang-fqcn" => {
-                i += 1;
-                let Some(fqcn) = rest.get(i) else {
-                    return Err("--hang-fqcn needs a service class name".to_string());
-                };
-                opts.hang_fqcn = Some(fqcn.to_string());
-            }
-            "--max-body-bytes" => {
-                i += 1;
-                opts.max_body_bytes = Some(parse_flag_value(rest, i, "--max-body-bytes")?);
-            }
-            "--wire-timeout-ms" => {
-                i += 1;
-                opts.wire_timeout_ms = Some(parse_flag_value(rest, i, "--wire-timeout-ms")?);
-            }
-            "--shrink-budget" => {
-                i += 1;
-                opts.shrink_budget = Some(parse_flag_value(rest, i, "--shrink-budget")?);
-            }
-            "--shard" => {
-                i += 1;
-                let Some(spec) = rest.get(i) else {
-                    return Err("--shard needs K/N (e.g. 0/3)".to_string());
-                };
-                opts.shard = Some(ShardSpec::parse(spec).map_err(|e| format!("--shard: {e}"))?);
-            }
-            "--shards" => {
-                i += 1;
-                opts.shards = Some(parse_flag_value(rest, i, "--shards")?);
-            }
-            "--shard-dir" => {
-                i += 1;
-                let Some(dir) = rest.get(i) else {
-                    return Err("--shard-dir needs a directory path".to_string());
-                };
-                opts.shard_dir = Some(dir.to_string());
-            }
-            "--max-respawns" => {
-                i += 1;
-                opts.max_respawns = parse_flag_value(rest, i, "--max-respawns")?;
-            }
-            "--trace-out" => {
-                i += 1;
-                let Some(path) = rest.get(i) else {
-                    return Err("--trace-out needs a file path".to_string());
-                };
-                opts.trace_out = Some(path.to_string());
-            }
-            "--metrics-out" => {
-                i += 1;
-                let Some(path) = rest.get(i) else {
-                    return Err("--metrics-out needs a file path".to_string());
-                };
-                opts.metrics_out = Some(path.to_string());
-            }
-            bare => return Err(format!("unrecognized argument `{bare}`")),
         }
-        i += 1;
+        o.cases = o.cases.max(1);
+        o.stride = o.stride.max(1);
+        o.recovery.validate()?;
+        let (supervisor, worker) = (o.recovery.shards.is_some(), o.recovery.shard.is_some());
+        let observed = o.telemetry.metrics_out.is_some() || o.telemetry.trace_out.is_some();
+        if supervisor && o.halt_after_units.is_some() {
+            return Err("--halt-after-units halts a single-process fuzz run; drop --shards".into());
+        }
+        if supervisor && observed {
+            return Err("--metrics-out and --trace-out observe a single-process fuzz run; drop --shards".into());
+        }
+        if worker && observed {
+            return Err("--metrics-out and --trace-out observe a single-process fuzz run; \
+                        a --shard worker runs unobserved"
+                .into());
+        }
+        if o.halt_after_units.is_some() && !worker && o.recovery.journal.is_none() {
+            return Err("--halt-after-units needs --journal (it halts the journal writer)".into());
+        }
+        Ok(o)
     }
-    opts.cases = opts.cases.max(1);
-    opts.stride = opts.stride.max(1);
-    if opts.shards.is_some() && opts.shard.is_some() {
-        return Err("--shards (supervisor) and --shard (worker) are mutually exclusive".to_string());
-    }
-    if opts.shards == Some(0) {
-        return Err("--shards: need at least one worker".to_string());
-    }
-    if (opts.shards.is_some() || opts.shard.is_some()) && opts.journal.is_some() {
-        return Err(
-            "fuzz sharding manages its own per-shard journals; drop --journal and use --shard-dir"
-                .to_string(),
-        );
-    }
-    if opts.shard.is_some() && opts.shard_dir.is_none() {
-        return Err("--shard needs --shard-dir (per-shard journals live there)".to_string());
-    }
-    if opts.shards.is_some() && opts.halt_after_units.is_some() {
-        return Err("--halt-after-units halts a single-process fuzz run; drop --shards".to_string());
-    }
-    if opts.shards.is_some() && (opts.metrics_out.is_some() || opts.trace_out.is_some()) {
-        return Err(
-            "--metrics-out and --trace-out observe a single-process fuzz run; drop --shards"
-                .to_string(),
-        );
-    }
-    Ok(opts)
 }
 
 /// Builds the seeded fault plan for a fuzz run: silent (only forced
@@ -1362,25 +1121,30 @@ fn fuzz_fault_plan(opts: &FuzzOpts) -> wsinterop::core::faults::FaultPlan {
 }
 
 /// Assembles the library-level fuzz configuration from CLI options.
-fn fuzz_config(opts: &FuzzOpts) -> wsinterop::core::fuzz::FuzzConfig {
-    let mut config = wsinterop::core::fuzz::FuzzConfig::new(opts.cases, opts.seed);
+fn fuzz_config(opts: &FuzzOpts) -> FuzzConfig {
+    let mut config = FuzzConfig::new(opts.cases, opts.seed);
     config.stride = opts.stride;
     config.extended = opts.extended;
     config.transport = opts.transport;
     config.plan = fuzz_fault_plan(opts);
-    if let Some(threads) = opts.threads {
-        config.threads = threads.max(1);
-    }
-    if let Some(bytes) = opts.max_body_bytes {
-        config.max_body = bytes;
-    }
-    if let Some(ms) = opts.wire_timeout_ms {
-        config.wire_timeout_ms = ms;
-    }
-    if let Some(budget) = opts.shrink_budget {
-        config.shrink_budget = budget;
-    }
+    config.threads = opts.threads.map_or(config.threads, |threads| threads.max(1));
+    config.max_body = opts.max_body_bytes.unwrap_or(config.max_body);
+    config.wire_timeout_ms = opts.wire_timeout_ms.unwrap_or(config.wire_timeout_ms);
+    config.shrink_budget = opts.shrink_budget.unwrap_or(config.shrink_budget);
     config
+}
+
+/// The fuzz reproducibility echo; fuzz journal headers pin the same
+/// config hash.
+fn echo_fuzz_config(config: &FuzzConfig) {
+    println!(
+        "run config: cases={} seed={} stride={} transport={} config-hash=0x{:016x}",
+        config.cases,
+        config.seed,
+        config.stride,
+        config.transport,
+        config.config_hash()
+    );
 }
 
 /// Prints the byte-stable fuzz record: outcome table (with the totals
@@ -1405,33 +1169,21 @@ fn print_fuzz_outcome(outcome: &wsinterop::core::fuzz::FuzzRunOutcome) {
 }
 
 fn fuzz_cmd(opts: &FuzzOpts) -> ExitCode {
-    if let Some(shards) = opts.shards {
+    if let Some(shards) = opts.recovery.shards {
         return fuzz_supervise(opts, shards);
     }
-    if let Some(spec) = opts.shard {
+    if let Some(spec) = opts.recovery.shard {
         return fuzz_shard_worker(opts, spec);
     }
     let mut config = fuzz_config(opts);
-    config.journal = opts.journal.as_ref().map(std::path::PathBuf::from);
-    config.resume = opts.resume;
+    config.journal = opts.recovery.journal.as_ref().map(std::path::PathBuf::from);
+    config.resume = opts.recovery.resume;
     config.halt_after_units = opts.halt_after_units;
-    let obs = Obs::new(Clock::monotonic());
-    if let Some(path) = &opts.trace_out {
-        if let Err(e) = obs.set_trace_out(std::path::Path::new(path)) {
-            return fail(format!("cannot open trace output {path}: {e}"));
-        }
-    }
-    if !opts.quiet {
-        obs.progress().enable();
-    }
-    println!(
-        "run config: cases={} seed={} stride={} transport={} config-hash=0x{:016x}",
-        config.cases,
-        config.seed,
-        config.stride,
-        config.transport,
-        config.config_hash()
-    );
+    let obs = match build_observer(&opts.telemetry) {
+        Ok(obs) => obs,
+        Err(e) => return fail(e),
+    };
+    echo_fuzz_config(&config);
     // Injected client panics are part of the experiment; keep the
     // default hook's backtraces out of the record.
     std::panic::set_hook(Box::new(|_| {}));
@@ -1442,7 +1194,7 @@ fn fuzz_cmd(opts: &FuzzOpts) -> ExitCode {
         Err(e) => return fail(e),
     };
     print_fuzz_outcome(&outcome);
-    if let Some(path) = &opts.journal {
+    if let Some(path) = &opts.recovery.journal {
         println!(
             "journal: {path} holds {} fuzz unit(s) ({} replayed on resume)",
             outcome.units.len(),
@@ -1458,19 +1210,10 @@ fn fuzz_cmd(opts: &FuzzOpts) -> ExitCode {
             outcome.cap_hits, config.max_body, outcome.divergences
         );
     }
-    if !opts.quiet {
-        obs.progress().finish(obs.clock());
+    match finish_observability(&obs, &opts.telemetry) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(code) => code,
     }
-    if let Some(path) = &opts.metrics_out {
-        if let Err(e) = std::fs::write(path, obs.metrics_text()) {
-            return fail(format!("cannot write {path}: {e}"));
-        }
-        eprintln!("metrics: wrote {path}");
-    }
-    if !opts.quiet {
-        eprint!("{}", obs.render_report());
-    }
-    ExitCode::SUCCESS
 }
 
 /// Runs as one worker shard of a sharded fuzz run: journals into the
@@ -1478,7 +1221,7 @@ fn fuzz_cmd(opts: &FuzzOpts) -> ExitCode {
 /// replays the dead worker's committed units instead of redoing them.
 /// Stdout stays silent — the supervisor owns the merged record.
 fn fuzz_shard_worker(opts: &FuzzOpts, spec: ShardSpec) -> ExitCode {
-    let dir = std::path::PathBuf::from(opts.shard_dir.as_deref().unwrap_or("wsitool-fuzz-shards"));
+    let dir = opts.recovery.shard_dir("wsitool-fuzz-shards");
     if let Err(e) = std::fs::create_dir_all(&dir) {
         return fail(format!("cannot create shard dir {}: {e}", dir.display()));
     }
@@ -1510,15 +1253,8 @@ fn fuzz_shard_worker(opts: &FuzzOpts, spec: ShardSpec) -> ExitCode {
 /// bit-identical to a single-process run.
 fn fuzz_supervise(opts: &FuzzOpts, shards: usize) -> ExitCode {
     let config = fuzz_config(opts);
-    println!(
-        "run config: cases={} seed={} stride={} transport={} config-hash=0x{:016x}",
-        config.cases,
-        config.seed,
-        config.stride,
-        config.transport,
-        config.config_hash()
-    );
-    let dir = std::path::PathBuf::from(opts.shard_dir.as_deref().unwrap_or("wsitool-fuzz-shards"));
+    echo_fuzz_config(&config);
+    let dir = opts.recovery.shard_dir("wsitool-fuzz-shards");
     let worker_args = |cmd: &mut Command, spec: ShardSpec, _attempt: usize| {
         cmd.arg("fuzz")
             .arg("--cases")
@@ -1559,13 +1295,10 @@ fn fuzz_supervise(opts: &FuzzOpts, shards: usize) -> ExitCode {
             cmd.arg("--shrink-budget").arg(budget.to_string());
         }
     };
-    let supervision = SupervisorConfig {
-        max_respawns: opts.max_respawns,
-        ..SupervisorConfig::default()
-    };
     // Fuzz journals hold unit batches, not cells: no chunks to account.
     let no_chunks = |_: ServerId, _: &str| None;
-    run_shards(&dir, shards, opts.resume, supervision, worker_args, no_chunks, |_| {
+    let supervision = opts.recovery.supervision();
+    run_shards(&dir, shards, opts.recovery.resume, supervision, worker_args, no_chunks, |_| {
         let (outcome, merged_path) =
             wsinterop::core::fuzz::merge_fuzz_shard_dir(&dir, shards, &config)
                 .map_err(|e| fail(format!("fuzz shard merge refused: {e}")))?;
@@ -1580,10 +1313,10 @@ fn fuzz_supervise(opts: &FuzzOpts, shards: usize) -> ExitCode {
 }
 
 fn campaign(opts: &RunOpts) -> ExitCode {
-    if let Some(shards) = opts.shards {
+    if let Some(shards) = opts.recovery.shards {
         return supervise_campaign(opts, shards);
     }
-    if let Some(spec) = opts.shard {
+    if let Some(spec) = opts.recovery.shard {
         return shard_worker(opts, spec);
     }
     println!(
@@ -1600,19 +1333,14 @@ fn campaign(opts: &RunOpts) -> ExitCode {
             ""
         }
     );
-    let base = if opts.extended {
-        Campaign::extended_sampled(opts.stride)
-    } else {
-        Campaign::sampled(opts.stride)
-    };
-    let obs = match build_observer(opts) {
+    let obs = match build_observer(&opts.telemetry) {
         Ok(obs) => obs,
         Err(e) => return fail(e),
     };
-    let run = apply_run_opts(base.with_doc_cache(!opts.no_cache), opts)
+    let run = apply_run_opts(opts.base().with_doc_cache(!opts.no_cache), opts)
         .with_observer(std::sync::Arc::clone(&obs));
     echo_run_config(opts.stride, None, &run);
-    announce_journal(opts);
+    announce_journal(&opts.recovery);
     let (results, report, stats) = match run.try_run_with_stats() {
         Ok(out) => out,
         Err(e) => {
@@ -1630,20 +1358,20 @@ fn campaign(opts: &RunOpts) -> ExitCode {
     if let Some(cases) = opts.fuzz_cases {
         // The fuzz axis: property-based cases against every service the
         // campaign just deployed, on the same stride and seed space.
-        let mut config = wsinterop::core::fuzz::FuzzConfig::new(cases, opts.seed);
+        let mut config = FuzzConfig::new(cases, opts.seed());
         config.stride = opts.stride;
         config.extended = opts.extended;
         match wsinterop::core::fuzz::run(&config, Some(&obs)) {
             Ok(outcome) => {
-                println!("fuzz axis: {cases} case(s) per deployed service, seed {}", opts.seed);
+                println!("fuzz axis: {cases} case(s) per deployed service, seed {}", opts.seed());
                 println!("{}", outcome.table);
                 println!("fuzz reproducers: {}", outcome.repros.len());
             }
             Err(e) => return fail(format!("fuzz axis failed: {e}")),
         }
     }
-    journal_summary(opts);
-    if let Err(code) = finish_observability(&obs, opts) {
+    journal_summary(&opts.recovery);
+    if let Err(code) = finish_observability(&obs, &opts.telemetry) {
         return code;
     }
     ExitCode::SUCCESS
@@ -1657,21 +1385,17 @@ fn campaign(opts: &RunOpts) -> ExitCode {
 /// supervisor owns the scientific record; per-shard artifacts
 /// (journal, services TSV, metrics snapshot) land in the shard dir.
 fn shard_worker(opts: &RunOpts, spec: ShardSpec) -> ExitCode {
-    let dir = std::path::PathBuf::from(opts.shard_dir.as_deref().unwrap_or("wsitool-shards"));
+    let dir = opts.recovery.shard_dir("wsitool-shards");
     if let Err(e) = std::fs::create_dir_all(&dir) {
         return fail(format!("cannot create shard dir {}: {e}", dir.display()));
     }
-    let base = if opts.extended {
-        Campaign::extended_sampled(opts.stride)
-    } else {
-        Campaign::sampled(opts.stride)
-    };
-    let obs = match build_observer(opts) {
+    let obs = match build_observer(&opts.telemetry) {
         Ok(obs) => obs,
         Err(e) => return fail(e),
     };
     let journal = spec.journal_file(&dir);
-    let mut run = base
+    let mut run = opts
+        .base()
         .with_doc_cache(!opts.no_cache)
         .with_journal(journal.as_path())
         .with_resume(true)
@@ -1706,7 +1430,7 @@ fn shard_worker(opts: &RunOpts, spec: ShardSpec) -> ExitCode {
     if let Err(e) = std::fs::write(spec.metrics_file(&dir), obs.metrics_json()) {
         return fail(format!("shard {spec}: cannot write metrics snapshot: {e}"));
     }
-    if let Err(code) = finish_observability(&obs, opts) {
+    if let Err(code) = finish_observability(&obs, &opts.telemetry) {
         return code;
     }
     eprintln!(
@@ -1756,15 +1480,10 @@ fn supervise_campaign(opts: &RunOpts, shards: usize) -> ExitCode {
         },
         opts.stride,
     );
-    let base = if opts.extended {
-        Campaign::extended_sampled(opts.stride)
-    } else {
-        Campaign::sampled(opts.stride)
-    };
     // The shard layout is excluded from the config hash, so this echo —
     // and every shard journal header — matches the unsharded run.
-    echo_run_config(opts.stride, None, &base);
-    let dir = std::path::PathBuf::from(opts.shard_dir.as_deref().unwrap_or("wsitool-shards"));
+    echo_run_config(opts.stride, None, &opts.base());
+    let dir = opts.recovery.shard_dir("wsitool-shards");
     let worker_args = |cmd: &mut Command, spec: ShardSpec, attempt: usize| {
         cmd.arg("campaign")
             .arg(opts.stride.to_string())
@@ -1779,7 +1498,7 @@ fn supervise_campaign(opts: &RunOpts, shards: usize) -> ExitCode {
         if opts.no_cache {
             cmd.arg("--no-cache");
         }
-        if opts.trace_out.is_some() {
+        if opts.telemetry.trace_out.is_some() {
             cmd.arg("--trace-out").arg(spec.trace_file(&dir));
         }
         // Injected chaos hits the first attempt only — the experiment
@@ -1800,13 +1519,13 @@ fn supervise_campaign(opts: &RunOpts, shards: usize) -> ExitCode {
     let chunk_map = chunk_index_map(opts);
     let chunk_index =
         |server: ServerId, fqcn: &str| chunk_map.get(&(server, fqcn.to_string())).copied();
+    let defaults = opts.recovery.supervision();
     let supervision = SupervisorConfig {
-        max_respawns: opts.max_respawns,
-        heartbeat: std::time::Duration::from_millis(opts.heartbeat_ms),
-        backoff_base: std::time::Duration::from_millis(opts.backoff_ms),
-        ..SupervisorConfig::default()
+        heartbeat: opts.heartbeat_ms.map_or(defaults.heartbeat, std::time::Duration::from_millis),
+        backoff_base: opts.backoff_ms.map_or(defaults.backoff_base, std::time::Duration::from_millis),
+        ..defaults
     };
-    run_shards(&dir, shards, opts.resume, supervision, worker_args, chunk_index, |outcome| {
+    run_shards(&dir, shards, opts.recovery.resume, supervision, worker_args, chunk_index, |outcome| {
         let merged = merge_shard_dir(&dir, shards)
             .map_err(|e| fail(format!("shard merge refused: {e}")))?;
         verify_exactly_once(&merged, all_clients().len())
@@ -1818,12 +1537,12 @@ fn supervise_campaign(opts: &RunOpts, shards: usize) -> ExitCode {
             .map_err(|e| fail(format!("metrics merge refused: {e}")))?;
         std::fs::write(dir.join("merged.metrics.json"), metrics.render_json())
             .map_err(|e| fail(format!("cannot write merged metrics: {e}")))?;
-        if let Some(path) = &opts.metrics_out {
+        if let Some(path) = &opts.telemetry.metrics_out {
             std::fs::write(path, metrics.render_prometheus())
                 .map_err(|e| fail(format!("cannot write {path}: {e}")))?;
             eprintln!("metrics: wrote {path}");
         }
-        if let Some(path) = &opts.trace_out {
+        if let Some(path) = &opts.telemetry.trace_out {
             let inputs: Vec<std::path::PathBuf> = (0..shards)
                 .map(|k| ShardSpec::new(k, shards).trace_file(&dir))
                 .collect();
@@ -1944,38 +1663,21 @@ struct MetricsOpts {
     out: Option<String>,
 }
 
-fn parse_metrics_opts(rest: &[&str]) -> Result<MetricsOpts, String> {
-    let mut opts = MetricsOpts {
-        stride: 200,
-        seed: 42,
-        json: false,
-        out: None,
-    };
-    let mut i = 0;
-    while i < rest.len() {
-        match rest[i] {
-            "--json" => opts.json = true,
-            "--stride" => {
-                i += 1;
-                opts.stride = parse_flag_value(rest, i, "--stride")?;
+impl MetricsOpts {
+    fn parse(mut args: Args) -> Result<MetricsOpts, String> {
+        let mut o = MetricsOpts { stride: 200, seed: 42, json: false, out: None };
+        while let Some(arg) = args.next() {
+            match arg {
+                "--json" => o.json = true,
+                "--stride" => o.stride = args.num(arg)?,
+                "--seed" => o.seed = args.num(arg)?,
+                "--out" => o.out = args.path(arg)?,
+                bare => return Err(unrecognized(bare)),
             }
-            "--seed" => {
-                i += 1;
-                opts.seed = parse_flag_value(rest, i, "--seed")?;
-            }
-            "--out" => {
-                i += 1;
-                let Some(path) = rest.get(i) else {
-                    return Err("--out needs a file path".to_string());
-                };
-                opts.out = Some(path.to_string());
-            }
-            bare => return Err(format!("unrecognized argument `{bare}`")),
         }
-        i += 1;
+        o.stride = o.stride.max(1);
+        Ok(o)
     }
-    opts.stride = opts.stride.max(1);
-    Ok(opts)
 }
 
 /// Runs one instrumented stride-`N` campaign on the seeded *virtual*
@@ -2027,52 +1729,34 @@ struct ServeOpts {
     read_timeout_ms: u64,
 }
 
-fn parse_serve_opts(rest: &[&str]) -> Result<ServeOpts, String> {
-    let defaults = wire::WireServerConfig::default();
-    let mut opts = ServeOpts {
-        port: 0,
-        stride: 200,
-        workers: defaults.workers,
-        queue: defaults.queue_depth,
-        max_body: defaults.limits.max_body,
-        read_timeout_ms: defaults.read_timeout.as_millis() as u64,
-    };
-    let mut i = 0;
-    while i < rest.len() {
-        match rest[i] {
-            "--port" => {
-                i += 1;
-                opts.port = parse_flag_value(rest, i, "--port")?;
+impl ServeOpts {
+    fn parse(mut args: Args) -> Result<ServeOpts, String> {
+        let defaults = wire::WireServerConfig::default();
+        let mut o = ServeOpts {
+            port: 0,
+            stride: 200,
+            workers: defaults.workers,
+            queue: defaults.queue_depth,
+            max_body: defaults.limits.max_body,
+            read_timeout_ms: defaults.read_timeout.as_millis() as u64,
+        };
+        while let Some(arg) = args.next() {
+            match arg {
+                "--port" => o.port = args.num(arg)?,
+                "--stride" => o.stride = args.num(arg)?,
+                "--workers" => o.workers = args.num(arg)?,
+                "--queue" => o.queue = args.num(arg)?,
+                "--max-body-bytes" => o.max_body = args.num(arg)?,
+                "--read-timeout-ms" => o.read_timeout_ms = args.num(arg)?,
+                bare => return Err(unrecognized(bare)),
             }
-            "--stride" => {
-                i += 1;
-                opts.stride = parse_flag_value(rest, i, "--stride")?;
-            }
-            "--workers" => {
-                i += 1;
-                opts.workers = parse_flag_value(rest, i, "--workers")?;
-            }
-            "--queue" => {
-                i += 1;
-                opts.queue = parse_flag_value(rest, i, "--queue")?;
-            }
-            "--max-body-bytes" => {
-                i += 1;
-                opts.max_body = parse_flag_value(rest, i, "--max-body-bytes")?;
-            }
-            "--read-timeout-ms" => {
-                i += 1;
-                opts.read_timeout_ms = parse_flag_value(rest, i, "--read-timeout-ms")?;
-            }
-            bare => return Err(format!("unrecognized argument `{bare}`")),
         }
-        i += 1;
+        o.stride = o.stride.max(1);
+        o.workers = o.workers.max(1);
+        o.max_body = o.max_body.max(1);
+        o.read_timeout_ms = o.read_timeout_ms.max(1);
+        Ok(o)
     }
-    opts.stride = opts.stride.max(1);
-    opts.workers = opts.workers.max(1);
-    opts.max_body = opts.max_body.max(1);
-    opts.read_timeout_ms = opts.read_timeout_ms.max(1);
-    Ok(opts)
 }
 
 /// Hosts the stride-`N` survey services on a real loopback socket and
@@ -2133,104 +1817,54 @@ struct LoadgenOpts {
     bench_out: Option<String>,
 }
 
-fn parse_loadgen_opts(rest: &[&str]) -> Result<LoadgenOpts, String> {
-    let server_defaults = wire::WireServerConfig::default();
-    let mix_defaults = wire::LoadgenConfig::default();
-    let mut opts = LoadgenOpts {
-        ops: mix_defaults.ops,
-        clients: mix_defaults.clients,
-        seed: mix_defaults.seed,
-        stride: 200,
-        workers: server_defaults.workers,
-        queue: server_defaults.queue_depth,
-        read_timeout_ms: 250,
-        slow_pct: mix_defaults.slow_pct,
-        abort_pct: mix_defaults.abort_pct,
-        oversized_pct: mix_defaults.oversized_pct,
-        keep_alive_pct: mix_defaults.keep_alive_pct,
-        scrape_pct: mix_defaults.scrape_pct,
-        bench_out: None,
-    };
-    let mut i = 0;
-    while i < rest.len() {
-        match rest[i] {
-            "--ops" => {
-                i += 1;
-                opts.ops = parse_flag_value(rest, i, "--ops")?;
+impl LoadgenOpts {
+    fn parse(mut args: Args) -> Result<LoadgenOpts, String> {
+        let server_defaults = wire::WireServerConfig::default();
+        let mix_defaults = wire::LoadgenConfig::default();
+        let mut o = LoadgenOpts {
+            ops: mix_defaults.ops,
+            clients: mix_defaults.clients,
+            seed: mix_defaults.seed,
+            stride: 200,
+            workers: server_defaults.workers,
+            queue: server_defaults.queue_depth,
+            read_timeout_ms: 250,
+            slow_pct: mix_defaults.slow_pct,
+            abort_pct: mix_defaults.abort_pct,
+            oversized_pct: mix_defaults.oversized_pct,
+            keep_alive_pct: mix_defaults.keep_alive_pct,
+            scrape_pct: mix_defaults.scrape_pct,
+            bench_out: None,
+        };
+        while let Some(arg) = args.next() {
+            match arg {
+                "--ops" => o.ops = args.num(arg)?,
+                "--clients" => o.clients = args.num(arg)?,
+                "--seed" => o.seed = args.num(arg)?,
+                "--stride" => o.stride = args.num(arg)?,
+                "--workers" => o.workers = args.num(arg)?,
+                "--queue" => o.queue = args.num(arg)?,
+                "--read-timeout-ms" => o.read_timeout_ms = args.num(arg)?,
+                "--slow-pct" => o.slow_pct = args.num(arg)?,
+                "--abort-pct" => o.abort_pct = args.num(arg)?,
+                "--oversized-pct" => o.oversized_pct = args.num(arg)?,
+                "--keep-alive-pct" => o.keep_alive_pct = args.num(arg)?,
+                "--scrape-pct" => o.scrape_pct = args.num(arg)?,
+                "--bench-out" => o.bench_out = args.path(arg)?,
+                bare => return Err(unrecognized(bare)),
             }
-            "--clients" => {
-                i += 1;
-                opts.clients = parse_flag_value(rest, i, "--clients")?;
-            }
-            "--seed" => {
-                i += 1;
-                opts.seed = parse_flag_value(rest, i, "--seed")?;
-            }
-            "--stride" => {
-                i += 1;
-                opts.stride = parse_flag_value(rest, i, "--stride")?;
-            }
-            "--workers" => {
-                i += 1;
-                opts.workers = parse_flag_value(rest, i, "--workers")?;
-            }
-            "--queue" => {
-                i += 1;
-                opts.queue = parse_flag_value(rest, i, "--queue")?;
-            }
-            "--read-timeout-ms" => {
-                i += 1;
-                opts.read_timeout_ms = parse_flag_value(rest, i, "--read-timeout-ms")?;
-            }
-            "--slow-pct" => {
-                i += 1;
-                opts.slow_pct = parse_flag_value(rest, i, "--slow-pct")?;
-            }
-            "--abort-pct" => {
-                i += 1;
-                opts.abort_pct = parse_flag_value(rest, i, "--abort-pct")?;
-            }
-            "--oversized-pct" => {
-                i += 1;
-                opts.oversized_pct = parse_flag_value(rest, i, "--oversized-pct")?;
-            }
-            "--keep-alive-pct" => {
-                i += 1;
-                opts.keep_alive_pct = parse_flag_value(rest, i, "--keep-alive-pct")?;
-            }
-            "--scrape-pct" => {
-                i += 1;
-                opts.scrape_pct = parse_flag_value(rest, i, "--scrape-pct")?;
-            }
-            "--bench-out" => {
-                i += 1;
-                let Some(path) = rest.get(i) else {
-                    return Err("--bench-out needs a file path".to_string());
-                };
-                opts.bench_out = Some((*path).to_string());
-            }
-            bare => return Err(format!("unrecognized argument `{bare}`")),
         }
-        i += 1;
+        let [slow, abort, oversized, scrape] = [o.slow_pct, o.abort_pct, o.oversized_pct, o.scrape_pct];
+        if slow.saturating_add(abort).saturating_add(oversized).saturating_add(scrape) > 100 {
+            return Err("--slow-pct + --abort-pct + --oversized-pct + --scrape-pct must not exceed 100".into());
+        }
+        o.ops = o.ops.max(1);
+        o.clients = o.clients.max(1);
+        o.stride = o.stride.max(1);
+        o.workers = o.workers.max(1);
+        o.read_timeout_ms = o.read_timeout_ms.max(1);
+        Ok(o)
     }
-    if opts
-        .slow_pct
-        .saturating_add(opts.abort_pct)
-        .saturating_add(opts.oversized_pct)
-        .saturating_add(opts.scrape_pct)
-        > 100
-    {
-        return Err(
-            "--slow-pct + --abort-pct + --oversized-pct + --scrape-pct must not exceed 100"
-                .to_string(),
-        );
-    }
-    opts.ops = opts.ops.max(1);
-    opts.clients = opts.clients.max(1);
-    opts.stride = opts.stride.max(1);
-    opts.workers = opts.workers.max(1);
-    opts.read_timeout_ms = opts.read_timeout_ms.max(1);
-    Ok(opts)
 }
 
 /// Builds the replayable request corpus from the hosted survey
@@ -2567,61 +2201,37 @@ struct WatchOpts {
     snapshots: Option<String>,
 }
 
-fn parse_watch_opts(rest: &[&str]) -> Result<WatchOpts, String> {
-    let mut addr: Option<std::net::SocketAddr> = None;
-    let mut opts = WatchOpts {
-        addr: std::net::SocketAddr::from(([127, 0, 0, 1], 0)),
-        interval_ms: 1_000,
-        count: 5,
-        ring: 60,
-        timeout_ms: 2_000,
-        all: false,
-        snapshots: None,
-    };
-    let mut i = 0;
-    while i < rest.len() {
-        match rest[i] {
-            "--addr" => {
-                i += 1;
-                addr = Some(parse_flag_value(rest, i, "--addr")?);
+impl WatchOpts {
+    fn parse(mut args: Args) -> Result<WatchOpts, String> {
+        let mut addr = None;
+        let mut o = WatchOpts {
+            addr: std::net::SocketAddr::from(([127, 0, 0, 1], 0)),
+            interval_ms: 1_000,
+            count: 5,
+            ring: 60,
+            timeout_ms: 2_000,
+            all: false,
+            snapshots: None,
+        };
+        while let Some(arg) = args.next() {
+            match arg {
+                "--addr" => addr = Some(args.num(arg)?),
+                "--interval-ms" => o.interval_ms = args.num(arg)?,
+                "--count" => o.count = args.num(arg)?,
+                "--ring" => o.ring = args.num(arg)?,
+                "--timeout-ms" => o.timeout_ms = args.num(arg)?,
+                "--all" => o.all = true,
+                "--snapshots" => o.snapshots = args.path(arg)?,
+                bare => return Err(unrecognized(bare)),
             }
-            "--interval-ms" => {
-                i += 1;
-                opts.interval_ms = parse_flag_value(rest, i, "--interval-ms")?;
-            }
-            "--count" => {
-                i += 1;
-                opts.count = parse_flag_value(rest, i, "--count")?;
-            }
-            "--ring" => {
-                i += 1;
-                opts.ring = parse_flag_value(rest, i, "--ring")?;
-            }
-            "--timeout-ms" => {
-                i += 1;
-                opts.timeout_ms = parse_flag_value(rest, i, "--timeout-ms")?;
-            }
-            "--all" => opts.all = true,
-            "--snapshots" => {
-                i += 1;
-                let Some(path) = rest.get(i) else {
-                    return Err("--snapshots needs a file path".to_string());
-                };
-                opts.snapshots = Some((*path).to_string());
-            }
-            bare => return Err(format!("unrecognized argument `{bare}`")),
         }
-        i += 1;
+        o.addr = addr.ok_or("watch needs --addr HOST:PORT")?;
+        o.interval_ms = o.interval_ms.max(1);
+        o.count = o.count.max(1);
+        o.ring = o.ring.max(1);
+        o.timeout_ms = o.timeout_ms.max(1);
+        Ok(o)
     }
-    let Some(addr) = addr else {
-        return Err("watch needs --addr HOST:PORT".to_string());
-    };
-    opts.addr = addr;
-    opts.interval_ms = opts.interval_ms.max(1);
-    opts.count = opts.count.max(1);
-    opts.ring = opts.ring.max(1);
-    opts.timeout_ms = opts.timeout_ms.max(1);
-    Ok(opts)
 }
 
 /// Live introspection loop (DESIGN.md §16): poll `/metrics` +
@@ -2698,57 +2308,36 @@ struct SurveyOpts {
     metrics_out: Option<String>,
 }
 
-fn parse_survey_opts(rest: &[&str]) -> Result<SurveyOpts, String> {
-    let mut opts = SurveyOpts {
-        stride: 200,
-        transport: ExchangeTransport::default(),
-        addr: None,
-        shutdown_server: false,
-        trace_out: None,
-        metrics_out: None,
-    };
-    let mut i = 0;
-    while i < rest.len() {
-        match rest[i] {
-            "--stride" => {
-                i += 1;
-                opts.stride = parse_flag_value(rest, i, "--stride")?;
+impl SurveyOpts {
+    fn parse(mut args: Args) -> Result<SurveyOpts, String> {
+        let mut o = SurveyOpts {
+            stride: 200,
+            transport: ExchangeTransport::default(),
+            addr: None,
+            shutdown_server: false,
+            trace_out: None,
+            metrics_out: None,
+        };
+        while let Some(arg) = args.next() {
+            match arg {
+                "--stride" => o.stride = args.num(arg)?,
+                "--transport" => o.transport = parse_transport(&mut args)?,
+                "--addr" => o.addr = Some(args.num(arg)?),
+                "--shutdown-server" => o.shutdown_server = true,
+                "--trace-out" => o.trace_out = args.path(arg)?,
+                "--metrics-out" => o.metrics_out = args.path(arg)?,
+                bare => return Err(unrecognized(bare)),
             }
-            "--transport" => {
-                i += 1;
-                let Some(raw) = rest.get(i) else {
-                    return Err("--transport needs `tcp` or `in-process`".to_string());
-                };
-                opts.transport = parse_transport(raw)?;
-            }
-            "--addr" => {
-                i += 1;
-                opts.addr = Some(parse_flag_value(rest, i, "--addr")?);
-            }
-            "--shutdown-server" => opts.shutdown_server = true,
-            "--trace-out" => {
-                i += 1;
-                let Some(path) = rest.get(i) else {
-                    return Err("--trace-out needs a file path".to_string());
-                };
-                opts.trace_out = Some(path.to_string());
-            }
-            "--metrics-out" => {
-                i += 1;
-                let Some(path) = rest.get(i) else {
-                    return Err("--metrics-out needs a file path".to_string());
-                };
-                opts.metrics_out = Some(path.to_string());
-            }
-            bare => return Err(format!("unrecognized argument `{bare}`")),
         }
-        i += 1;
+        o.stride = o.stride.max(1);
+        if o.addr.is_some() && o.transport != ExchangeTransport::TcpLoopback {
+            return Err("--addr only makes sense with --transport tcp".into());
+        }
+        if o.shutdown_server && o.addr.is_none() {
+            return Err("--shutdown-server needs --addr (it stops that server)".into());
+        }
+        Ok(o)
     }
-    opts.stride = opts.stride.max(1);
-    if opts.addr.is_some() && opts.transport != ExchangeTransport::TcpLoopback {
-        return Err("--addr only makes sense with --transport tcp".to_string());
-    }
-    Ok(opts)
 }
 
 /// Runs the Communication/Execution survey over either transport.
@@ -2843,6 +2432,49 @@ fn exchange_survey(opts: &SurveyOpts) -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// Options for `wsitool bench-campaign`.
+struct BenchOpts {
+    stride: usize,
+    iters: usize,
+    out: Option<String>,
+    full_stride: Option<usize>,
+    full_shards: Option<usize>,
+    skip_full: bool,
+    scaling: bool,
+}
+
+impl BenchOpts {
+    fn parse(mut args: Args) -> Result<BenchOpts, String> {
+        let mut o = BenchOpts {
+            stride: 200,
+            iters: 5,
+            out: None,
+            full_stride: None,
+            full_shards: None,
+            skip_full: false,
+            scaling: false,
+        };
+        while let Some(arg) = args.next() {
+            match arg {
+                "--stride" => o.stride = args.num(arg)?,
+                "--iters" => o.iters = args.num(arg)?,
+                "--out" => o.out = args.path(arg)?,
+                "--full-stride" => o.full_stride = Some(args.num(arg)?),
+                "--full-shards" => o.full_shards = Some(args.num(arg)?),
+                "--skip-full" => o.skip_full = true,
+                "--scaling" => o.scaling = true,
+                bare => return Err(unrecognized(bare)),
+            }
+        }
+        if o.skip_full && (o.full_stride.is_some() || o.full_shards.is_some()) {
+            return Err("--full-stride and --full-shards size the full-matrix run; drop --skip-full".into());
+        }
+        o.stride = o.stride.max(1);
+        o.iters = o.iters.max(1);
+        Ok(o)
+    }
+}
+
 /// Times the stride-`N` campaign generating from the shared deploy-time
 /// parse and down the per-cell text path, and writes the comparison
 /// (wall times + parse counters) as a machine-readable JSON snapshot, so CI can track the
@@ -2853,18 +2485,9 @@ fn exchange_survey(opts: &SurveyOpts) -> ExitCode {
 /// records the wall clock and shard/respawn accounting, and checks the
 /// merged totals against the paper's published headline numbers — the
 /// `full_matrix` block of the snapshot, gated in CI.
-fn bench_campaign(
-    stride: Option<usize>,
-    iters: Option<usize>,
-    out: Option<&str>,
-    full_stride: Option<usize>,
-    full_shards: Option<usize>,
-    skip_full: bool,
-    scaling: bool,
-) -> ExitCode {
-    let stride = stride.unwrap_or(200).max(1);
-    let iters = iters.unwrap_or(5).max(1);
-    let out = out.unwrap_or("BENCH_campaign.json");
+fn bench_campaign(opts: &BenchOpts) -> ExitCode {
+    let &BenchOpts { stride, iters, full_stride, full_shards, skip_full, scaling, .. } = opts;
+    let out = opts.out.as_deref().unwrap_or("BENCH_campaign.json");
     println!("benchmarking stride-{stride} campaign, {iters} iteration(s) per mode…");
     echo_run_config(stride, None, &Campaign::sampled(stride));
 

@@ -425,3 +425,57 @@ fn usage_error_corpus_replays_row_for_row() {
     }
     assert!(diverged.is_empty(), "{}", diverged.join("\n"));
 }
+
+/// Flags a command accepts only from its own shard supervisor, which
+/// `usage()` leaves out.
+const SUPERVISOR_ONLY_FLAGS: [&str; 1] = ["--stall-after-cells"];
+
+/// The lines of `usage` that describe `command`: its own line and the
+/// deeper-indented lines under it.
+fn usage_block<'a>(usage: &'a str, command: &str) -> Vec<&'a str> {
+    let mut lines = usage.lines().skip_while(|line| {
+        line.strip_prefix("  ")
+            .and_then(|rest| rest.strip_prefix(command))
+            .is_none_or(|after| !after.starts_with(' '))
+    });
+    let head = lines.next().unwrap_or_else(|| panic!("usage() has no `{command}` line"));
+    std::iter::once(head)
+        .chain(lines.take_while(|line| line.starts_with("   ")))
+        .collect()
+}
+
+/// Whether `flag` appears in `text` as a whole flag, not as the
+/// prefix of a longer one (`--shard` inside `--shards`).
+fn lists_flag(text: &str, flag: &str) -> bool {
+    let is_flag_char = |c: char| c.is_ascii_alphanumeric() || c == '-';
+    text.match_indices(flag).any(|(at, _)| {
+        let before = text[..at].chars().next_back();
+        let after = text[at + flag.len()..].chars().next();
+        !before.is_some_and(is_flag_char) && !after.is_some_and(is_flag_char)
+    })
+}
+
+#[test]
+fn usage_lists_every_flag_each_command_accepts() {
+    let usage = String::from_utf8(wsitool(&[]).stderr).expect("utf-8 usage");
+    let mut missing = Vec::new();
+    for row in usage_rows(USAGE_CORPUS) {
+        // `<cmd> <flag>` or `<cmd> <switch> --bogus`: the flag is
+        // accepted unless the command rejected the flag itself.
+        let (command, flag) = match row.argv[..] {
+            [command, flag] | [command, flag, "--bogus"] if flag.starts_with('-') => {
+                (command, flag)
+            }
+            _ => continue,
+        };
+        if row.first_line == format!("unrecognized argument `{flag}`")
+            || SUPERVISOR_ONLY_FLAGS.contains(&flag)
+        {
+            continue;
+        }
+        if !lists_flag(&usage_block(&usage, command).join("\n"), flag) {
+            missing.push(format!("{command} {flag}"));
+        }
+    }
+    assert!(missing.is_empty(), "usage() omits: {}", missing.join(", "));
+}
