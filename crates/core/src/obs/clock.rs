@@ -90,7 +90,8 @@ impl Clock {
 pub enum Stopwatch {
     /// Backed by a real [`Instant`].
     Real(Instant),
-    /// A fixed virtual duration decided at `start_span` time.
+    /// A fixed duration: a virtual span's, decided at `start_span`
+    /// time, or a real span's once [stopped](Stopwatch::stop).
     Virtual(u64),
 }
 
@@ -110,6 +111,12 @@ impl Stopwatch {
             }
             Stopwatch::Virtual(ns) => *ns,
         }
+    }
+
+    /// Freezes the span's duration as of now, for a span whose exit
+    /// is recorded later than its work ends.
+    pub fn stop(self) -> Stopwatch {
+        Stopwatch::Virtual(self.elapsed_ns())
     }
 
     /// Milliseconds since the span started, rounded down.

@@ -422,7 +422,7 @@ impl ProgressMeter {
     }
 
     /// Grow the expected-cells denominator (the campaign learns the
-    /// total one server phase at a time).
+    /// total one deployed document at a time).
     pub fn add_expected(&self, cells: u64) {
         self.total.fetch_add(cells, Ordering::Relaxed);
     }

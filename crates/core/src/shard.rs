@@ -276,8 +276,8 @@ impl std::error::Error for ShardError {}
 /// services by `(server, fqcn)`, tests by `(server, client, fqcn)`.
 ///
 /// This reproduces the unsharded order exactly because the campaign
-/// already normalizes within each server phase (deploys sorted by
-/// fqcn, tests by `(client, fqcn)`) and processes servers in
+/// sorts its records the same way within each server (deploys by
+/// fqcn, tests by `(client, fqcn)`) and takes the servers in
 /// [`ServerId`] declaration order.
 pub fn canonical_sort(results: &mut CampaignResults) {
     results.services.sort_by(|a, b| {

@@ -37,16 +37,6 @@ pub fn write_unpoisoned<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
     lock.write().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// Consumes a [`Mutex`] and returns its inner value, recovering the
-/// data from a poisoned lock (a worker that panicked while holding the
-/// guard leaves fully-formed records behind — the panic is accounted
-/// separately by the fault log).
-pub fn into_inner_unpoisoned<T>(mutex: Mutex<T>) -> T {
-    mutex
-        .into_inner()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -61,7 +51,7 @@ mod tests {
         }));
         assert!(m.is_poisoned());
         *lock_unpoisoned(&m) += 1;
-        assert_eq!(into_inner_unpoisoned(m), 8);
+        assert_eq!(*lock_unpoisoned(&m), 8);
     }
 
     #[test]

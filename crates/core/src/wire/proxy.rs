@@ -59,8 +59,8 @@ struct ProxyShared {
 impl FaultProxy {
     /// Binds an ephemeral loopback port and starts relaying to
     /// `upstream`. Connections are handled sequentially — the chaos
-    /// probe pass is sequential by design (determinism), so a
-    /// single-lane proxy adds no bottleneck.
+    /// campaign runs its socket probes one at a time, in campaign
+    /// order, so a single-lane proxy adds no bottleneck.
     pub fn start(
         upstream: SocketAddr,
         plan: FaultPlan,

@@ -5,7 +5,9 @@
 //! document, one generation step per executed cell.
 
 use proptest::prelude::*;
-use wsinterop::core::{Campaign, CampaignResults, FaultKind, FaultPlan, FaultReport, PipelineStats};
+use wsinterop::core::{
+    BreakerConfig, Campaign, CampaignResults, FaultKind, FaultPlan, FaultReport, PipelineStats,
+};
 
 #[test]
 fn cache_is_invisible_in_campaign_results() {
@@ -44,14 +46,16 @@ fn stats_surface_the_sharing() {
 /// of each, and that the twin changed nothing but the accounting.
 ///
 /// A *live* cell is one that was executed and whose tool ran: no cell
-/// is replayed or breaker-skipped here, and an injected generator
-/// crash fires before the tool runs.
+/// is replayed here, a breaker-skipped cell counts as never run, and
+/// an injected generator crash fires before the tool runs.
 fn check_parse_once(
     (shared, shared_report, shared_stats): &(CampaignResults, FaultReport, PipelineStats),
     (text, text_report, text_stats): &(CampaignResults, FaultReport, PipelineStats),
 ) -> Result<(), String> {
     let deployed = shared.services.iter().filter(|s| s.deployed).count();
-    let live = shared.tests.len() - shared_report.panics_isolated;
+    let live = shared.tests.len()
+        - shared_report.panics_isolated
+        - shared_report.breaker_skipped_sites.len();
     let checks = [
         (shared.services == text.services, "services differ"),
         (shared.tests == text.tests, "tests differ"),
@@ -98,24 +102,42 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Chaos cells reuse the deploy-time parse: for arbitrary stride,
-    /// fault seed and thread count, the shared-parse chaos campaign is
+    /// fault seed, thread count and optional circuit breaker
+    /// `(threshold, cooldown)`, the shared-parse chaos campaign is
     /// bit-identical — services, tests and fault report — to the
     /// text-path campaign (`with_doc_cache(false)`), where every cell
     /// re-parses the published text, and each run's accounting holds.
+    /// The same campaign at `-j1` gives the same results, breaker
+    /// trips and breaker-skipped sites.
     #[test]
     fn shared_parse_chaos_campaign_equals_the_text_path(
         stride in 97usize..400,
         seed in 0u64..1000,
         threads in 1usize..9,
+        breaker in prop::option::of((1u32..3, 1u32..10)),
     ) {
-        let chaos = || {
-            Campaign::sampled(stride)
+        let chaos = |threads| {
+            let campaign = Campaign::sampled(stride)
                 .with_faults(FaultPlan::seeded(seed))
-                .with_threads(threads)
+                .with_threads(threads);
+            match breaker {
+                Some((threshold, cooldown)) => {
+                    campaign.with_breaker(BreakerConfig::new(threshold, cooldown))
+                }
+                None => campaign,
+            }
         };
-        let shared = chaos().run_with_stats();
-        let text = chaos().with_doc_cache(false).run_with_stats();
+        let shared = chaos(threads).run_with_stats();
+        let text = chaos(threads).with_doc_cache(false).run_with_stats();
         prop_assert_eq!(check_parse_once(&shared, &text), Ok(()));
+
+        let (single, single_report, _) = chaos(1).run_with_stats();
+        prop_assert_eq!(&single, &shared.0);
+        prop_assert_eq!(single_report.breaker_trips, shared.1.breaker_trips);
+        prop_assert_eq!(
+            &single_report.breaker_skipped_sites,
+            &shared.1.breaker_skipped_sites
+        );
     }
 }
 
