@@ -22,7 +22,7 @@ pub trait Assertion: Send + Sync {
     /// One-line description.
     fn description(&self) -> &'static str;
     /// Runs the check, appending findings.
-    fn check(&self, defs: &Definitions, table: &SymbolTable, report: &mut Report);
+    fn check(&self, defs: &Definitions, table: &SymbolTable<'_>, report: &mut Report);
 }
 
 fn finding(
@@ -49,7 +49,7 @@ impl Assertion for SoapBindingPresent {
     fn description(&self) -> &'static str {
         "wsdl:binding must use the WSDL SOAP binding (soap:binding child)"
     }
-    fn check(&self, defs: &Definitions, _table: &SymbolTable, report: &mut Report) {
+    fn check(&self, defs: &Definitions, _table: &SymbolTable<'_>, report: &mut Report) {
         for binding in &defs.bindings {
             if binding.soap.is_none() {
                 report.push(finding(
@@ -73,7 +73,7 @@ impl Assertion for HttpTransport {
     fn description(&self) -> &'static str {
         "soap:binding transport must be the HTTP transport URI"
     }
-    fn check(&self, defs: &Definitions, _table: &SymbolTable, report: &mut Report) {
+    fn check(&self, defs: &Definitions, _table: &SymbolTable<'_>, report: &mut Report) {
         for binding in &defs.bindings {
             if let Some(soap) = &binding.soap {
                 if soap.transport != ns::SOAP_HTTP_TRANSPORT {
@@ -99,7 +99,7 @@ impl Assertion for ConsistentStyle {
     fn description(&self) -> &'static str {
         "all operations of a binding must share one style"
     }
-    fn check(&self, defs: &Definitions, _table: &SymbolTable, report: &mut Report) {
+    fn check(&self, defs: &Definitions, _table: &SymbolTable<'_>, report: &mut Report) {
         for binding in &defs.bindings {
             let default_style = binding
                 .soap
@@ -134,7 +134,7 @@ impl Assertion for LiteralUse {
     fn description(&self) -> &'static str {
         "soap:body use must be literal (encoded is disallowed)"
     }
-    fn check(&self, defs: &Definitions, _table: &SymbolTable, report: &mut Report) {
+    fn check(&self, defs: &Definitions, _table: &SymbolTable<'_>, report: &mut Report) {
         for binding in &defs.bindings {
             for op in &binding.operations {
                 if op.input_use == Use::Encoded || op.output_use == Use::Encoded {
@@ -164,7 +164,7 @@ impl Assertion for SoapActionPresent {
     fn description(&self) -> &'static str {
         "binding operations must declare soap:operation/@soapAction"
     }
-    fn check(&self, defs: &Definitions, _table: &SymbolTable, report: &mut Report) {
+    fn check(&self, defs: &Definitions, _table: &SymbolTable<'_>, report: &mut Report) {
         for binding in &defs.bindings {
             for op in &binding.operations {
                 if op.soap_action.is_none() {
@@ -191,7 +191,7 @@ impl Assertion for DocLiteralElementParts {
     fn description(&self) -> &'static str {
         "document-literal parts must reference element declarations"
     }
-    fn check(&self, defs: &Definitions, _table: &SymbolTable, report: &mut Report) {
+    fn check(&self, defs: &Definitions, _table: &SymbolTable<'_>, report: &mut Report) {
         // Determine which messages participate in document-style bindings.
         for binding in &defs.bindings {
             let style = binding
@@ -237,7 +237,7 @@ impl Assertion for RpcLiteralTypeParts {
     fn description(&self) -> &'static str {
         "rpc-literal parts must reference type definitions"
     }
-    fn check(&self, defs: &Definitions, _table: &SymbolTable, report: &mut Report) {
+    fn check(&self, defs: &Definitions, _table: &SymbolTable<'_>, report: &mut Report) {
         for binding in &defs.bindings {
             let style = binding
                 .soap
@@ -283,7 +283,7 @@ impl Assertion for ElementRefsResolve {
     fn description(&self) -> &'static str {
         "all element references must resolve to a declaration"
     }
-    fn check(&self, defs: &Definitions, table: &SymbolTable, report: &mut Report) {
+    fn check(&self, defs: &Definitions, table: &SymbolTable<'_>, report: &mut Report) {
         for message in &defs.messages {
             for part in &message.parts {
                 if let PartKind::Element(r) = &part.kind {
@@ -331,7 +331,7 @@ impl Assertion for TypeRefsResolve {
     fn description(&self) -> &'static str {
         "all type references must resolve to a definition"
     }
-    fn check(&self, defs: &Definitions, table: &SymbolTable, report: &mut Report) {
+    fn check(&self, defs: &Definitions, table: &SymbolTable<'_>, report: &mut Report) {
         for schema in &defs.schemas {
             walk_schema_refs(
                 schema,
@@ -374,7 +374,7 @@ impl Assertion for AttributeRefsResolve {
     fn description(&self) -> &'static str {
         "all attribute references must resolve to a declaration"
     }
-    fn check(&self, defs: &Definitions, _table: &SymbolTable, report: &mut Report) {
+    fn check(&self, defs: &Definitions, _table: &SymbolTable<'_>, report: &mut Report) {
         for schema in &defs.schemas {
             walk_schema_refs(
                 schema,
@@ -411,7 +411,7 @@ impl Assertion for UniqueOperationNames {
     fn description(&self) -> &'static str {
         "port-type operations must have unique names"
     }
-    fn check(&self, defs: &Definitions, _table: &SymbolTable, report: &mut Report) {
+    fn check(&self, defs: &Definitions, _table: &SymbolTable<'_>, report: &mut Report) {
         for port_type in &defs.port_types {
             let mut seen = std::collections::HashSet::new();
             for op in &port_type.operations {
@@ -439,7 +439,7 @@ impl Assertion for DocLiteralSinglePart {
     fn description(&self) -> &'static str {
         "document-literal messages must have at most one part"
     }
-    fn check(&self, defs: &Definitions, _table: &SymbolTable, report: &mut Report) {
+    fn check(&self, defs: &Definitions, _table: &SymbolTable<'_>, report: &mut Report) {
         for binding in &defs.bindings {
             let style = binding
                 .soap
@@ -481,7 +481,7 @@ impl Assertion for BindingMatchesPortType {
     fn description(&self) -> &'static str {
         "binding operation set must match the port type"
     }
-    fn check(&self, defs: &Definitions, _table: &SymbolTable, report: &mut Report) {
+    fn check(&self, defs: &Definitions, _table: &SymbolTable<'_>, report: &mut Report) {
         for binding in &defs.bindings {
             let Some(port_type) = defs.port_type(&binding.port_type.local) else {
                 report.push(finding(
@@ -530,7 +530,7 @@ impl Assertion for OperationsPresent {
     fn description(&self) -> &'static str {
         "port types should declare at least one operation (advisory)"
     }
-    fn check(&self, defs: &Definitions, _table: &SymbolTable, report: &mut Report) {
+    fn check(&self, defs: &Definitions, _table: &SymbolTable<'_>, report: &mut Report) {
         for port_type in &defs.port_types {
             if port_type.operations.is_empty() {
                 report.push(finding(
@@ -556,7 +556,7 @@ impl Assertion for WildcardNote {
     fn description(&self) -> &'static str {
         "note xsd:any wildcards in message content (advisory)"
     }
-    fn check(&self, defs: &Definitions, _table: &SymbolTable, report: &mut Report) {
+    fn check(&self, defs: &Definitions, _table: &SymbolTable<'_>, report: &mut Report) {
         for schema in &defs.schemas {
             for el in &schema.elements {
                 if let Some(inline) = &el.inline {
@@ -589,7 +589,7 @@ impl Assertion for SoapAddressPresent {
     fn description(&self) -> &'static str {
         "service ports must include a soap:address extension"
     }
-    fn check(&self, defs: &Definitions, _table: &SymbolTable, report: &mut Report) {
+    fn check(&self, defs: &Definitions, _table: &SymbolTable<'_>, report: &mut Report) {
         for service in &defs.services {
             for port in &service.ports {
                 if port.address.is_none() {
@@ -618,7 +618,7 @@ impl Assertion for ForeignExtensionAttrs {
     fn description(&self) -> &'static str {
         "note foreign extension attributes on bindings (advisory)"
     }
-    fn check(&self, defs: &Definitions, _table: &SymbolTable, report: &mut Report) {
+    fn check(&self, defs: &Definitions, _table: &SymbolTable<'_>, report: &mut Report) {
         for binding in &defs.bindings {
             for attr in &binding.extension_attrs {
                 report.push(finding(

@@ -7,44 +7,54 @@
 //! without a resolvable `schemaLocation`.
 
 use std::collections::HashSet;
+use std::fmt;
 
 use wsinterop_wsdl::Definitions;
 use wsinterop_xml::name::ns;
 use wsinterop_xsd::{AttributeDecl, BuiltIn, Group, Particle, Schema, TypeRef};
 
-/// Resolution tables for one WSDL document.
+/// Resolution tables for one WSDL document, keyed by names borrowed
+/// from it: building the table and looking a name up copy nothing.
 #[derive(Debug, Clone, Default)]
-pub struct SymbolTable {
-    elements: HashSet<(String, String)>,
-    types: HashSet<(String, String)>,
-    imported_with_location: HashSet<String>,
-    imported_without_location: HashSet<String>,
+pub struct SymbolTable<'a> {
+    elements: HashSet<(&'a str, &'a str)>,
+    types: HashSet<(&'a str, &'a str)>,
+    imported_with_location: HashSet<&'a str>,
+    imported_without_location: HashSet<&'a str>,
 }
 
-impl SymbolTable {
+impl<'a> SymbolTable<'a> {
     /// Builds the table from a document's inline schemas.
-    pub fn build(defs: &Definitions) -> SymbolTable {
-        let mut table = SymbolTable::default();
-        for schema in &defs.schemas {
-            let tns = schema.target_ns.clone();
+    pub fn build(defs: &'a Definitions) -> SymbolTable<'a> {
+        let schemas = &defs.schemas;
+        let mut table = SymbolTable {
+            elements: HashSet::with_capacity(schemas.iter().map(|s| s.elements.len()).sum()),
+            types: HashSet::with_capacity(
+                schemas
+                    .iter()
+                    .map(|s| s.complex_types.len() + s.simple_types.len())
+                    .sum(),
+            ),
+            ..SymbolTable::default()
+        };
+        for schema in schemas {
+            let tns = schema.target_ns.as_str();
             for el in &schema.elements {
-                table.elements.insert((tns.clone(), el.name.clone()));
+                table.elements.insert((tns, &el.name));
             }
             for ct in &schema.complex_types {
                 if let Some(name) = &ct.name {
-                    table.types.insert((tns.clone(), name.clone()));
+                    table.types.insert((tns, name));
                 }
             }
             for st in &schema.simple_types {
-                table.types.insert((tns.clone(), st.name.clone()));
+                table.types.insert((tns, &st.name));
             }
             for import in &schema.imports {
                 if import.schema_location.is_some() {
-                    table.imported_with_location.insert(import.namespace.clone());
+                    table.imported_with_location.insert(&import.namespace);
                 } else {
-                    table
-                        .imported_without_location
-                        .insert(import.namespace.clone());
+                    table.imported_without_location.insert(&import.namespace);
                 }
             }
         }
@@ -53,7 +63,7 @@ impl SymbolTable {
 
     /// Does a global element `{ns_uri}local` exist?
     pub fn has_element(&self, ns_uri: &str, local: &str) -> bool {
-        self.elements.contains(&(ns_uri.to_string(), local.to_string()))
+        self.elements.contains(&(ns_uri, local))
     }
 
     /// Does a named type resolve? Built-ins always do; named types must
@@ -67,8 +77,8 @@ impl SymbolTable {
                 if ns_uri == ns::XSD {
                     return local.parse::<BuiltIn>().is_ok();
                 }
-                self.types.contains(&(ns_uri.clone(), local.clone()))
-                    || self.imported_with_location.contains(ns_uri)
+                self.types.contains(&(ns_uri.as_str(), local.as_str()))
+                    || self.imported_with_location.contains(ns_uri.as_str())
             }
         }
     }
@@ -80,20 +90,43 @@ impl SymbolTable {
     }
 }
 
+/// Where a schema reference sits: under a global element or a complex
+/// type. Its `Display` is the location a finding reports
+/// (``element `x` ``, ``complexType `x` ``), so a walk formats it only
+/// for the references a visitor reports.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Where<'a> {
+    /// Under the global element of that name.
+    Element(&'a str),
+    /// Under the complex type of that name; `None` when it is anonymous.
+    ComplexType(Option<&'a str>),
+}
+
+impl fmt::Display for Where<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Where::Element(name) => write!(f, "element `{name}`"),
+            Where::ComplexType(name) => {
+                write!(f, "complexType `{}`", name.unwrap_or("<anonymous>"))
+            }
+        }
+    }
+}
+
 /// Walks every particle of every schema, visiting element declarations,
 /// element refs, attribute declarations and type references.
 pub fn walk_schema_refs(
     schema: &Schema,
-    visit_type: &mut dyn FnMut(&TypeRef, &str),
-    visit_element_ref: &mut dyn FnMut(&str, &str, &str),
-    visit_attr_ref: &mut dyn FnMut(&str, &str, &str),
+    visit_type: &mut dyn FnMut(&TypeRef, Where<'_>),
+    visit_element_ref: &mut dyn FnMut(Where<'_>, &str, &str),
+    visit_attr_ref: &mut dyn FnMut(Where<'_>, &str, &str),
 ) {
     fn walk_group(
-        where_: &str,
+        where_: Where<'_>,
         group: &Group,
-        visit_type: &mut dyn FnMut(&TypeRef, &str),
-        visit_element_ref: &mut dyn FnMut(&str, &str, &str),
-        visit_attr_ref: &mut dyn FnMut(&str, &str, &str),
+        visit_type: &mut dyn FnMut(&TypeRef, Where<'_>),
+        visit_element_ref: &mut dyn FnMut(Where<'_>, &str, &str),
+        visit_attr_ref: &mut dyn FnMut(Where<'_>, &str, &str),
     ) {
         for particle in &group.particles {
             match particle {
@@ -130,10 +163,10 @@ pub fn walk_schema_refs(
     }
 
     fn visit_attr(
-        where_: &str,
+        where_: Where<'_>,
         attr: &AttributeDecl,
-        visit_type: &mut dyn FnMut(&TypeRef, &str),
-        visit_attr_ref: &mut dyn FnMut(&str, &str, &str),
+        visit_type: &mut dyn FnMut(&TypeRef, Where<'_>),
+        visit_attr_ref: &mut dyn FnMut(Where<'_>, &str, &str),
     ) {
         match attr {
             AttributeDecl::Local { type_ref, .. } => visit_type(type_ref, where_),
@@ -142,40 +175,37 @@ pub fn walk_schema_refs(
     }
 
     for el in &schema.elements {
-        let where_ = format!("element `{}`", el.name);
+        let where_ = Where::Element(&el.name);
         if let Some(type_ref) = &el.type_ref {
-            visit_type(type_ref, &where_);
+            visit_type(type_ref, where_);
         }
         if let Some(inline) = &el.inline {
             walk_group(
-                &where_,
+                where_,
                 &inline.content,
                 visit_type,
                 visit_element_ref,
                 visit_attr_ref,
             );
             for attr in &inline.attributes {
-                visit_attr(&where_, attr, visit_type, visit_attr_ref);
+                visit_attr(where_, attr, visit_type, visit_attr_ref);
             }
         }
     }
     for ct in &schema.complex_types {
-        let where_ = format!(
-            "complexType `{}`",
-            ct.name.as_deref().unwrap_or("<anonymous>")
-        );
+        let where_ = Where::ComplexType(ct.name.as_deref());
         if let Some(base) = &ct.extends {
-            visit_type(base, &where_);
+            visit_type(base, where_);
         }
         walk_group(
-            &where_,
+            where_,
             &ct.content,
             visit_type,
             visit_element_ref,
             visit_attr_ref,
         );
         for attr in &ct.attributes {
-            visit_attr(&where_, attr, visit_type, visit_attr_ref);
+            visit_attr(where_, attr, visit_type, visit_attr_ref);
         }
     }
 }
