@@ -62,6 +62,7 @@
 //! decisions are identical at any thread count.
 
 use std::collections::{BTreeMap, HashSet};
+use std::hash::{DefaultHasher, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -175,7 +176,7 @@ struct CellEnv<'a> {
 struct WorkerOutput {
     services: Vec<(usize, ServiceRecord)>,
     tests: Vec<((usize, ClientId, usize), TestRecord)>,
-    /// Content hashes of every parsed description, for the stats'
+    /// [`doc_key`] of every parsed description, for the stats'
     /// distinct-document count.
     distinct_docs: HashSet<u64>,
     /// Socket probes planned under `--transport tcp`.
@@ -764,7 +765,7 @@ impl Campaign {
         let (record, svc) = self.deploy_entry(env, subsystem, server_id, entry);
         let mut cells = Vec::new();
         if let Some(svc) = svc {
-            out.distinct_docs.insert(svc.content_hash());
+            out.distinct_docs.insert(doc_key(svc.wsdl_xml()));
             if let Some(obs) = &self.obs {
                 obs.progress().add_expected(self.clients.len() as u64);
             }
@@ -1261,6 +1262,16 @@ impl Campaign {
             self.obs.as_deref(),
         )
     }
+}
+
+/// A published description's key in the distinct-document count:
+/// std's SipHash over its text, eight bytes per round. The key never
+/// leaves the process — only the count is reported — so it need not be
+/// stable across releases, unlike [`content_hash`].
+fn doc_key(wsdl_xml: &str) -> u64 {
+    let mut hasher = DefaultHasher::new();
+    hasher.write(wsdl_xml.as_bytes());
+    hasher.finish()
 }
 
 /// A test record whose generation step failed before classification:

@@ -9,9 +9,9 @@
 //! immutable once published, and every consumer is a pure function of
 //! its content.
 //!
-//! [`ParsedService`] holds the text, the parsed [`Definitions`], the
-//! precomputed [`DocFacts`] and a content hash, computed once at deploy
-//! time and borrowed by the WS-I analyzer, all eleven `generate_from`
+//! [`ParsedService`] holds the text, the parsed [`Definitions`] and the
+//! precomputed [`DocFacts`], computed once at deploy time and borrowed
+//! by the WS-I analyzer, all eleven `generate_from`
 //! calls and the wire probe. It lives only while its document's cells
 //! run: there is no campaign-wide memo, because every published
 //! document of the paper's matrix is distinct and a memo would only
@@ -48,8 +48,6 @@ pub struct ParsedService {
     /// The published WSDL text, verbatim — the input of the text path
     /// that cache-disabled runs keep as the reference oracle.
     wsdl_xml: String,
-    /// FNV-1a hash of the WSDL bytes (the content address).
-    content_hash: u64,
     /// The parse: document + facts, or the generation-error message
     /// every text-input tool reports for this (unreadable) description.
     doc: Result<(Definitions, DocFacts), String>,
@@ -59,11 +57,6 @@ impl ParsedService {
     /// The published description text.
     pub fn wsdl_xml(&self) -> &str {
         &self.wsdl_xml
-    }
-
-    /// The content address (FNV-1a over the WSDL bytes).
-    pub fn content_hash(&self) -> u64 {
-        self.content_hash
     }
 
     /// The parsed document, when the description was readable.
@@ -104,13 +97,14 @@ impl ParsedService {
     }
 }
 
-/// FNV-1a over the description bytes: the catalog's
-/// [`wsinterop_typecat::rng::fnv1a`], the workspace's one
-/// implementation. Stable across platforms and releases.
+/// FNV-1a over `bytes`: the catalog's [`wsinterop_typecat::rng::fnv1a`],
+/// the workspace's one implementation and its one persisted checksum.
+/// Stable across platforms and releases.
 ///
-/// The journal's frame checksums, the wire server's config hash, the
-/// virtual clock's span durations and the snapshot ring's frame
-/// checksums all call it.
+/// The journal's frame checksums, the campaign and wire server config
+/// hashes, the virtual clock's span durations and the snapshot ring's
+/// frame checksums all call it. The campaign's distinct-document count
+/// does not: it keys each text by an in-memory SipHash instead.
 pub fn content_hash(bytes: &[u8]) -> u64 {
     wsinterop_typecat::rng::fnv1a(bytes)
 }
@@ -152,7 +146,6 @@ impl DocCache {
     pub fn parse(&self, wsdl_xml: String) -> ParsedService {
         self.parses.inc(&self.metrics, M_PARSES);
         ParsedService {
-            content_hash: content_hash(wsdl_xml.as_bytes()),
             doc: parse_for_generation(&wsdl_xml),
             wsdl_xml,
         }
@@ -211,7 +204,8 @@ pub struct PipelineStats {
     /// Full XML parses performed: one per deployed service, plus one
     /// per text-path generation in a cache-disabled run.
     pub parses: usize,
-    /// Distinct document contents (by content hash) among the parses.
+    /// Distinct document contents among the parses, counted by a
+    /// 64-bit SipHash of each text that never leaves the process.
     pub distinct_docs: usize,
     /// Generation steps run over the shared parse: one per executed
     /// cell whose tool ran (an unreadable description's step returns
@@ -263,8 +257,8 @@ mod tests {
             content_hash(doc.as_bytes()),
             content_hash(format!("{doc} ").as_bytes())
         );
-        // Pinned so the content address stays stable across releases
-        // (persisted BENCH_campaign.json counters depend on it).
+        // Pinned: journal frames and config hashes persist it, so it
+        // must stay stable across releases.
         assert_eq!(content_hash(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(content_hash(b"a"), 0xaf63_dc4c_8601_ec8c);
     }
@@ -277,7 +271,6 @@ mod tests {
         let stats = cache.stats(1);
         assert_eq!(stats.parses, 1);
         assert_eq!(stats.distinct_docs, 1);
-        assert_eq!(svc.content_hash(), content_hash(doc.as_bytes()));
         assert_eq!(svc.wsdl_xml(), doc);
         assert!(svc.defs().is_some());
         assert!(svc.facts().is_some());

@@ -65,8 +65,8 @@ impl DetRng {
 /// attributes from fully-qualified names.
 ///
 /// This is the workspace's one FNV-1a: `wsinterop-core` calls it as
-/// `doccache::content_hash` for document identity, journal and
-/// snapshot checksums, config hashes and virtual-clock span keys.
+/// `doccache::content_hash` for journal and snapshot checksums, config
+/// hashes and virtual-clock span keys.
 pub fn fnv1a(bytes: impl AsRef<[u8]>) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     for &byte in bytes.as_ref() {

@@ -8,13 +8,21 @@
 use std::sync::OnceLock;
 
 use wsinterop::core::report::{Fig4, TableIII, Totals};
-use wsinterop::core::{expected, Campaign, CampaignResults};
+use wsinterop::core::{expected, Campaign, CampaignResults, PipelineStats};
 use wsinterop::frameworks::client::ClientId;
 use wsinterop::frameworks::server::ServerId;
 
+/// The paper campaign's results and its parse accounting, run once.
+fn run() -> &'static (CampaignResults, PipelineStats) {
+    static RUN: OnceLock<(CampaignResults, PipelineStats)> = OnceLock::new();
+    RUN.get_or_init(|| {
+        let (results, _, stats) = Campaign::paper().run_with_stats();
+        (results, stats)
+    })
+}
+
 fn results() -> &'static CampaignResults {
-    static RESULTS: OnceLock<CampaignResults> = OnceLock::new();
-    RESULTS.get_or_init(|| Campaign::paper().run())
+    &run().0
 }
 
 #[test]
@@ -28,6 +36,13 @@ fn e5_preparation_counts() {
         assert_eq!(results.deployed(server), want, "{server} deployed");
     }
     assert_eq!(results.tests.len(), expected::TOTAL_TESTS);
+}
+
+#[test]
+fn e5_every_deployed_description_is_parsed_once_and_distinct() {
+    let stats = &run().1;
+    assert_eq!(stats.parses, expected::TOTAL_DEPLOYED);
+    assert_eq!(stats.distinct_docs, expected::TOTAL_DEPLOYED);
 }
 
 #[test]
