@@ -21,6 +21,7 @@ use std::fmt;
 use crate::arena::{Arena, AttrSlot, ElementSlot, Slot, NS_NONE, NS_XML, NS_XMLNS};
 use crate::escape::unescape;
 use crate::name::{local_start, split_at, ParseQNameError};
+use crate::scope::PrefixScope;
 use crate::tree::{Document, Element};
 
 /// Position of an error within the input, 1-based.
@@ -197,7 +198,7 @@ struct Parser<'a> {
     pos: usize,
     /// The in-scope namespace bindings, innermost last: a prefix
     /// (`None` for the default namespace) and its namespace reference.
-    scope: Vec<(Option<&'a str>, usize)>,
+    scope: PrefixScope<'a, usize>,
     nodes: Vec<Slot<'a>>,
     attrs: Vec<AttrSlot<'a>>,
 }
@@ -208,7 +209,7 @@ impl<'a> Parser<'a> {
             input,
             bytes: input.as_bytes(),
             pos: 0,
-            scope: vec![(Some("xml"), NS_XML), (Some("xmlns"), NS_XMLNS)],
+            scope: PrefixScope::new(vec![(Some("xml"), NS_XML), (Some("xmlns"), NS_XMLNS)]),
             // Published WSDL holds about one element per 75 bytes and one
             // attribute per 50; sizing a little above that means most
             // documents never regrow either vector.
@@ -417,11 +418,7 @@ impl<'a> Parser<'a> {
     /// The namespace reference bound to `prefix`, `NS_NONE` when it is
     /// unbound or un-declared.
     fn resolve(&self, prefix: Option<&str>) -> usize {
-        self.scope
-            .iter()
-            .rev()
-            .find(|(p, _)| *p == prefix)
-            .map_or(NS_NONE, |&(_, ns)| ns)
+        self.scope.resolve(prefix).unwrap_or(NS_NONE)
     }
 
     /// Reads the root element and everything inside it, keeping the open
@@ -562,7 +559,7 @@ impl<'a> Parser<'a> {
                 } else {
                     self.attrs.len()
                 };
-                self.scope.push((prefix, ns));
+                self.scope.push(prefix, ns);
             }
             self.attrs.push(AttrSlot {
                 name: attr_name,

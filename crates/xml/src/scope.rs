@@ -10,8 +10,85 @@
 //!
 //! [`Arena`]: crate::arena::Arena
 
+use std::collections::HashMap;
+
 use crate::arena::ElementRef;
 use crate::name::{local_start, ns, split_at};
+
+/// Bindings in scope resolved by a scan from the top; past this many,
+/// through per-prefix binding stacks.
+const INLINE_SCOPE: usize = 16;
+
+/// The prefix bindings in scope, innermost last, each binding a prefix
+/// (`None` for the default namespace) to a value. Both the parser and
+/// [`NsBindings`] keep theirs here.
+///
+/// A document declares a handful of prefixes, so a resolution scans
+/// the bindings from the top. Once more than [`INLINE_SCOPE`] are in
+/// scope, every prefix also gets a stack of its bindings, and a
+/// resolution reads the top of its prefix's stack: `n` declarations
+/// resolved by `n` names then cost linear, not quadratic, time.
+#[derive(Debug, Clone)]
+pub(crate) struct PrefixScope<'a, V> {
+    bindings: Vec<(Option<&'a str>, V)>,
+    by_prefix: Option<HashMap<Option<&'a str>, Vec<V>>>,
+}
+
+impl<'a, V: Copy> PrefixScope<'a, V> {
+    /// A scope holding `bindings`, outermost first.
+    pub(crate) fn new(bindings: Vec<(Option<&'a str>, V)>) -> PrefixScope<'a, V> {
+        PrefixScope {
+            bindings,
+            by_prefix: None,
+        }
+    }
+
+    /// Bindings in scope.
+    pub(crate) fn len(&self) -> usize {
+        self.bindings.len()
+    }
+
+    /// Binds `prefix` to `value`, shadowing any outer binding of it.
+    pub(crate) fn push(&mut self, prefix: Option<&'a str>, value: V) {
+        self.bindings.push((prefix, value));
+        match &mut self.by_prefix {
+            Some(stacks) => stacks.entry(prefix).or_default().push(value),
+            None if self.bindings.len() > INLINE_SCOPE => {
+                let mut stacks: HashMap<_, Vec<V>> = HashMap::new();
+                for &(prefix, value) in &self.bindings {
+                    stacks.entry(prefix).or_default().push(value);
+                }
+                self.by_prefix = Some(stacks);
+            }
+            None => {}
+        }
+    }
+
+    /// Drops every binding past the first `len`.
+    pub(crate) fn truncate(&mut self, len: usize) {
+        if let Some(stacks) = &mut self.by_prefix {
+            for (prefix, _) in self.bindings.get(len..).unwrap_or_default() {
+                if let Some(stack) = stacks.get_mut(prefix) {
+                    stack.pop();
+                }
+            }
+        }
+        self.bindings.truncate(len);
+    }
+
+    /// The innermost value bound to `prefix`.
+    pub(crate) fn resolve(&self, prefix: Option<&str>) -> Option<V> {
+        match &self.by_prefix {
+            Some(stacks) => stacks.get(&prefix)?.last().copied(),
+            None => self
+                .bindings
+                .iter()
+                .rev()
+                .find(|(p, _)| *p == prefix)
+                .map(|&(_, value)| value),
+        }
+    }
+}
 
 /// A stack of namespace-declaration frames.
 ///
@@ -29,19 +106,28 @@ use crate::name::{local_start, ns, split_at};
 /// assert_eq!(local, "T");
 /// # Ok::<(), wsinterop_xml::ParseXmlError>(())
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct NsBindings<'a> {
     /// Every binding in scope, innermost last.
-    bindings: Vec<(Option<&'a str>, &'a str)>,
+    bindings: PrefixScope<'a, &'a str>,
     /// Where each frame starts in `bindings`.
     frames: Vec<usize>,
+}
+
+impl Default for NsBindings<'_> {
+    fn default() -> Self {
+        NsBindings {
+            bindings: PrefixScope::new(Vec::new()),
+            frames: Vec::new(),
+        }
+    }
 }
 
 impl<'a> NsBindings<'a> {
     /// An empty scope with the `xml:` prefix predeclared.
     pub fn new() -> NsBindings<'a> {
         NsBindings {
-            bindings: vec![(Some("xml"), ns::XML)],
+            bindings: PrefixScope::new(vec![(Some("xml"), ns::XML)]),
             frames: vec![0],
         }
     }
@@ -52,7 +138,9 @@ impl<'a> NsBindings<'a> {
     /// [`NsBindings::pop`] when leaving the element.
     pub fn push_element(&mut self, el: ElementRef<'a>) {
         self.frames.push(self.bindings.len());
-        self.bindings.extend(el.ns_decls());
+        for (prefix, uri) in el.ns_decls() {
+            self.bindings.push(prefix, uri);
+        }
     }
 
     /// Pops the innermost frame.
@@ -64,9 +152,9 @@ impl<'a> NsBindings<'a> {
 
     /// Resolves a prefix (`None` = default namespace) to a URI.
     pub fn resolve(&self, prefix: Option<&str>) -> Option<&'a str> {
-        let (_, uri) = self.bindings.iter().rev().find(|(p, _)| *p == prefix)?;
+        let uri = self.bindings.resolve(prefix)?;
         // An empty URI un-declares the default namespace.
-        (!uri.is_empty()).then_some(*uri)
+        (!uri.is_empty()).then_some(uri)
     }
 
     /// Resolves a lexical QName attribute value to `(ns-uri, local)`,
@@ -138,6 +226,34 @@ mod tests {
         assert_eq!(scope.resolve(Some("xml")), None);
         scope.pop();
         assert_eq!(scope.resolve(Some("xml")), None);
+    }
+
+    #[test]
+    fn shadowing_holds_past_the_inline_scan() {
+        let depth = 2 * INLINE_SCOPE;
+        let mut xml = String::new();
+        for i in 0..depth {
+            xml.push_str(&format!("<e xmlns:p=\"urn:{i}\">"));
+        }
+        xml.push_str(&"</e>".repeat(depth));
+        let doc = parse_arena(&xml).unwrap();
+        let mut scope = NsBindings::new();
+        let mut el = Some(doc.root());
+        let mut depth_seen = 0;
+        while let Some(e) = el {
+            scope.push_element(e);
+            let want = format!("urn:{depth_seen}");
+            assert_eq!(scope.resolve(Some("p")), Some(want.as_str()));
+            depth_seen += 1;
+            el = e.child_elements().next();
+        }
+        for i in (0..depth).rev() {
+            let want = format!("urn:{i}");
+            assert_eq!(scope.resolve(Some("p")), Some(want.as_str()));
+            scope.pop();
+        }
+        assert_eq!(scope.resolve(Some("p")), None);
+        assert_eq!(scope.resolve(Some("xml")), Some(ns::XML));
     }
 
     #[test]
