@@ -31,23 +31,19 @@ pub fn field_builtin(kind: FieldKind) -> BuiltIn {
 pub fn service_ns(server_tag: &str, entry: &TypeEntry) -> String {
     const SCHEME: &str = "http://";
     const HOST: &str = ".wsinterop.example/";
+    let (package, simple_name) = (entry.package(), entry.simple_name());
     let mut ns = String::with_capacity(
-        SCHEME.len()
-            + server_tag.len()
-            + HOST.len()
-            + entry.package.len()
-            + 1
-            + entry.simple_name.len(),
+        SCHEME.len() + server_tag.len() + HOST.len() + package.len() + 1 + simple_name.len(),
     );
     ns.push_str(SCHEME);
     ns.push_str(server_tag);
     ns.push_str(HOST);
     // The package path, one `/` per `.`, then the class.
-    for segment in entry.package.split('.') {
+    for segment in package.split('.') {
         ns.push_str(segment);
         ns.push('/');
     }
-    ns.push_str(&entry.simple_name);
+    ns.push_str(simple_name);
     ns
 }
 
@@ -64,7 +60,7 @@ pub fn service_ns(server_tag: &str, entry: &TypeEntry) -> String {
 /// * [`Quirk::XmlCalendar`] classes expose a `gYearMonth` element — the
 ///   exotic temporal built-in Axis2 mishandles.
 pub fn bean_complex_type(entry: &TypeEntry) -> ComplexType {
-    let mut ct = ComplexType::named(&entry.simple_name);
+    let mut ct = ComplexType::named(entry.simple_name());
     if entry.is_throwable {
         ct = ct.with_particle(Particle::Element(
             ElementDecl::typed("message", TypeRef::BuiltIn(BuiltIn::String)).min(0),
@@ -91,7 +87,7 @@ pub fn bean_complex_type(entry: &TypeEntry) -> ComplexType {
     }
     for field in &entry.fields {
         ct = ct.with_particle(Particle::Element(
-            ElementDecl::typed(&field.name, TypeRef::BuiltIn(field_builtin(field.kind))).min(0),
+            ElementDecl::typed(field.name, TypeRef::BuiltIn(field_builtin(field.kind))).min(0),
         ));
     }
     ct
@@ -101,8 +97,8 @@ pub fn bean_complex_type(entry: &TypeEntry) -> ComplexType {
 pub fn plain_echo(entry: &TypeEntry, server_tag: &str, dotnet: bool) -> Definitions {
     let tns = service_ns(server_tag, entry);
     let bean = bean_complex_type(entry);
-    let type_ref = TypeRef::named(&tns, &entry.simple_name);
-    let mut builder = DocLiteralBuilder::new(format!("{}Service", entry.simple_name), &tns)
+    let type_ref = TypeRef::named(&tns, entry.simple_name());
+    let mut builder = DocLiteralBuilder::new(format!("{}Service", entry.simple_name()), &tns)
         .operation_with_types("echo", type_ref.clone(), type_ref, vec![bean]);
     if dotnet {
         builder = builder.dotnet_prefixes();

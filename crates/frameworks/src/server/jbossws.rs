@@ -115,7 +115,7 @@ impl ServerSubsystem for JBossWs {
 /// The operation-less document published for `Future`/`Response`.
 fn operation_less_defs(entry: &TypeEntry) -> wsinterop_wsdl::Definitions {
     let tns = service_ns("jbossws", entry);
-    let service_name = format!("{}Service", entry.simple_name);
+    let service_name = format!("{}Service", entry.simple_name());
     // Start from a well-formed document and strip the operations —
     // keeping binding/port/address so the result stays conformant.
     let mut defs = DocLiteralBuilder::new(&service_name, &tns).build();

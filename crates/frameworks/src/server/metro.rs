@@ -84,7 +84,7 @@ impl ServerSubsystem for Metro {
             // wrapper elements (Metro's anonymous-type fallback for
             // this class).
             let tns = service_ns("metro", entry);
-            let bean_ref = TypeRef::named(&tns, &entry.simple_name);
+            let bean_ref = TypeRef::named(&tns, entry.simple_name());
             for message in &mut defs.messages {
                 for part in &mut message.parts {
                     part.kind = PartKind::Type(bean_ref.clone());

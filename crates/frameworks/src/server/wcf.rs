@@ -71,7 +71,7 @@ impl ServerSubsystem for WcfDotNet {
             let bean = schema
                 .complex_types
                 .iter_mut()
-                .find(|ct| ct.name.as_deref() == Some(entry.simple_name.as_str()))
+                .find(|ct| ct.name.as_deref() == Some(entry.simple_name()))
                 .expect("bean type must exist");
             // The DataSet wire shape: schema-in-schema reference(s).
             bean.content.particles.insert(0, s_schema_ref());
@@ -103,7 +103,7 @@ impl ServerSubsystem for WcfDotNet {
             let bean = defs.schemas[0]
                 .complex_types
                 .iter_mut()
-                .find(|ct| ct.name.as_deref() == Some(entry.simple_name.as_str()))
+                .find(|ct| ct.name.as_deref() == Some(entry.simple_name()))
                 .expect("bean type must exist");
             bean.attributes.push(s_lang_attr());
         }
@@ -127,9 +127,9 @@ impl ServerSubsystem for WcfDotNet {
             let schema = &mut defs.schemas[0];
             schema
                 .complex_types
-                .retain(|ct| ct.name.as_deref() != Some(entry.simple_name.as_str()));
+                .retain(|ct| ct.name.as_deref() != Some(entry.simple_name()));
             schema.simple_types.push(SimpleType {
-                name: entry.simple_name.clone(),
+                name: entry.simple_name().to_string(),
                 base: BuiltIn::String,
                 enumeration: vec![
                     "Success".to_string(),
@@ -141,10 +141,10 @@ impl ServerSubsystem for WcfDotNet {
 
         if entry.has_quirk(Quirk::JscriptHostile) {
             let schema = &mut defs.schemas[0];
-            let base_name = format!("{}Base", entry.simple_name);
+            let base_name = format!("{}Base", entry.simple_name());
             if entry.has_quirk(Quirk::JscriptCrash) {
                 // Depth-2 extension chain: Bean : BeanBase : BeanCore.
-                let core_name = format!("{}Core", entry.simple_name);
+                let core_name = format!("{}Core", entry.simple_name());
                 schema
                     .complex_types
                     .push(ComplexType::named(&core_name));
@@ -158,7 +158,7 @@ impl ServerSubsystem for WcfDotNet {
             let bean = schema
                 .complex_types
                 .iter_mut()
-                .find(|ct| ct.name.as_deref() == Some(entry.simple_name.as_str()))
+                .find(|ct| ct.name.as_deref() == Some(entry.simple_name()))
                 .expect("bean type must exist");
             bean.extends = Some(TypeRef::named(&tns, &base_name));
         }

@@ -1,6 +1,5 @@
 //! The [`Catalog`] container and summary statistics.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::OnceLock;
 
@@ -29,16 +28,21 @@ impl fmt::Display for Language {
 pub struct Catalog {
     language: Language,
     entries: Vec<TypeEntry>,
-    by_fqcn: HashMap<String, usize>,
+    /// Entry indices sorted by fqcn: the lookup index for [`Catalog::get`],
+    /// borrowing the names from `entries` instead of copying them.
+    by_fqcn: Vec<u32>,
 }
 
 impl Catalog {
     fn from_entries(language: Language, entries: Vec<TypeEntry>) -> Catalog {
-        let by_fqcn = entries
-            .iter()
-            .enumerate()
-            .map(|(i, e)| (e.fqcn.clone(), i))
-            .collect();
+        let mut by_fqcn: Vec<u32> = (0..entries.len() as u32).collect();
+        by_fqcn.sort_unstable_by_key(|&i| entries[i as usize].fqcn.as_str());
+        assert!(
+            by_fqcn
+                .windows(2)
+                .all(|w| entries[w[0] as usize].fqcn != entries[w[1] as usize].fqcn),
+            "catalog fqcns must be unique"
+        );
         Catalog {
             language,
             entries,
@@ -89,7 +93,10 @@ impl Catalog {
 
     /// Looks up an entry by fully-qualified name.
     pub fn get(&self, fqcn: &str) -> Option<&TypeEntry> {
-        self.by_fqcn.get(fqcn).map(|&i| &self.entries[i])
+        let found = self
+            .by_fqcn
+            .binary_search_by(|&i| self.entries[i as usize].fqcn.as_str().cmp(fqcn));
+        found.ok().map(|at| &self.entries[self.by_fqcn[at] as usize])
     }
 
     /// Entries carrying a given quirk.
@@ -102,7 +109,7 @@ impl Catalog {
     pub fn package_counts(&self) -> Vec<(String, usize)> {
         let mut counts: std::collections::HashMap<&str, usize> = std::collections::HashMap::new();
         for entry in &self.entries {
-            *counts.entry(entry.package.as_str()).or_default() += 1;
+            *counts.entry(entry.package()).or_default() += 1;
         }
         let mut out: Vec<(String, usize)> = counts
             .into_iter()
@@ -221,6 +228,20 @@ mod tests {
         let catalog = Catalog::java_se7();
         assert!(catalog.get("java.lang.String").is_some());
         assert!(catalog.get("java.lang.DoesNotExist").is_none());
+    }
+
+    #[test]
+    fn every_entry_resolves_to_itself() {
+        for catalog in [Catalog::java_se7(), Catalog::dotnet40()] {
+            for entry in catalog.iter() {
+                let found = catalog.get(&entry.fqcn).expect("catalog entry resolves");
+                assert!(std::ptr::eq(found, entry), "{}", entry.fqcn);
+            }
+            // Names that sort before, between and after the entries.
+            for unknown in ["", "a", "java.lang.String.", "zzz.Nope", "System.Nope"] {
+                assert!(catalog.get(unknown).is_none(), "{unknown}");
+            }
+        }
     }
 
     #[test]

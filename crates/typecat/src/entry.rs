@@ -71,8 +71,8 @@ impl FieldKind {
 /// One bean field: name plus simple-typed kind.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FieldSpec {
-    /// Field name (camelCase).
-    pub name: String,
+    /// Field name (camelCase), from the generator's static vocabulary.
+    pub name: &'static str,
     /// Field shape.
     pub kind: FieldKind,
 }
@@ -237,10 +237,6 @@ impl fmt::Display for QuirkSet {
 pub struct TypeEntry {
     /// Fully-qualified name (`java.util.ArrayList`).
     pub fqcn: String,
-    /// Package / namespace part.
-    pub package: String,
-    /// Simple name.
-    pub simple_name: String,
     /// Structural kind.
     pub kind: TypeKind,
     /// Has a public no-argument constructor.
@@ -256,6 +252,17 @@ pub struct TypeEntry {
 }
 
 impl TypeEntry {
+    /// Package / namespace part: `fqcn` before its last `.` (empty in
+    /// the default package).
+    pub fn package(&self) -> &str {
+        self.fqcn.rsplit_once('.').map_or("", |(package, _)| package)
+    }
+
+    /// Simple name: `fqcn` after its last `.`.
+    pub fn simple_name(&self) -> &str {
+        self.fqcn.rsplit_once('.').map_or(&self.fqcn, |(_, simple)| simple)
+    }
+
     /// The baseline "can this type be a service parameter" predicate
     /// shared by every simulated server framework: a concrete,
     /// non-generic, default-constructible class, enum or struct.
@@ -280,8 +287,6 @@ mod tests {
     fn entry(kind: TypeKind, ctor: bool, generics: u8) -> TypeEntry {
         TypeEntry {
             fqcn: "p.T".into(),
-            package: "p".into(),
-            simple_name: "T".into(),
             kind,
             has_default_ctor: ctor,
             generic_arity: generics,
@@ -302,6 +307,15 @@ mod tests {
         assert!(!entry(TypeKind::Delegate, true, 0).is_bean_bindable());
         assert!(!entry(TypeKind::Class, false, 0).is_bean_bindable());
         assert!(!entry(TypeKind::Class, true, 1).is_bean_bindable());
+    }
+
+    #[test]
+    fn package_and_simple_name_split_at_the_last_dot() {
+        let mut e = entry(TypeKind::Class, true, 0);
+        e.fqcn = "java.util.concurrent.Future".into();
+        assert_eq!((e.package(), e.simple_name()), ("java.util.concurrent", "Future"));
+        e.fqcn = "Foo".into();
+        assert_eq!((e.package(), e.simple_name()), ("", "Foo"));
     }
 
     #[test]

@@ -23,8 +23,19 @@ pub const SUFFIXES: [&str; 24] = [
     "Policy", "Profile", "Record", "Request", "Snapshot", "State", "Summary",
 ];
 
-/// Field-name vocabulary.
-pub const FIELD_NAMES: [&str; 20] = [
+/// Declares [`FIELD_NAMES`] and, beside it, each name followed by 19
+/// `X`s: a bean of at most 20 fields repeats a name at most 19 times, and
+/// the `k`-th repeat is the prefix with `k` `X`s, so every field name,
+/// disambiguated or not, is a `&'static str` slice.
+macro_rules! field_names {
+    ($($name:literal),* $(,)?) => {
+        /// Field-name vocabulary.
+        pub const FIELD_NAMES: [&str; 20] = [$($name),*];
+        const PADDED_FIELD_NAMES: [&str; 20] = [$(concat!($name, "XXXXXXXXXXXXXXXXXXX")),*];
+    };
+}
+
+field_names![
     "value", "name", "count", "id", "flag", "data", "label", "size", "index", "offset",
     "status", "code", "text", "stamp", "owner", "title", "weight", "score", "ratio", "token",
 ];
@@ -108,12 +119,9 @@ impl Gen {
         is_throwable: bool,
         quirks: QuirkSet,
     ) {
-        let (package, simple_name) = split_fqcn(fqcn);
         let fields = self.make_fields(fqcn, field_count);
         self.pin(TypeEntry {
             fqcn: fqcn.to_string(),
-            package,
-            simple_name,
             kind,
             has_default_ctor,
             generic_arity,
@@ -140,8 +148,6 @@ impl Gen {
             let fields = self.make_fields(&fqcn, field_count);
             self.entries.push(TypeEntry {
                 fqcn: fqcn.clone(),
-                package: package.to_string(),
-                simple_name,
                 kind: spec.kind,
                 has_default_ctor: spec.has_default_ctor,
                 generic_arity,
@@ -172,41 +178,31 @@ impl Gen {
         }
     }
 
-    /// Deterministic bean fields derived from the class name.
+    /// Deterministic bean fields derived from the class name. Names are
+    /// unique within a bean: a repeated name takes one `X` per earlier
+    /// field it would clash with. Panics past 20 fields, which no
+    /// catalog recipe asks for.
     pub fn make_fields(&mut self, fqcn: &str, count: u8) -> Vec<FieldSpec> {
+        assert!(
+            usize::from(count) <= FIELD_NAMES.len(),
+            "a bean has at most {} fields",
+            FIELD_NAMES.len()
+        );
         let hash = fnv1a(fqcn);
-        (0..count)
-            .map(|i| {
-                let name_index =
-                    ((hash >> (i % 8)) as usize + i as usize * 7) % FIELD_NAMES.len();
-                FieldSpec {
-                    name: FIELD_NAMES[name_index].to_string(),
-                    kind: FieldKind::from_hash(hash.rotate_left(u32::from(i) * 9 + 3)),
-                }
-            })
-            // Field names must be unique within a bean.
-            .enumerate()
-            .map(|(i, mut f)| {
-                if i >= FIELD_NAMES.len() {
-                    f.name = format!("{}{}", f.name, i);
-                }
-                f
-            })
-            .scan(HashSet::new(), |seen, mut f| {
-                while !seen.insert(f.name.clone()) {
-                    f.name = format!("{}X", f.name);
-                }
-                Some(f)
-            })
-            .collect()
-    }
-}
-
-/// Splits a fully-qualified name into `(package, simple)`.
-pub fn split_fqcn(fqcn: &str) -> (String, String) {
-    match fqcn.rsplit_once('.') {
-        Some((pkg, simple)) => (pkg.to_string(), simple.to_string()),
-        None => (String::new(), fqcn.to_string()),
+        let mut fields: Vec<FieldSpec> = Vec::with_capacity(count.into());
+        for i in 0..count {
+            let name_index = ((hash >> (i % 8)) as usize + i as usize * 7) % FIELD_NAMES.len();
+            let padded = PADDED_FIELD_NAMES[name_index];
+            let mut len = FIELD_NAMES[name_index].len();
+            while fields.iter().any(|f| f.name == &padded[..len]) {
+                len += 1;
+            }
+            fields.push(FieldSpec {
+                name: &padded[..len],
+                kind: FieldKind::from_hash(hash.rotate_left(u32::from(i) * 9 + 3)),
+            });
+        }
+        fields
     }
 }
 
@@ -271,7 +267,7 @@ mod tests {
             quirks: QuirkSet::empty(),
         });
         for e in gen.finish() {
-            assert!(e.simple_name.ends_with("Exception"), "{}", e.fqcn);
+            assert!(e.simple_name().ends_with("Exception"), "{}", e.fqcn);
             assert!(e.is_throwable);
         }
     }
@@ -280,8 +276,36 @@ mod tests {
     fn fields_are_unique_within_bean() {
         let mut gen = Gen::new(3);
         let fields = gen.make_fields("some.Class", 20);
-        let names: HashSet<_> = fields.iter().map(|f| &f.name).collect();
+        let names: HashSet<_> = fields.iter().map(|f| f.name).collect();
         assert_eq!(names.len(), fields.len());
+        // Each is a vocabulary name plus the `X`s that disambiguate it.
+        for f in &fields {
+            let base = f.name.trim_end_matches('X');
+            assert!(FIELD_NAMES.contains(&base), "{}", f.name);
+        }
+        assert!(fields.iter().any(|f| f.name.ends_with('X')));
+    }
+
+    #[test]
+    fn group_entries_split_into_their_package_and_simple_name() {
+        let packages = ["a.b", "c.d.e", "f"];
+        let mut gen = Gen::new(5);
+        gen.group(&GroupSpec {
+            count: 60,
+            packages: &packages,
+            kind: TypeKind::Class,
+            has_default_ctor: true,
+            generic_arity: (0, 0),
+            field_count: (0, 2),
+            is_throwable: false,
+            forced_suffix: None,
+            quirks: QuirkSet::empty(),
+        });
+        for (i, e) in gen.finish().iter().enumerate() {
+            assert_eq!(e.package(), packages[i % packages.len()], "{}", e.fqcn);
+            assert!(!e.simple_name().contains('.'), "{}", e.fqcn);
+            assert_eq!(format!("{}.{}", e.package(), e.simple_name()), e.fqcn);
+        }
     }
 
     #[test]
@@ -292,14 +316,5 @@ mod tests {
             gen.real("a.B", TypeKind::Class, true, 0, 1, false, QuirkSet::empty());
         }));
         assert!(result.is_err());
-    }
-
-    #[test]
-    fn split_fqcn_handles_default_package() {
-        assert_eq!(split_fqcn("Foo"), (String::new(), "Foo".to_string()));
-        assert_eq!(
-            split_fqcn("java.lang.String"),
-            ("java.lang".to_string(), "String".to_string())
-        );
     }
 }
