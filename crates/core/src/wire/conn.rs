@@ -211,8 +211,13 @@ impl Conn {
             match self.step_parse(env, now) {
                 Step::Advanced => {
                     progressed = true;
-                    if !matches!(self.phase, Phase::ReadHead | Phase::ReadBody { .. }) {
-                        return Drive::Progress;
+                    if matches!(self.phase, Phase::Write) {
+                        // Write on dispatch: a small response leaves in
+                        // the pass that produced it, not the next one.
+                        return match self.drive_write(env, now) {
+                            Drive::Idle => Drive::Progress,
+                            verdict => verdict,
+                        };
                     }
                     continue;
                 }
@@ -381,7 +386,10 @@ impl Conn {
         for _ in 0..MAX_IO_ROUNDS {
             if self.written == self.outbuf.len() {
                 if let Some(pending) = self.pending.take() {
-                    let dur_ns = now.duration_since(pending.started).as_nanos() as u64;
+                    // The flush may finish in the pass that dispatched
+                    // the request, whose `now` is the dispatch time: read
+                    // the clock, or the span would measure zero.
+                    let dur_ns = pending.started.elapsed().as_nanos() as u64;
                     env.complete_response(&pending, dur_ns);
                 }
                 if self.close_after_write {

@@ -77,10 +77,15 @@ const ACCEPT_BATCH: usize = 32;
 /// server does not spin a core.
 const IDLE_NAP: Duration = Duration::from_micros(500);
 
-/// First nap after a pass that made progress: a busy reactor re-checks
-/// its sockets within tens of microseconds instead of a full
-/// [`IDLE_NAP`].
+/// First nap once the spin window has run out. Linux's default 50 µs
+/// timer slack stretches it to about 72 µs (EXPERIMENTS.md E29).
 const FIRST_NAP: Duration = Duration::from_micros(16);
+
+/// How long after its last progress an idle reactor keeps re-polling,
+/// yielding the core between passes, before it naps. A keep-alive peer
+/// sends its next request a few microseconds after reading a response;
+/// the window catches it without the timer-slack nap (E29 sweeps it).
+const SPIN_WINDOW: Duration = Duration::from_micros(50);
 
 /// The nap to take on the next idle pass, given the one before it:
 /// back to [`FIRST_NAP`] once a pass made progress, otherwise twice
@@ -90,6 +95,25 @@ fn next_nap(prev: Duration, progressed: bool) -> Duration {
         FIRST_NAP
     } else {
         (prev * 2).min(IDLE_NAP)
+    }
+}
+
+/// What an idle reactor does before its next pass.
+#[derive(Debug, PartialEq, Eq)]
+enum IdleWait {
+    /// Yield the core and poll again.
+    Spin,
+    /// Sleep this long.
+    Nap(Duration),
+}
+
+/// The idle policy: spin while the last progress is younger than
+/// [`SPIN_WINDOW`], then take `nap` from the [`next_nap`] ladder.
+fn idle_wait(idle_for: Duration, nap: Duration) -> IdleWait {
+    if idle_for < SPIN_WINDOW {
+        IdleWait::Spin
+    } else {
+        IdleWait::Nap(nap)
     }
 }
 
@@ -826,15 +850,16 @@ fn try_claim(gauge: &AtomicUsize, budget: usize) -> bool {
 }
 
 /// One reactor: accept a batch, promote queued connections into freed
-/// slots, drive every owned state machine, nap only when nothing
-/// moved. Exits when a stop is requested and its connections have
-/// drained.
+/// slots, drive every owned state machine, and wait by [`idle_wait`]
+/// only when nothing moved. Exits when a stop is requested and its
+/// connections have drained.
 fn reactor_loop(shared: &Shared, listener: &TcpListener) {
     let env = Env { config: &shared.config, stats: &shared.stats, shared };
     let workers = shared.config.workers.max(1);
     let gauges = &shared.stats.gauges;
     let mut conns: Vec<Conn> = Vec::new();
     let mut nap = FIRST_NAP;
+    let mut last_progress = Instant::now();
     loop {
         let stopping = shared.stop.load(Ordering::SeqCst);
         let mut progressed = false;
@@ -883,10 +908,15 @@ fn reactor_loop(shared: &Shared, listener: &TcpListener) {
         if stopping && conns.is_empty() {
             return;
         }
-        if !progressed {
-            std::thread::sleep(nap);
+        if progressed {
+            last_progress = Instant::now();
+            nap = next_nap(nap, true);
+        } else if let IdleWait::Nap(d) = idle_wait(last_progress.elapsed(), nap) {
+            std::thread::sleep(d);
+            nap = next_nap(nap, false);
+        } else {
+            std::thread::yield_now();
         }
-        nap = next_nap(nap, progressed);
     }
 }
 
@@ -982,6 +1012,37 @@ mod tests {
         assert_eq!(nap, IDLE_NAP);
         assert_eq!(next_nap(IDLE_NAP, true), FIRST_NAP);
         assert_eq!(next_nap(Duration::from_micros(64), true), FIRST_NAP);
+
+        // Inside the window an idle reactor spins, whatever its nap.
+        for idle_us in [0, 1, 25, SPIN_WINDOW.as_micros() as u64 - 1] {
+            let idle_for = Duration::from_micros(idle_us);
+            assert_eq!(idle_wait(idle_for, FIRST_NAP), IdleWait::Spin);
+            assert_eq!(idle_wait(idle_for, IDLE_NAP), IdleWait::Spin);
+        }
+        // After it, the reactor walks the nap ladder: replay the loop's
+        // bookkeeping, with each nap advancing the idle clock.
+        let mut nap = FIRST_NAP;
+        let mut idle_for = SPIN_WINDOW;
+        let mut naps = Vec::new();
+        for _ in 0..7 {
+            let IdleWait::Nap(d) = idle_wait(idle_for, nap) else {
+                panic!("spun {idle_for:?} after the last progress");
+            };
+            naps.push(d.as_micros());
+            idle_for += d;
+            nap = next_nap(nap, false);
+        }
+        assert_eq!(naps, [16, 32, 64, 128, 256, 500, 500]);
+        // An idle server is back on the 500 µs nap well inside a
+        // millisecond of its last progress, even with timer slack
+        // adding ~55 µs to each of the five shorter naps.
+        let ramp_us: u128 = naps[..5].iter().sum();
+        assert!(SPIN_WINDOW.as_micros() + ramp_us + 5 * 55 < 1000);
+        // Progress resets both halves: the next idle pass spins again,
+        // and the nap after the window is the first rung.
+        nap = next_nap(nap, true);
+        assert_eq!(idle_wait(Duration::ZERO, nap), IdleWait::Spin);
+        assert_eq!(idle_wait(SPIN_WINDOW, nap), IdleWait::Nap(FIRST_NAP));
     }
 
     #[test]

@@ -213,6 +213,62 @@ fn admin_endpoints_are_served_but_excluded_from_serving_metrics() {
     assert_eq!(stats.open(), 0);
 }
 
+/// A small response is flushed in the reactor pass that dispatched it,
+/// and that pass's clock reading is the dispatch time: the latency
+/// histogram must read the clock again when the flush completes, or
+/// every keep-alive exchange would be observed as 0 ns.
+#[test]
+fn keep_alive_soap_latency_is_measured_at_flush_completion() {
+    use wsinterop::core::exchange::{first_survey_operation, SURVEY_PROBE};
+    use wsinterop::wsdl::soap;
+    use wsinterop::xml::writer::{write_document, WriteOptions};
+
+    const REQUESTS: u64 = 20;
+    let (server, registry, _sink, path) = start_instrumented(11);
+    let hosted = &wire::host_survey_services(400)[&path];
+    let defs = hosted.defs.as_ref().expect("the service re-parses its description");
+    let operation = first_survey_operation(&hosted.wsdl_xml).expect("an invocable operation");
+    let doc = soap::request(defs, &operation, SURVEY_PROBE).expect("a request envelope");
+    let request = write_document(&doc, &WriteOptions::compact());
+
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    stream.set_read_timeout(Some(TIMEOUT)).expect("deadline");
+    for i in 0..REQUESTS {
+        http::write_request(
+            &mut stream,
+            "POST",
+            &path,
+            "127.0.0.1",
+            Some(&operation),
+            request.as_bytes(),
+            false,
+        )
+        .expect("write request");
+        let response = http::read_response(&stream, &HttpLimits::default()).expect("response");
+        assert_eq!(response.status, 200, "request {i} to {path}");
+    }
+
+    let served = || {
+        registry.snapshot().histograms.get("wire_server_request_ns").map_or(0, |h| h.count)
+    };
+    let deadline = std::time::Instant::now() + TIMEOUT;
+    while served() < REQUESTS && std::time::Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    let snap = registry.snapshot();
+    let histogram = &snap.histograms["wire_server_request_ns"];
+    assert_eq!(histogram.count, REQUESTS);
+    assert!(
+        histogram.sum >= histogram.count,
+        "wire_server_request_ns_sum {} below its count {}: exchanges measured as 0 ns",
+        histogram.sum,
+        histogram.count
+    );
+    assert!(histogram.max > 0, "the slowest exchange cannot take 0 ns");
+    drop(stream);
+    server.shutdown();
+}
+
 #[test]
 fn healthz_degrades_under_queue_pressure_and_saturation_sheds_the_probe() {
     let services = wire::host_survey_services(400);
