@@ -265,6 +265,32 @@ fn journal_inspect_agrees_with_the_campaign_config_hash() {
     std::fs::remove_file(&path).ok();
 }
 
+/// The halt switch counts cells, not writes: a run halted after 120
+/// cells exits 9 and leaves exactly 120 whole frames behind, whatever
+/// a document's cell count (11) makes of the boundary.
+#[test]
+fn halt_after_cells_leaves_exactly_that_many_whole_frames() {
+    for (label, command) in [
+        ("campaign", &["campaign", "200"][..]),
+        ("chaos + breaker", &["chaos", "--stride", "200", "--seed", "42", "--breaker", "1,5"][..]),
+    ] {
+        let path = std::env::temp_dir().join(format!(
+            "wsitool-cli-halt-{}-{}.journal",
+            std::process::id(),
+            label.len()
+        ));
+        let path_str = path.to_str().unwrap();
+        let mut args = command.to_vec();
+        args.extend(["--journal", path_str, "--halt-after-cells", "120"]);
+        let run = wsitool(&args);
+        assert_eq!(run.status.code(), Some(9), "{label}: {}", String::from_utf8_lossy(&run.stderr));
+        let read = wsinterop::core::journal::read_journal(&path).expect("journal reads back");
+        std::fs::remove_file(&path).ok();
+        assert_eq!(read.cells.len(), 120, "{label}");
+        assert_eq!(read.torn_bytes, 0, "{label}");
+    }
+}
+
 #[test]
 fn journal_inspect_json_is_machine_readable() {
     let path = std::env::temp_dir().join(format!(

@@ -15,6 +15,7 @@ use wsinterop::core::{
 };
 use wsinterop::frameworks::client::ClientId;
 use wsinterop::frameworks::server::ServerId;
+use wsinterop::typecat::rng::fnv1a;
 
 fn temp_path(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("wsitool-journal-test-{}-{name}", std::process::id()))
@@ -57,6 +58,31 @@ fn journaled_run_is_bit_identical_to_a_plain_run() {
     assert_eq!(plain.services, resumed.services);
     assert_eq!(plain.tests, resumed.tests);
     std::fs::remove_file(&path).ok();
+}
+
+/// The `-j1` journal of a stride-20 seed-42 chaos campaign, byte for
+/// byte: frame order, frame bytes and the header. A change to how
+/// cells reach the file (batching, buffering) must leave these bytes
+/// alone at one thread.
+#[test]
+fn j1_chaos_journal_bytes_are_pinned() {
+    for (label, breaker, pin) in [
+        ("chaos", None, "302a9db516ba4c00"),
+        ("chaos + breaker", Some(BreakerConfig::new(1, 5)), "27b0e5855740750e"),
+    ] {
+        let path = temp_path(&format!("j1-bytes-{}", breaker.is_some()));
+        let mut campaign = Campaign::sampled(20)
+            .with_faults(FaultPlan::seeded(42))
+            .with_threads(1)
+            .with_journal(&path);
+        if let Some(cfg) = breaker {
+            campaign = campaign.with_breaker(cfg);
+        }
+        campaign.run();
+        let bytes = std::fs::read(&path).expect("journal written");
+        std::fs::remove_file(&path).ok();
+        assert_eq!(format!("{:016x}", fnv1a(&bytes)), pin, "{label}");
+    }
 }
 
 /// The E14 reference configuration: chaos campaign plus breaker, the
