@@ -78,12 +78,13 @@ use wsinterop_typecat::TypeEntry;
 use wsinterop_wsi::Analyzer;
 
 use crate::doccache::{content_hash, DocCache, ParsedService, PipelineStats};
-use crate::exchange::exchange_with_faults;
+use crate::exchange::exchange_parsed;
 use crate::faults::{
-    deploy_site, gen_site, sock_site, wire_site, BreakerConfig, BreakerState, FaultKind, FaultLog,
-    FaultPlan, FaultReport, PlanServerHook, ResilienceConfig, SocketFault, WireFault,
+    deploy_site, sock_site, wire_site, BreakerConfig, BreakerState, CellFaults, FaultKind,
+    FaultLog, FaultPlan, FaultReport, PlanServerHook, ResilienceConfig, SiteKey, SocketFault,
+    WireFault,
 };
-use crate::journal::{JournalCell, JournalError, JournalWriter};
+use crate::journal::{JournalBatch, JournalCell, JournalError, JournalWriter};
 use crate::shard::ShardSpec;
 use crate::obs::{Obs, Stopwatch, TracePhase};
 use crate::results::{CampaignResults, InstantiationKind, ServiceRecord, TestRecord};
@@ -181,6 +182,9 @@ struct WorkerOutput {
     distinct_docs: HashSet<u64>,
     /// Socket probes planned under `--transport tcp`.
     probes: Vec<SocketProbe>,
+    /// The worker's journal staging buffer: each commit stages its
+    /// document's frames here and writes them in one append.
+    frames: JournalBatch,
 }
 
 /// One document whose cells have run but are not yet committed.
@@ -195,8 +199,8 @@ struct PendingDoc<'p> {
 
 /// One cell awaiting its commit.
 struct PendingCell<'p> {
-    /// The fault site (formatted under a fault plan only).
-    site: Option<String>,
+    /// The faults planned on the cell (under a fault plan only).
+    faults: Option<CellFaults>,
     /// The Generate trace span, stopped when the cell ran; its exit
     /// is recorded at commit (with an observer only).
     span: Option<Stopwatch>,
@@ -1041,12 +1045,12 @@ impl Campaign {
         client: &dyn ClientSubsystem,
     ) -> PendingCell<'p> {
         let client_id = client.info().id;
-        // The fault site and the journal key are formatted only for
-        // their readers: a fault plan, a resume journal.
-        let site = self
+        // The cell's site is hashed once, as its key is written; the
+        // journal key is formatted only for a resume journal.
+        let faults = self
             .faults
-            .is_some()
-            .then(|| gen_site(server_id, client_id, &record.fqcn));
+            .as_ref()
+            .map(|plan| plan.cell_faults(SiteKey::Gen(server_id, client_id, &record.fqcn)));
         let span = self.obs.as_deref().map(|o| {
             o.begin_phase(
                 TracePhase::Generate,
@@ -1062,17 +1066,18 @@ impl Campaign {
         };
         let run = match prior {
             Some(prior) => CellRun::Replayed(prior),
-            None => self.run_cell(server_id, record, svc, client, site.as_deref()),
+            None => self.run_cell(server_id, record, svc, client, faults),
         };
         PendingCell {
-            site,
+            faults,
             span: span.map(Stopwatch::stop),
             run,
         }
     }
 
     /// Commits one document's cells, client by client: breaker gate →
-    /// fault accounting → breaker bookkeeping → journal append. Without
+    /// fault accounting → breaker bookkeeping → journal staging; the
+    /// document's frames then go to the journal in one append. Without
     /// a breaker documents commit in any order, since every step here
     /// is order-free; with one they commit in campaign order, so each
     /// client's breaker sees its cells exactly as a sequential run
@@ -1100,15 +1105,19 @@ impl Campaign {
         for (k, (client, pending)) in self.clients.iter().zip(cells).enumerate() {
             let client_id = client.info().id;
             let replayed = matches!(pending.run, CellRun::Replayed(_));
+            // The site is formatted only for its readers: an injected
+            // fault, a breaker skip, a trace of a fault-planned run.
+            let key = SiteKey::Gen(server_id, client_id, &record.fqcn);
+            let faults = pending.faults.filter(|f| f.any());
+            let traced = self.obs.is_some() && self.faults.is_some();
+            let mut site = (faults.is_some() || traced).then(|| key.to_string());
             let cell = if self.breaker.is_some() && breakers[k].should_skip() {
                 // Open breaker: the cell is recorded as a skipped Error
                 // outcome. The decision replays identically on resume
                 // (it depends only on the preceding stream), so a
                 // journaled skip is simply not re-appended.
-                match &pending.site {
-                    Some(site) => env.log.breaker_skip(site),
-                    None => env.log.breaker_skip(&gen_site(server_id, client_id, &record.fqcn)),
-                }
+                env.log
+                    .breaker_skip(site.get_or_insert_with(|| key.to_string()));
                 JournalCell {
                     record: generation_error(server_id, client_id, &record.fqcn),
                     breaker_skipped: true,
@@ -1131,8 +1140,8 @@ impl Campaign {
                         cell
                     }
                 };
-                if let (Some(plan), Some(site)) = (&self.faults, &pending.site) {
-                    account_cell(plan, &self.resilience, site, &cell, env.log);
+                if let (Some(faults), Some(site)) = (faults, &site) {
+                    account_cell(faults, &self.resilience, site, &cell, env.log);
                 }
                 cell
             };
@@ -1142,8 +1151,8 @@ impl Campaign {
                     env.log.breaker_tripped();
                 }
             }
-            if let (Some(writer), false) = (env.writer, replayed) {
-                writer.append(&cell);
+            if env.writer.is_some() && !replayed {
+                out.frames.push_cell(&cell);
             }
             if let (Some(o), Some(span)) = (self.obs.as_deref(), pending.span) {
                 let outcome_label = if cell.breaker_skipped {
@@ -1163,7 +1172,7 @@ impl Campaign {
                     Some(client_id.name()),
                     &record.fqcn,
                     outcome_label,
-                    pending.site.as_deref(),
+                    site.as_deref().filter(|_| self.faults.is_some()),
                     0,
                     cell.breaker_skipped,
                     span,
@@ -1172,12 +1181,16 @@ impl Campaign {
             }
             out.tests.push(((server, client_id, rank), cell.record));
         }
+        if let Some(writer) = env.writer {
+            writer.append_batch(&mut out.frames);
+        }
         out.services.push((rank, record));
     }
 
     /// One (server, client, service) test cell, with fault injection,
     /// panic isolation, the virtual step deadline and the per-cell
-    /// watchdog. `site` is the cell's fault site under a fault plan.
+    /// watchdog. `faults` are the cell's planned faults under a fault
+    /// plan.
     ///
     /// The client-side faults never touch the description: an injected
     /// crash fires before the tool runs, and a slow step is virtual.
@@ -1190,18 +1203,19 @@ impl Campaign {
         record: &ServiceRecord,
         svc: &ParsedService,
         client: &dyn ClientSubsystem,
-        site: Option<&str>,
+        faults: Option<CellFaults>,
     ) -> CellRun<'p> {
-        let (Some(plan), Some(site)) = (&self.faults, site) else {
+        let Some(faults) = faults else {
             return CellRun::Live {
                 cell: self.generate_cell(server_id, record, svc, client),
                 ran_tool: true,
             };
         };
 
-        let crash = plan.decide(FaultKind::ClientGenPanic, site);
+        let crash = faults.crash;
         let step = || {
             if crash {
+                let site = SiteKey::Gen(server_id, client.info().id, &record.fqcn);
                 panic!("injected fault: artifact generator crashed at {site}");
             }
             self.generate_cell(server_id, record, svc, client)
@@ -1220,7 +1234,7 @@ impl Campaign {
             step()
         };
 
-        if let Some(virtual_ms) = plan.slow_virtual_ms(site) {
+        if let Some(virtual_ms) = faults.slow_ms {
             if virtual_ms > self.resilience.step_deadline_ms {
                 // The step blew its deadline budget: classified as an
                 // Error, exactly like a hung tool killed by a watchdog.
@@ -1291,26 +1305,28 @@ fn generation_error(server: ServerId, client: ClientId, fqcn: &str) -> TestRecor
     }
 }
 
-/// A cell's contributions to the fault log, derived from the pure plan
-/// decisions — injection, panic isolation, deadline and watchdog hits,
-/// detected-vs-masked resolution — and the cell's verdict. Live and
-/// journal-replayed cells both go through here, which is what makes a
-/// resumed chaos campaign's [`FaultReport`] bit-identical to an
-/// uninterrupted one.
+/// A faulted cell's contributions to the fault log, derived from the
+/// pure plan decisions — injection, panic isolation, deadline and
+/// watchdog hits, detected-vs-masked resolution — and the cell's
+/// verdict. Live and journal-replayed cells both go through here,
+/// which is what makes a resumed chaos campaign's [`FaultReport`]
+/// bit-identical to an uninterrupted one. Nothing else injects at a
+/// `gen/…` site, so the site is affected exactly when `faults` holds
+/// one; a cell without faults never gets here.
 fn account_cell(
-    plan: &FaultPlan,
+    faults: CellFaults,
     resilience: &ResilienceConfig,
     site: &str,
     cell: &JournalCell,
     log: &FaultLog,
 ) {
-    if plan.decide(FaultKind::ClientGenPanic, site) {
+    if faults.crash {
         log.injected(FaultKind::ClientGenPanic, site);
         if resilience.isolate_panics {
             log.panic_isolated();
         }
     }
-    if let Some(virtual_ms) = plan.slow_virtual_ms(site) {
+    if let Some(virtual_ms) = faults.slow_ms {
         log.injected(FaultKind::SlowStep, site);
         if virtual_ms > resilience.step_deadline_ms {
             log.deadline_hit();
@@ -1319,15 +1335,13 @@ fn account_cell(
             log.watchdog_cell();
         }
     }
-    if log.is_affected(site) {
-        log.resolve(site, cell.record.any_error() || cell.record.any_warning());
-    }
+    log.resolve(site, cell.record.any_error() || cell.record.any_warning());
 }
 
 /// Runs one wire-fault probe for the chaos campaign's Communication
 /// step, resolving the injection as detected unless the exchange still
-/// completed. The invocation target comes from the shared
-/// [`ParsedService`] — no re-parse.
+/// completed. The invocation target and the exchange's one parse come
+/// from the shared [`ParsedService`] — no re-parse.
 fn wire_probe(
     plan: &FaultPlan,
     log: &FaultLog,
@@ -1336,10 +1350,10 @@ fn wire_probe(
     svc: &ParsedService,
     obs: Option<&Obs>,
 ) {
-    let site = wire_site(server_id, &record.fqcn);
-    let Some(wire) = plan.wire_fault(&site) else {
+    let Some(wire) = plan.wire_fault_key(SiteKey::Wire(server_id, &record.fqcn)) else {
         return;
     };
+    let site = wire_site(server_id, &record.fqcn);
     let span = obs.map(|o| {
         o.begin_phase(
             TracePhase::Exchange,
@@ -1349,13 +1363,11 @@ fn wire_probe(
         )
     });
     log.injected(wire.kind(), &site);
-    let detected = match svc.first_operation() {
+    let detected = match (svc.defs(), svc.first_operation()) {
+        (Some(defs), Some(op)) => !exchange_parsed(defs, op, "chaos-probe", Some(wire)).completed(),
         // No invocable operation (or unparseable description): the
         // wire fault never gets a chance to bite — masked.
-        None => false,
-        Some(op) => {
-            !exchange_with_faults(svc.wsdl_xml(), op, "chaos-probe", Some(wire)).completed()
-        }
+        _ => false,
     };
     log.resolve(&site, detected);
     if let (Some(o), Some(span)) = (obs, span) {

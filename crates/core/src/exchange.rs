@@ -5,16 +5,18 @@
 //! For a test that survived the three static steps, this module drives
 //! an actual message exchange over the workspace's SOAP 1.1 layer:
 //!
-//! 1. the *client side* builds a doc/literal request from **its own**
-//!    parse of the WSDL (exactly what a generated stub does),
+//! 1. the *client side* builds a doc/literal request from a parse of
+//!    the WSDL (exactly what a generated stub does),
 //! 2. the *server side* parses the request against its published
 //!    description and produces the echo response,
 //! 3. the client unwraps the response and checks the echoed value.
 //!
-//! Because both endpoints work from the same document, a service that
-//! passed the static steps should complete the exchange — and the
-//! operation-less documents demonstrably cannot, which is the paper's
-//! argument for flagging them at generation time.
+//! Both endpoints read the same published text, so they share one
+//! parse ([`exchange_parsed`]). Because they work from the same
+//! document, a service that passed the static steps should complete
+//! the exchange — and the operation-less documents demonstrably
+//! cannot, which is the paper's argument for flagging them at
+//! generation time.
 
 use std::fmt;
 
@@ -189,24 +191,34 @@ pub fn exchange(wsdl_xml: &str, operation: &str, value: &str) -> ExchangeOutcome
 /// [`exchange`] with an optional injected wire fault (the chaos
 /// campaign's Communication-step disruption): the request can be
 /// truncated or namespace-mangled in transit, or the response dropped.
+///
+/// Both endpoints read the one published text, so one parse serves
+/// both: a server cannot fail to re-parse a text its client parsed.
 pub fn exchange_with_faults(
     wsdl_xml: &str,
     operation: &str,
     value: &str,
     fault: Option<crate::faults::WireFault>,
 ) -> ExchangeOutcome {
+    match from_xml_str(wsdl_xml) {
+        Ok(defs) => exchange_parsed(&defs, operation, value, fault),
+        Err(e) => ExchangeOutcome::ClientCannotInvoke {
+            reason: e.to_string(),
+        },
+    }
+}
+
+/// [`exchange_with_faults`] over an already-parsed description, which
+/// the client stub and the echo server both read.
+pub fn exchange_parsed(
+    defs: &Definitions,
+    operation: &str,
+    value: &str,
+    fault: Option<crate::faults::WireFault>,
+) -> ExchangeOutcome {
     use crate::faults::WireFault;
 
-    // Client side: independent parse of the published description.
-    let client_defs = match from_xml_str(wsdl_xml) {
-        Ok(defs) => defs,
-        Err(e) => {
-            return ExchangeOutcome::ClientCannotInvoke {
-                reason: e.to_string(),
-            }
-        }
-    };
-    let request = match soap::request(&client_defs, operation, value) {
+    let request = match soap::request(defs, operation, value) {
         Ok(doc) => write_document(&doc, &WriteOptions::compact()),
         Err(e) => {
             return ExchangeOutcome::ClientCannotInvoke {
@@ -245,18 +257,7 @@ pub fn exchange_with_faults(
         }
     }
 
-    // Server side: its own parse of the same document. A server that
-    // cannot re-parse its own published description is reported as a
-    // fault, never a crash.
-    let server_defs = match from_xml_str(wsdl_xml) {
-        Ok(defs) => defs,
-        Err(e) => {
-            return ExchangeOutcome::ServerFault {
-                reason: format!("server cannot re-parse its own description: {e}"),
-            }
-        }
-    };
-    let response = serve_echo(&server_defs, &request);
+    let response = serve_echo(defs, &request);
     if fault == Some(WireFault::DropResponse) {
         return ExchangeOutcome::TransportError {
             reason: "response dropped in transit".to_string(),

@@ -195,19 +195,42 @@ impl SocketFault {
     }
 }
 
+/// A campaign fault site before it is formatted. Its `Display` is the
+/// site key grammar, so a [`FaultPlan`] can hash the key as it is
+/// written and a site nobody reports on never becomes a `String`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SiteKey<'a> {
+    /// A Service Description Generation step ([`deploy_site`]).
+    Deploy(ServerId, &'a str),
+    /// One (server, client, service) test cell ([`gen_site`]).
+    Gen(ServerId, ClientId, &'a str),
+    /// One wire exchange ([`wire_site`]).
+    Wire(ServerId, &'a str),
+}
+
+impl fmt::Display for SiteKey<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SiteKey::Deploy(server, fqcn) => write!(f, "deploy/{server:?}/{fqcn}"),
+            SiteKey::Gen(server, client, fqcn) => write!(f, "gen/{server:?}/{client:?}/{fqcn}"),
+            SiteKey::Wire(server, fqcn) => write!(f, "wire/{server:?}/{fqcn}"),
+        }
+    }
+}
+
 /// Site key for a Service Description Generation step.
 pub fn deploy_site(server: ServerId, fqcn: &str) -> String {
-    format!("deploy/{server:?}/{fqcn}")
+    SiteKey::Deploy(server, fqcn).to_string()
 }
 
 /// Site key for one (server, client, service) test cell.
 pub fn gen_site(server: ServerId, client: ClientId, fqcn: &str) -> String {
-    format!("gen/{server:?}/{client:?}/{fqcn}")
+    SiteKey::Gen(server, client, fqcn).to_string()
 }
 
 /// Site key for one wire exchange.
 pub fn wire_site(server: ServerId, fqcn: &str) -> String {
-    format!("wire/{server:?}/{fqcn}")
+    SiteKey::Wire(server, fqcn).to_string()
 }
 
 /// Site key for the socket-level faults of one loopback exchange.
@@ -229,6 +252,46 @@ pub fn sock_site(server: ServerId, fqcn: &str) -> String {
 /// failure is a pure function of the input — and therefore shrinkable.
 pub fn fuzz_site(server: ServerId, fqcn: &str) -> String {
     format!("fuzz/{server:?}/{fqcn}")
+}
+
+/// A site key hashed once under one plan's seed. Every decision at
+/// the site mixes its kind into this one hash; the key is formatted
+/// again only to probe the plan's forced sites.
+#[derive(Debug, Clone, Copy)]
+struct HashedSite<K> {
+    key: K,
+    fnv: u64,
+}
+
+/// FNV-1a fed through `fmt::Write`, so a key is hashed as it is
+/// formatted.
+struct SiteHasher(u64);
+
+impl fmt::Write for SiteHasher {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        for b in s.bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        Ok(())
+    }
+}
+
+/// The client-side faults a plan puts on one test cell.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CellFaults {
+    /// An injected generator crash ([`FaultKind::ClientGenPanic`]).
+    pub crash: bool,
+    /// The virtual duration of an injected slow step
+    /// ([`FaultKind::SlowStep`]).
+    pub slow_ms: Option<u64>,
+}
+
+impl CellFaults {
+    /// Whether any fault lands on the cell.
+    pub fn any(self) -> bool {
+        self.crash || self.slow_ms.is_some()
+    }
 }
 
 /// A seeded, deterministic fault plan.
@@ -318,25 +381,47 @@ impl FaultPlan {
             .count()
     }
 
+    /// Hashes `key` as it is formatted: FNV-1a over the key's text
+    /// with a seed-keyed offset basis (so not the shared `fnv1a`).
+    fn hash_site<K: fmt::Display>(&self, key: K) -> HashedSite<K> {
+        use fmt::Write as _;
+        let mut hasher = SiteHasher(0xcbf2_9ce4_8422_2325 ^ self.seed);
+        write!(hasher, "{key}").expect("hashing a site never fails");
+        HashedSite { key, fnv: hasher.0 }
+    }
+
     fn hash(&self, kind: FaultKind, site: &str) -> u64 {
-        // FNV-1a over the site with a seed-keyed offset basis (so not
-        // the shared `fnv1a`), mixed with the kind, then the splitmix64
-        // finalizer. Stable across platforms and releases.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325 ^ self.seed;
-        for b in site.bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        splitmix64(h ^ (kind.index() as u64 + 1).wrapping_mul(GOLDEN_GAMMA))
+        self.hash_at(kind, &self.hash_site(site))
+    }
+
+    /// The site hash mixed with the kind, then the splitmix64
+    /// finalizer. Stable across platforms and releases.
+    fn hash_at<K>(&self, kind: FaultKind, site: &HashedSite<K>) -> u64 {
+        splitmix64(site.fnv ^ (kind.index() as u64 + 1).wrapping_mul(GOLDEN_GAMMA))
     }
 
     /// Whether `kind` is injected at `site`.
     pub fn decide(&self, kind: FaultKind, site: &str) -> bool {
-        if self.forced.contains(&(kind, site.to_string())) {
+        self.decide_at(kind, &self.hash_site(site))
+    }
+
+    /// [`FaultPlan::decide`] at an already-hashed site.
+    fn decide_at<K: fmt::Display>(&self, kind: FaultKind, site: &HashedSite<K>) -> bool {
+        if !self.forced.is_empty() && self.forced.contains(&(kind, site.key.to_string())) {
             return true;
         }
         let rate = self.rates[kind.index()];
-        rate > 0 && self.hash(kind, site) % 1000 < u64::from(rate)
+        rate > 0 && self.hash_at(kind, site) % 1000 < u64::from(rate)
+    }
+
+    /// The client-side faults on the test cell at `site` (a
+    /// [`SiteKey::Gen`]), decided from one hash of its key.
+    pub fn cell_faults(&self, site: SiteKey<'_>) -> CellFaults {
+        let site = self.hash_site(site);
+        CellFaults {
+            crash: self.decide_at(FaultKind::ClientGenPanic, &site),
+            slow_ms: self.slow_ms_at(&site),
+        }
     }
 
     /// How many initial deploy attempts a transient refusal eats at
@@ -347,20 +432,33 @@ impl FaultPlan {
 
     /// Virtual duration of a slow step at `site`, when injected.
     pub fn slow_virtual_ms(&self, site: &str) -> Option<u64> {
-        if !self.decide(FaultKind::SlowStep, site) {
+        self.slow_ms_at(&self.hash_site(site))
+    }
+
+    fn slow_ms_at<K: fmt::Display>(&self, site: &HashedSite<K>) -> Option<u64> {
+        if !self.decide_at(FaultKind::SlowStep, site) {
             return None;
         }
-        Some(10 + (self.hash(FaultKind::SlowStep, site) >> 16) % 190)
+        Some(10 + (self.hash_at(FaultKind::SlowStep, site) >> 16) % 190)
     }
 
     /// The wire fault (if any) injected at `site`, first match in
     /// truncate → namespace → drop order.
     pub fn wire_fault(&self, site: &str) -> Option<WireFault> {
-        if self.decide(FaultKind::WireTruncateEnvelope, site) {
+        self.wire_fault_at(&self.hash_site(site))
+    }
+
+    /// [`FaultPlan::wire_fault`] at an unformatted site key.
+    pub fn wire_fault_key(&self, site: SiteKey<'_>) -> Option<WireFault> {
+        self.wire_fault_at(&self.hash_site(site))
+    }
+
+    fn wire_fault_at<K: fmt::Display>(&self, site: &HashedSite<K>) -> Option<WireFault> {
+        if self.decide_at(FaultKind::WireTruncateEnvelope, site) {
             Some(WireFault::TruncateEnvelope)
-        } else if self.decide(FaultKind::WireWrongNamespace, site) {
+        } else if self.decide_at(FaultKind::WireWrongNamespace, site) {
             Some(WireFault::WrongNamespace)
-        } else if self.decide(FaultKind::WireDropResponse, site) {
+        } else if self.decide_at(FaultKind::WireDropResponse, site) {
             Some(WireFault::DropResponse)
         } else {
             None
@@ -1137,6 +1235,77 @@ mod tests {
             forced.wire_fault("wire/Metro/x"),
             Some(WireFault::DropResponse)
         );
+    }
+
+    /// The site hash over the formatted key's bytes, as the plan
+    /// computed it before keys were hashed while being written.
+    fn hash_of_formatted(seed: u64, kind: FaultKind, site: &str) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325 ^ seed;
+        for b in site.bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        splitmix64(h ^ (kind.index() as u64 + 1).wrapping_mul(GOLDEN_GAMMA))
+    }
+
+    #[test]
+    fn streamed_site_hash_equals_the_hash_of_the_formatted_site() {
+        let servers = [
+            ServerId::Metro,
+            ServerId::JBossWs,
+            ServerId::WcfDotNet,
+            ServerId::Axis2Java,
+        ];
+        let fqcns = ["java.util.Date", "System.Data.DataSet", "a.b.C$Inner", ""];
+        for seed in [42, 7] {
+            let plan = FaultPlan::seeded(seed);
+            for server in servers {
+                for fqcn in fqcns {
+                    let mut keys = vec![SiteKey::Deploy(server, fqcn), SiteKey::Wire(server, fqcn)];
+                    keys.extend(ClientId::ALL.map(|client| SiteKey::Gen(server, client, fqcn)));
+                    for key in keys {
+                        let site = key.to_string();
+                        let hashed = plan.hash_site(key);
+                        for kind in FaultKind::ALL {
+                            let formatted = hash_of_formatted(seed, kind, &site);
+                            assert_eq!(plan.hash_at(kind, &hashed), formatted, "{site}");
+                            assert_eq!(plan.hash(kind, &site), formatted, "{site}");
+                            assert_eq!(plan.decide_at(kind, &hashed), plan.decide(kind, &site));
+                        }
+                        assert_eq!(plan.wire_fault_key(key), plan.wire_fault(&site));
+                        assert_eq!(
+                            plan.cell_faults(key),
+                            CellFaults {
+                                crash: plan.decide(FaultKind::ClientGenPanic, &site),
+                                slow_ms: plan.slow_virtual_ms(&site),
+                            },
+                        );
+                    }
+                }
+            }
+        }
+        assert_eq!(
+            gen_site(ServerId::Metro, ClientId::ALL[0], "x.Y"),
+            format!("gen/Metro/{:?}/x.Y", ClientId::ALL[0])
+        );
+        assert_eq!(
+            deploy_site(ServerId::WcfDotNet, "x.Y"),
+            "deploy/WcfDotNet/x.Y"
+        );
+        assert_eq!(wire_site(ServerId::JBossWs, "x.Y"), "wire/JBossWs/x.Y");
+    }
+
+    #[test]
+    fn a_forced_cell_site_fires_on_the_hashed_path() {
+        let key = SiteKey::Gen(ServerId::Metro, ClientId::ALL[3], "java.util.Date");
+        let plan = FaultPlan::silent(42)
+            .force_at(FaultKind::ClientGenPanic, key.to_string())
+            .force_at(FaultKind::SlowStep, key.to_string());
+        let faults = plan.cell_faults(key);
+        assert!(faults.crash);
+        assert!(faults.slow_ms.is_some());
+        let other = SiteKey::Gen(ServerId::Metro, ClientId::ALL[4], "java.util.Date");
+        assert_eq!(plan.cell_faults(other), CellFaults::default());
     }
 
     #[test]

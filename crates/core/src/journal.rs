@@ -285,14 +285,13 @@ fn instantiation_from(code: u8) -> Option<Option<InstantiationKind>> {
 /// checksum), ready to append.
 pub fn encode_cell(cell: &JournalCell) -> Vec<u8> {
     let mut frame = Vec::new();
-    encode_cell_into(cell, &mut frame);
+    push_cell_frame(cell, &mut frame);
     frame
 }
 
-/// Encodes one cell into a caller-provided frame buffer (cleared
-/// first). [`JournalWriter::append`] reuses one buffer per thread, so
-/// the steady-state append path allocates nothing.
-pub fn encode_cell_into(cell: &JournalCell, frame: &mut Vec<u8>) {
+/// Appends one cell's complete frame to `buf`, after whatever it
+/// already holds.
+fn push_cell_frame(cell: &JournalCell, buf: &mut Vec<u8>) {
     let r = &cell.record;
     let mut flags = 0u16;
     for (bit, on) in [
@@ -311,17 +310,17 @@ pub fn encode_cell_into(cell: &JournalCell, frame: &mut Vec<u8>) {
     }
     let fqcn = r.fqcn.as_bytes();
     let payload_len = 7 + fqcn.len();
-    frame.clear();
-    frame.reserve(4 + payload_len + 8);
-    frame.extend_from_slice(&(payload_len as u32).to_le_bytes());
-    frame.push(server_code(r.server));
-    frame.push(client_code(r.client));
-    frame.extend_from_slice(&flags.to_le_bytes());
-    frame.push(instantiation_code(r.instantiation));
-    frame.extend_from_slice(&(fqcn.len() as u16).to_le_bytes());
-    frame.extend_from_slice(fqcn);
-    let checksum = content_hash(&frame[4..]);
-    frame.extend_from_slice(&checksum.to_le_bytes());
+    buf.reserve(4 + payload_len + 8);
+    buf.extend_from_slice(&(payload_len as u32).to_le_bytes());
+    let start = buf.len();
+    buf.push(server_code(r.server));
+    buf.push(client_code(r.client));
+    buf.extend_from_slice(&flags.to_le_bytes());
+    buf.push(instantiation_code(r.instantiation));
+    buf.extend_from_slice(&(fqcn.len() as u16).to_le_bytes());
+    buf.extend_from_slice(fqcn);
+    let checksum = content_hash(&buf[start..]);
+    buf.extend_from_slice(&checksum.to_le_bytes());
 }
 
 /// Decodes one record payload. `None` means corruption (unknown codes,
@@ -370,8 +369,7 @@ pub fn decode_payload(payload: &[u8]) -> Option<JournalCell> {
 }
 
 /// Appends one complete frame (length prefix, payload, checksum) to a
-/// caller-owned buffer — the shared framing behind the fuzz encoders,
-/// which batch several frames into one atomic `write_all`.
+/// caller-owned buffer — the shared framing behind the fuzz encoders.
 fn push_frame(buf: &mut Vec<u8>, payload: &[u8]) {
     buf.reserve(12 + payload.len());
     buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
@@ -633,9 +631,62 @@ pub fn read_journal_bytes(bytes: &[u8]) -> Result<JournalReadOutcome, JournalErr
 
 // --- writing --------------------------------------------------------
 
+/// Encoded frames staged for one [`JournalWriter::append_batch`]: the
+/// bytes of every frame back to back, and where each append ends, so
+/// the halt and stall switches can still stop between two appends.
+/// Reused across batches, it allocates nothing in steady state.
+#[derive(Debug, Default)]
+pub struct JournalBatch {
+    bytes: Vec<u8>,
+    /// End offset in `bytes` of each append, in order.
+    ends: Vec<usize>,
+}
+
+impl JournalBatch {
+    /// An empty batch.
+    pub const fn new() -> JournalBatch {
+        JournalBatch {
+            bytes: Vec::new(),
+            ends: Vec::new(),
+        }
+    }
+
+    /// Stages one cell's frame as one append.
+    pub fn push_cell(&mut self, cell: &JournalCell) {
+        push_cell_frame(cell, &mut self.bytes);
+        self.ends.push(self.bytes.len());
+    }
+
+    /// Stages one completed fuzz unit as *one* append: its shrunk
+    /// reproducer frames followed by the unit frame that commits them.
+    fn push_fuzz_unit(&mut self, repros: &[FuzzReproRecord], unit: &FuzzUnitRecord) {
+        for repro in repros {
+            self.bytes.extend_from_slice(&encode_fuzz_repro(repro));
+        }
+        self.bytes.extend_from_slice(&encode_fuzz_unit(unit));
+        self.ends.push(self.bytes.len());
+    }
+
+    /// Number of staged appends.
+    fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// True when nothing is staged.
+    fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// Forgets every staged append, keeping the buffers.
+    fn clear(&mut self) {
+        self.bytes.clear();
+        self.ends.clear();
+    }
+}
+
 /// Thread-safe appender for a campaign journal.
 ///
-/// Each record is emitted as one `write_all` of a complete frame, so a
+/// Each batch of complete frames is emitted as one `write_all`, so a
 /// kill can only ever tear the *tail* — exactly the damage the reader
 /// tolerates. I/O errors are latched (never panicked) and surfaced
 /// once, after the run.
@@ -658,7 +709,7 @@ pub struct JournalWriter {
     metrics: Option<std::sync::Arc<crate::obs::MetricsRegistry>>,
     /// Cached handle for `journal_frames_written_total`, so the append
     /// path resolves the instrument name once instead of taking the
-    /// registry lock per frame.
+    /// registry lock per batch.
     frames_written: crate::obs::LazyCounter,
 }
 
@@ -685,15 +736,7 @@ impl JournalWriter {
             .truncate(true)
             .open(path)?;
         file.write_all(&encode_header(config_hash))?;
-        Ok(JournalWriter {
-            file: Mutex::new(file),
-            appended: AtomicUsize::new(0),
-            halt_after,
-            stall_after: None,
-            error: Mutex::new(None),
-            metrics: None,
-            frames_written: crate::obs::LazyCounter::new(),
-        })
+        Ok(JournalWriter::over(file, halt_after))
     }
 
     /// Resumes an existing journal: reads it tolerantly, verifies the
@@ -736,38 +779,40 @@ impl JournalWriter {
         let mut file = OpenOptions::new().write(true).open(path)?;
         file.set_len(keep)?;
         file.seek(SeekFrom::End(0))?;
-        Ok((
-            JournalWriter {
-                file: Mutex::new(file),
-                appended: AtomicUsize::new(0),
-                halt_after,
-                stall_after: None,
-                error: Mutex::new(None),
-                metrics: None,
-                frames_written: crate::obs::LazyCounter::new(),
-            },
-            read,
-        ))
+        Ok((JournalWriter::over(file, halt_after), read))
     }
 
-    /// Appends one cell. Failures are latched for
+    fn over(file: File, halt_after: Option<usize>) -> JournalWriter {
+        JournalWriter {
+            file: Mutex::new(file),
+            appended: AtomicUsize::new(0),
+            halt_after,
+            stall_after: None,
+            error: Mutex::new(None),
+            metrics: None,
+            frames_written: crate::obs::LazyCounter::new(),
+        }
+    }
+
+    /// Appends one cell: the one-cell case of
+    /// [`JournalWriter::append_batch`]. Failures are latched for
     /// [`JournalWriter::take_error`]; the campaign itself never aborts
     /// on journal I/O.
     pub fn append(&self, cell: &JournalCell) {
         thread_local! {
-            /// Reusable frame-encode buffer: encoding happens outside
-            /// the file lock and allocates nothing in steady state.
-            static FRAME: std::cell::RefCell<Vec<u8>> = const { std::cell::RefCell::new(Vec::new()) };
+            /// Reusable one-cell batch: encoding happens outside the
+            /// file lock and allocates nothing in steady state.
+            static ONE: std::cell::RefCell<JournalBatch> =
+                const { std::cell::RefCell::new(JournalBatch::new()) };
         }
-        let staged = FRAME.try_with(|buf| {
-            let mut frame = buf.borrow_mut();
-            encode_cell_into(cell, &mut frame);
-            self.write_frame(&frame);
-        });
-        if staged.is_err() {
+        let one = |batch: &mut JournalBatch| {
+            batch.push_cell(cell);
+            self.append_batch(batch);
+        };
+        if ONE.try_with(|batch| one(&mut batch.borrow_mut())).is_err() {
             // TLS gone (thread teardown): fall back to a fresh buffer
             // rather than lose the frame.
-            self.write_frame(&encode_cell(cell));
+            one(&mut JournalBatch::new());
         }
     }
 
@@ -780,34 +825,44 @@ impl JournalWriter {
     /// of the batch — which the reader's pending-reproducer stash
     /// already treats as uncommitted.
     pub fn append_fuzz_batch(&self, repros: &[FuzzReproRecord], unit: &FuzzUnitRecord) {
-        let mut batch = Vec::new();
-        for repro in repros {
-            batch.extend_from_slice(&encode_fuzz_repro(repro));
-        }
-        batch.extend_from_slice(&encode_fuzz_unit(unit));
-        self.write_frame(&batch);
+        let mut batch = JournalBatch::new();
+        batch.push_fuzz_unit(repros, unit);
+        self.append_batch(&mut batch);
     }
 
-    /// Writes one already-encoded frame and runs the post-append
-    /// bookkeeping (count, metrics mirror, halt/stall switches). The
-    /// file lock is held across the write *and* the switches: halt
-    /// syncs under it, and stall sleeps forever under it so every
-    /// other worker blocks on its next append.
-    fn write_frame(&self, frame: &[u8]) {
+    /// Writes every staged append in one `write_all`, runs the
+    /// post-append bookkeeping (count, metrics mirror, halt/stall
+    /// switches) and clears `batch`. The switches count appends, not
+    /// writes: when one falls inside the batch, exactly the appends up
+    /// to it are written before the process halts or stalls. The file
+    /// lock is held across the write *and* the switches: halt syncs
+    /// under it, and stall sleeps forever under it so every other
+    /// worker blocks on its next append.
+    pub fn append_batch(&self, batch: &mut JournalBatch) {
+        if batch.is_empty() {
+            return;
+        }
         // lock-order: L4 (journal file) — may acquire L4.b (error
-        // latch) and L0 (metrics registry) below; one complete frame
-        // per `write_all`, so a kill can only ever tear the tail.
+        // latch) and L0 (metrics registry) below; whole frames per
+        // `write_all`, so a kill can only ever tear the tail.
         let mut file = lock_unpoisoned(&self.file);
-        if let Err(e) = file.write_all(frame) {
+        let before = self.appended.load(Ordering::Relaxed);
+        let take = match self.halt_after.into_iter().chain(self.stall_after).min() {
+            Some(switch) => switch.saturating_sub(before).clamp(1, batch.len()),
+            None => batch.len(),
+        };
+        let written = file.write_all(&batch.bytes[..batch.ends[take - 1]]);
+        batch.clear();
+        if let Err(e) = written {
             // lock-order: L4.b (journal error latch) — under L4.
             let mut slot = lock_unpoisoned(&self.error);
             slot.get_or_insert(e);
             return;
         }
-        let n = self.appended.fetch_add(1, Ordering::Relaxed) + 1;
+        let n = self.appended.fetch_add(take, Ordering::Relaxed) + take;
         if let Some(metrics) = &self.metrics {
             self.frames_written
-                .inc(metrics, "journal_frames_written_total");
+                .add(metrics, "journal_frames_written_total", take as u64);
         }
         if self.halt_after.is_some_and(|halt| n >= halt) {
             // The deterministic kill: drop dead mid-campaign, exactly
@@ -1032,6 +1087,40 @@ mod tests {
         assert_eq!(healed.cells, all);
         assert!(!healed.torn());
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_batch_writes_the_bytes_of_its_appends_in_one_go() {
+        let path = |name: &str| {
+            std::env::temp_dir().join(format!(
+                "wsinterop-journal-unit-batch-{name}-{}.bin",
+                std::process::id()
+            ))
+        };
+        let all: Vec<JournalCell> = (0..11)
+            .map(|i| cell(&format!("p.C{i}"), i % 3 == 0))
+            .collect();
+        let (one_by_one, batched) = (path("one"), path("batch"));
+        let writer = JournalWriter::create(&one_by_one, 5, None).unwrap();
+        for c in &all {
+            writer.append(c);
+        }
+        let writer = JournalWriter::create(&batched, 5, None).unwrap();
+        let mut batch = JournalBatch::new();
+        for c in &all {
+            batch.push_cell(c);
+        }
+        assert_eq!(batch.len(), 11);
+        writer.append_batch(&mut batch);
+        assert!(batch.is_empty());
+        assert_eq!(writer.appended(), 11);
+        drop(writer);
+        assert_eq!(
+            std::fs::read(&one_by_one).unwrap(),
+            std::fs::read(&batched).unwrap()
+        );
+        std::fs::remove_file(&one_by_one).ok();
+        std::fs::remove_file(&batched).ok();
     }
 
     fn repro(case_index: u32, tape: &[u32]) -> FuzzReproRecord {

@@ -65,7 +65,7 @@ pub use campaign::Campaign;
 pub use doccache::{DocCache, ParsedService, PipelineStats};
 pub use faults::{BreakerConfig, FaultKind, FaultPlan, FaultReport, ResilienceConfig};
 pub use fuzz::{FuzzConfig, FuzzOutcome, FuzzTransport};
-pub use journal::{JournalCell, JournalError, JournalWriter};
+pub use journal::{JournalBatch, JournalCell, JournalError, JournalWriter};
 pub use obs::{Clock, MetricsRegistry, MetricsSnapshot, Obs, TraceEvent, TracePhase, TraceSink};
 pub use shard::{ShardSpec, Supervisor, SupervisorConfig};
 pub use results::{CampaignResults, InstantiationKind, ServiceRecord, TestRecord};

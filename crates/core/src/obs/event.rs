@@ -514,14 +514,16 @@ impl SinkCore {
     /// Merge a staged batch into the ring (and the output stream)
     /// under one short lock hold.
     ///
-    /// Sequence numbers are assigned here, while the buffer lock is
-    /// held, and the file write happens under that same lock — so both
-    /// the ring and the `--trace-out` stream stay monotonic in `seq`
-    /// even with concurrent flushers, exactly as when `record` itself
-    /// took the lock per event. An oversized serialized line (only
-    /// detectable when streaming) drops the event from *both* the file
-    /// and the ring, so each missing event is counted exactly once and
-    /// `recorded() - len()` always equals `dropped()`.
+    /// Sequence numbers are assigned and the batch's lines serialized
+    /// while the ring lock is held; the stream lock is taken before the
+    /// ring lock is released, and the batch then goes out in one
+    /// `write_all`. So both the ring and the `--trace-out` stream stay
+    /// monotonic in `seq` even with concurrent flushers, exactly as
+    /// when `record` itself took the lock per event. An oversized
+    /// serialized line (only detectable when streaming) drops the event
+    /// from *both* the file and the ring, so each missing event is
+    /// counted exactly once and `recorded() - len()` always equals
+    /// `dropped()`.
     fn ingest(&self, pending: &mut Vec<TraceEvent>) {
         if pending.is_empty() {
             return;
@@ -530,35 +532,43 @@ impl SinkCore {
         // stream) below; nothing else is ever taken under it.
         let mut buf = lock_unpoisoned(&self.buf);
         let streaming = self.has_out.load(Ordering::Relaxed);
-        // One reusable line buffer and one file-lock hold per batch.
-        let mut line = String::new();
-        // lock-order: L3.d (trace out stream) — leaf, under L3.c.
-        let mut out = streaming.then(|| lock_unpoisoned(&self.out));
+        // Every line of the batch, for one write.
+        let mut lines = String::new();
         for mut event in pending.drain(..) {
             event.seq = self.seq.fetch_add(1, Ordering::Relaxed);
-            if let Some(out) = &mut out {
-                line.clear();
-                event.write_json_line(&mut line);
-                if line.len() > MAX_EVENT_LINE_BYTES {
+            if streaming {
+                let start = lines.len();
+                event.write_json_line(&mut lines);
+                if lines.len() - start > MAX_EVENT_LINE_BYTES {
+                    lines.truncate(start);
                     self.dropped.fetch_add(1, Ordering::Relaxed);
                     continue;
                 }
-                if let Some(file) = out.as_mut() {
-                    if let Err(e) = writeln!(file, "{line}") {
-                        // lock-order: L3.e (write-error latch) —
-                        // innermost of the sink chain.
-                        let mut err = lock_unpoisoned(&self.write_error);
-                        if err.is_none() {
-                            *err = Some(e.to_string());
-                        }
-                    }
-                }
+                lines.push('\n');
             }
             if buf.len() >= self.capacity {
                 buf.pop_front();
                 self.dropped.fetch_add(1, Ordering::Relaxed);
             }
             buf.push_back(event);
+        }
+        if lines.is_empty() {
+            return;
+        }
+        // lock-order: L3.d (trace out stream) — leaf, taken under L3.c
+        // so batches reach the file in `seq` order; L3.c is released
+        // before the write.
+        let mut out = lock_unpoisoned(&self.out);
+        drop(buf);
+        if let Some(file) = out.as_mut() {
+            if let Err(e) = file.write_all(lines.as_bytes()) {
+                // lock-order: L3.e (write-error latch) — innermost of
+                // the sink chain.
+                let mut err = lock_unpoisoned(&self.write_error);
+                if err.is_none() {
+                    *err = Some(e.to_string());
+                }
+            }
         }
     }
 

@@ -52,7 +52,7 @@ use wsinterop_frameworks::client::ClientId;
 use wsinterop_frameworks::server::ServerId;
 
 use crate::faults::FaultReport;
-use crate::journal::{read_journal, JournalCell, JournalError, JournalWriter};
+use crate::journal::{read_journal, JournalBatch, JournalCell, JournalError, JournalWriter};
 use crate::obs::{MetricsSnapshot, TraceEvent};
 use crate::results::{CampaignResults, ServiceRecord};
 
@@ -488,9 +488,11 @@ pub fn write_merged_journal(
     cells: &[JournalCell],
 ) -> Result<(), JournalError> {
     let writer = JournalWriter::create(path, config_hash, None)?;
+    let mut batch = JournalBatch::new();
     for cell in cells {
-        writer.append(cell);
+        batch.push_cell(cell);
     }
+    writer.append_batch(&mut batch);
     if let Some(e) = writer.take_error() {
         return Err(JournalError::Io(e));
     }
