@@ -8,11 +8,16 @@
 //! configuration at several thread counts, and pins one digest per
 //! configuration. It also pins the cells of a journaled chaos run,
 //! sorted, since a journal's frame order is the one thing a schedule
-//! may change.
+//! may change, and a refusal-heavy plan at three retry budgets, with
+//! the trace lines and metrics of one observed run.
+
+use std::sync::Arc;
 
 use wsinterop::core::campaign::ExchangeTransport;
 use wsinterop::core::journal::read_journal;
-use wsinterop::core::{BreakerConfig, Campaign, FaultPlan};
+use wsinterop::core::{
+    BreakerConfig, Campaign, Clock, FaultKind, FaultPlan, Obs, ResilienceConfig,
+};
 use wsinterop::typecat::rng::fnv1a;
 
 fn digest(text: &str) -> String {
@@ -98,4 +103,69 @@ fn journaled_chaos_cells_are_pinned_up_to_frame_order() {
         key(a).cmp(&key(b))
     });
     assert_eq!(digest(&format!("{cells:?}")), "844d7c71907721b0");
+}
+
+/// A plan that refuses every first deploy attempt (one to three
+/// times) and damages many published descriptions, so the retry
+/// arithmetic, refused services and damaged-and-refused overlaps all
+/// show in the digest.
+fn refusal_heavy_plan() -> FaultPlan {
+    FaultPlan::silent(42)
+        .with_rate(FaultKind::TransientDeployRefusal, 1000)
+        .with_rate(FaultKind::WsdlCorruption, 300)
+        .with_rate(FaultKind::WsdlTruncation, 100)
+}
+
+fn refusal_heavy(max_retries: u32) -> Campaign {
+    Campaign::sampled(50)
+        .with_faults(refusal_heavy_plan())
+        .with_resilience(ResilienceConfig {
+            max_retries,
+            ..ResilienceConfig::default()
+        })
+}
+
+#[test]
+fn refusal_heavy_chaos_is_pinned_at_every_retry_budget() {
+    for (max_retries, pin) in [
+        (0, "25671215ba0f6bb5"),
+        (2, "3058619f53737747"),
+        (5, "89c9119d968c5f2c"),
+    ] {
+        assert_pinned(
+            &format!("refusal-heavy chaos, max_retries {max_retries}"),
+            || refusal_heavy(max_retries),
+            &[1, 3],
+            pin,
+        );
+    }
+}
+
+#[test]
+fn refusal_heavy_chaos_trace_and_metrics_are_pinned() {
+    let obs = Arc::new(Obs::new(Clock::virtual_seeded(42)));
+    refusal_heavy(ResilienceConfig::default().max_retries)
+        .with_threads(1)
+        .with_observer(Arc::clone(&obs))
+        .run();
+    let mut lines: Vec<String> = obs
+        .trace()
+        .drain()
+        .into_iter()
+        .map(|mut event| {
+            event.seq = 0;
+            event.to_json_line()
+        })
+        .collect();
+    lines.sort();
+    assert_eq!(obs.trace().dropped(), 0, "the ring holds the whole run");
+    let refused_after_retries = lines.iter().any(|l| {
+        l.contains("\"phase\":\"describe\"")
+            && l.contains("\"outcome\":\"refused\"")
+            && l.contains("\"fault_site\":\"deploy/")
+            && l.contains("\"retries\":2")
+    });
+    assert!(refused_after_retries, "a describe span spends the budget");
+    assert_eq!(digest(&lines.join("\n")), "be1154ec24b79523", "trace lines");
+    assert_eq!(digest(&obs.metrics_json()), "cab95771dce75dd1", "metrics");
 }
