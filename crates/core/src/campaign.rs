@@ -15,20 +15,23 @@
 //! * a published description that fails to parse is recorded as a
 //!   deployed-but-non-conformant service with a description warning,
 //!   and its (corrupt) WSDL text still goes to all eleven clients;
-//! * transient deployment refusals (marked with
-//!   [`wsinterop_frameworks::fault::TRANSIENT_REFUSAL_PREFIX`]) are
-//!   retried within [`ResilienceConfig::max_retries`], charging a
-//!   deterministic virtual backoff;
+//! * an injected transient deployment refusal is retried within
+//!   [`ResilienceConfig::max_retries`], charging a deterministic
+//!   virtual backoff per retry; a refusal that outlasts the budget
+//!   refuses the service;
 //! * a panicking test worker is isolated with `catch_unwind` and
 //!   becomes one Error-classified [`TestRecord`];
 //! * result collection uses poison-tolerant locks, so an isolated
 //!   panic can never cascade into a poisoned-lock abort.
 //!
-//! With [`Campaign::with_faults`] the runner layers a seeded
-//! [`FaultPlan`] over the subsystems (the chaos campaign, experiment
-//! E12) and [`Campaign::run_with_report`] additionally returns the
+//! With [`Campaign::with_faults`] the runner injects a seeded
+//! [`FaultPlan`]'s faults around its own deploy, generation and
+//! exchange calls (the chaos campaign, experiment E12), and
+//! [`Campaign::run_with_report`] additionally returns the
 //! [`FaultReport`] accounting of injected vs detected vs masked
-//! faults.
+//! faults. Each fault site is decided, injected and accounted in one
+//! place: the deploy step, a cell's commit, the in-process wire probe
+//! or the socket probe pass.
 //!
 //! ## One document at a time
 //!
@@ -72,7 +75,6 @@ use wsinterop_compilers::{compiler_for, instantiate};
 use wsinterop_frameworks::client::{
     all_clients, classify_error, ClientId, ClientSubsystem, CompilationMode, ErrorClass,
 };
-use wsinterop_frameworks::fault::{is_transient_refusal, FaultyServer};
 use wsinterop_frameworks::server::{all_servers, DeployOutcome, ServerId, ServerSubsystem};
 use wsinterop_typecat::TypeEntry;
 use wsinterop_wsi::Analyzer;
@@ -80,9 +82,8 @@ use wsinterop_wsi::Analyzer;
 use crate::doccache::{content_hash, DocCache, ParsedService, PipelineStats};
 use crate::exchange::exchange_parsed;
 use crate::faults::{
-    deploy_site, sock_site, wire_site, BreakerConfig, BreakerState, CellFaults, FaultKind,
-    FaultLog, FaultPlan, FaultReport, PlanServerHook, ResilienceConfig, SiteKey, SocketFault,
-    WireFault,
+    sock_site, wire_site, BreakerConfig, BreakerState, CellFaults, FaultKind, FaultLog,
+    FaultPlan, FaultReport, ResilienceConfig, SiteKey, SocketFault, WireFault, WsdlDamage,
 };
 use crate::journal::{JournalBatch, JournalCell, JournalError, JournalWriter};
 use crate::shard::ShardSpec;
@@ -852,12 +853,6 @@ impl Campaign {
             let span = obs.map(|o| {
                 o.begin_phase(TracePhase::Wire, server_id.name(), None, &probe.fqcn)
             });
-            if let Some(w) = probe.wire {
-                log.injected(w.kind(), &probe.wire_key);
-            }
-            if let Some(s) = probe.sock {
-                log.injected(s.kind(), &probe.sock_key);
-            }
             let detected = match &probe.operation {
                 // No invocable operation: the probe never leaves the
                 // client, the fault never bites — masked.
@@ -872,11 +867,11 @@ impl Campaign {
                 )
                 .completed(),
             };
-            if probe.wire.is_some() {
-                log.resolve(&probe.wire_key, detected);
+            if let Some(w) = probe.wire {
+                log.record(&probe.wire_key, [w.kind()], detected);
             }
-            if probe.sock.is_some() {
-                log.resolve(&probe.sock_key, detected);
+            if let Some(s) = probe.sock {
+                log.record(&probe.sock_key, [s.kind()], detected);
             }
             if let (Some(o), Some(span)) = (obs, span) {
                 let site = if probe.wire.is_some() {
@@ -904,7 +899,8 @@ impl Campaign {
 
     /// One Service Description Generation step, with fault injection,
     /// transient-refusal retries and graceful handling of unparseable
-    /// published descriptions.
+    /// published descriptions. The step's faults are decided, injected
+    /// and accounted here, once.
     fn deploy_entry(
         &self,
         env: &CellEnv<'_>,
@@ -922,29 +918,38 @@ impl Campaign {
                 &entry.fqcn,
             )
         });
-        let mut retries = 0u32;
-        let outcome = match &self.faults {
-            None => server.deploy(entry),
-            Some(plan) => {
-                let hook = PlanServerHook::new(plan, log, &self.resilience, server_id);
-                let faulty = FaultyServer::new(server, &hook);
-                loop {
-                    match faulty.deploy(entry) {
-                        DeployOutcome::Refused { reason }
-                            if is_transient_refusal(&reason)
-                                && retries < self.resilience.max_retries =>
-                        {
-                            log.retried(self.resilience.backoff_for(retries));
-                            retries += 1;
-                        }
-                        other => break other,
-                    }
-                }
-            }
+        // The site's faults are decided from one hash of its key. A
+        // transient refusal eats its first `refusals` attempts: each
+        // one the retry budget covers costs a retry and its backoff,
+        // and past the budget the service is refused before the
+        // platform ever sees it.
+        let key = SiteKey::Deploy(server_id, &entry.fqcn);
+        let faults = self
+            .faults
+            .as_ref()
+            .map(|plan| plan.deploy_faults(key))
+            .unwrap_or_default();
+        let refusals = faults.refusals.unwrap_or(0);
+        let retries = refusals.min(self.resilience.max_retries);
+        for retry in 0..retries {
+            log.retried(self.resilience.backoff_for(retry));
+        }
+        let published = if refusals > self.resilience.max_retries {
+            None
+        } else if let DeployOutcome::Deployed { wsdl_xml } = server.deploy(entry) {
+            Some(wsdl_xml)
+        } else {
+            None
         };
+        // Only published bytes can be damaged.
+        let damage = faults.damage.filter(|_| published.is_some());
+        let published = published.map(|wsdl_xml| match damage {
+            Some(damage) => damage.apply(&wsdl_xml),
+            None => wsdl_xml,
+        });
 
-        let (record, wsdl) = match outcome {
-            DeployOutcome::Refused { .. } => (
+        let (record, wsdl) = match published {
+            None => (
                 ServiceRecord {
                     server: server_id,
                     fqcn: entry.fqcn.clone(),
@@ -954,7 +959,7 @@ impl Campaign {
                 },
                 None,
             ),
-            DeployOutcome::Deployed { wsdl_xml } => {
+            Some(wsdl_xml) => {
                 // The one parse every later step of this service reads —
                 // of the published bytes, damaged ones included.
                 let svc = env.cache.parse(wsdl_xml);
@@ -995,15 +1000,20 @@ impl Campaign {
             }
         };
 
-        if self.faults.is_some() {
-            let site = deploy_site(server_id, &entry.fqcn);
-            if log.is_affected(&site) {
-                // Detected when the step surfaced the disruption as a
-                // refusal or a flagged description; masked when the
-                // record came out clean (retry-absorbed refusals,
-                // benign corruption).
-                log.resolve(&site, !record.deployed || record.description_warning);
-            }
+        // The site is formatted only for its readers: an injected
+        // fault, a trace of a fault-planned run.
+        let refusal = faults.refusals.map(|_| FaultKind::TransientDeployRefusal);
+        let affected = refusal.is_some() || damage.is_some();
+        let traced = obs.is_some() && self.faults.is_some();
+        let site = (affected || traced).then(|| key.to_string());
+        if let Some(site) = site.as_deref().filter(|_| affected) {
+            // Detected when the step surfaced the disruption as a
+            // refusal or a flagged description; masked when the record
+            // came out clean (retry-absorbed refusals, benign
+            // corruption).
+            let detected = !record.deployed || record.description_warning;
+            let kinds = refusal.into_iter().chain(damage.map(WsdlDamage::kind));
+            log.record(site, kinds, detected);
         }
         if let (Some(o), Some(span)) = (obs, span) {
             let outcome_label = if !record.deployed {
@@ -1013,10 +1023,6 @@ impl Campaign {
             } else {
                 "deployed"
             };
-            let site = self
-                .faults
-                .is_some()
-                .then(|| deploy_site(server_id, &entry.fqcn));
             o.end_phase(
                 TracePhase::Describe,
                 server_id.name(),
@@ -1320,14 +1326,10 @@ fn account_cell(
     cell: &JournalCell,
     log: &FaultLog,
 ) {
-    if faults.crash {
-        log.injected(FaultKind::ClientGenPanic, site);
-        if resilience.isolate_panics {
-            log.panic_isolated();
-        }
+    if faults.crash && resilience.isolate_panics {
+        log.panic_isolated();
     }
     if let Some(virtual_ms) = faults.slow_ms {
-        log.injected(FaultKind::SlowStep, site);
         if virtual_ms > resilience.step_deadline_ms {
             log.deadline_hit();
         }
@@ -1335,7 +1337,8 @@ fn account_cell(
             log.watchdog_cell();
         }
     }
-    log.resolve(site, cell.record.any_error() || cell.record.any_warning());
+    let detected = cell.record.any_error() || cell.record.any_warning();
+    log.record(site, faults.kinds(), detected);
 }
 
 /// Runs one wire-fault probe for the chaos campaign's Communication
@@ -1362,14 +1365,13 @@ fn wire_probe(
             &record.fqcn,
         )
     });
-    log.injected(wire.kind(), &site);
     let detected = match (svc.defs(), svc.first_operation()) {
         (Some(defs), Some(op)) => !exchange_parsed(defs, op, "chaos-probe", Some(wire)).completed(),
         // No invocable operation (or unparseable description): the
         // wire fault never gets a chance to bite — masked.
         _ => false,
     };
-    log.resolve(&site, detected);
+    log.record(&site, [wire.kind()], detected);
     if let (Some(o), Some(span)) = (obs, span) {
         o.end_phase(
             TracePhase::Exchange,
@@ -1502,6 +1504,7 @@ fn default_threads() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::deploy_site;
     use wsinterop_frameworks::client::ClientId;
     use wsinterop_frameworks::server::ServerId;
 

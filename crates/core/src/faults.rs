@@ -28,22 +28,22 @@
 //! The *injected* faults modelled here are deliberately distinct from
 //! the *modeled* faults of the framework simulations (DESIGN.md §4):
 //! modeled faults are the paper's measured platform defects and are
-//! always on; injected faults are synthetic disruptions layered on top:
-//! server-side ones by wrapping the deploy step in the
-//! [`wsinterop_frameworks::fault`] decorator, client-side ones by the
-//! campaign around its own generation call.
+//! always on; injected faults are synthetic disruptions layered on top.
+//! The campaign decides each site's faults once, from an unformatted
+//! [`SiteKey`] ([`FaultPlan::deploy_faults`], [`FaultPlan::cell_faults`],
+//! [`FaultPlan::wire_fault_key`]), injects them around its own deploy,
+//! generation and exchange calls, and accounts the site once, with its
+//! verdict, through [`FaultLog::record`]. The framework simulations
+//! never see a fault plan.
 
-use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
 use crate::sync::lock_unpoisoned;
 use wsinterop_frameworks::client::ClientId;
-use wsinterop_frameworks::fault::{ServerFaultHook, TRANSIENT_REFUSAL_PREFIX};
-use wsinterop_frameworks::server::{DeployOutcome, ServerId, ServerSubsystem};
+use wsinterop_frameworks::server::ServerId;
 use wsinterop_typecat::rng::{splitmix64, GOLDEN_GAMMA};
-use wsinterop_typecat::TypeEntry;
 
 /// One kind of injectable fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -292,6 +292,71 @@ impl CellFaults {
     pub fn any(self) -> bool {
         self.crash || self.slow_ms.is_some()
     }
+
+    /// The kinds injected at the cell, in report order.
+    pub fn kinds(self) -> impl Iterator<Item = FaultKind> {
+        let crash = self.crash.then_some(FaultKind::ClientGenPanic);
+        let slow = self.slow_ms.map(|_| FaultKind::SlowStep);
+        crash.into_iter().chain(slow)
+    }
+}
+
+/// The deploy-step faults a plan puts on one Service Description
+/// Generation site.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DeployFaults {
+    /// How many initial deploy attempts a transient refusal eats (1–3;
+    /// a count above the retry budget refuses the service), when
+    /// [`FaultKind::TransientDeployRefusal`] is injected.
+    pub refusals: Option<u32>,
+    /// The damage done to the published bytes, if the service deploys.
+    pub damage: Option<WsdlDamage>,
+}
+
+/// Damage planned for a published description's bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WsdlDamage {
+    /// Keep the first `percent` % of the bytes
+    /// ([`FaultKind::WsdlTruncation`]).
+    Truncate {
+        /// Share of the document kept, 30–80.
+        percent: u64,
+    },
+    /// Splice an unclosed element in at byte `at` modulo the document
+    /// length, malforming it ([`FaultKind::WsdlCorruption`]).
+    Splice {
+        /// Unreduced splice offset.
+        at: usize,
+    },
+    /// Break the first `><` with a newline: the document still parses
+    /// identically, the population the *masked* column measures
+    /// ([`FaultKind::WsdlCorruption`]).
+    Whitespace,
+}
+
+impl WsdlDamage {
+    /// The kind this damage is accounted under.
+    pub fn kind(self) -> FaultKind {
+        match self {
+            WsdlDamage::Truncate { .. } => FaultKind::WsdlTruncation,
+            WsdlDamage::Splice { .. } | WsdlDamage::Whitespace => FaultKind::WsdlCorruption,
+        }
+    }
+
+    /// The damaged copy of `wsdl_xml`.
+    pub fn apply(self, wsdl_xml: &str) -> String {
+        match self {
+            WsdlDamage::Truncate { percent } => {
+                let cut = (wsdl_xml.len() as u64 * percent / 100) as usize;
+                wsdl_xml[..floor_char_boundary(wsdl_xml, cut)].to_string()
+            }
+            WsdlDamage::Splice { at } => {
+                let at = floor_char_boundary(wsdl_xml, at % wsdl_xml.len().max(1));
+                format!("{}<injected-fault>{}", &wsdl_xml[..at], &wsdl_xml[at..])
+            }
+            WsdlDamage::Whitespace => wsdl_xml.replacen("><", ">\n<", 1),
+        }
+    }
 }
 
 /// A seeded, deterministic fault plan.
@@ -424,10 +489,22 @@ impl FaultPlan {
         }
     }
 
+    /// The deploy-step faults at `site` (a [`SiteKey::Deploy`]),
+    /// decided from one hash of its key.
+    pub fn deploy_faults(&self, site: SiteKey<'_>) -> DeployFaults {
+        let site = self.hash_site(site);
+        DeployFaults {
+            refusals: self
+                .decide_at(FaultKind::TransientDeployRefusal, &site)
+                .then(|| self.transient_failures(&site)),
+            damage: self.damage_wsdl(&site),
+        }
+    }
+
     /// How many initial deploy attempts a transient refusal eats at
-    /// `site` (1–3; values above the retry budget become permanent).
-    pub fn transient_failures(&self, site: &str) -> u32 {
-        1 + (self.hash(FaultKind::TransientDeployRefusal, site) >> 16) as u32 % 3
+    /// `site` (1–3).
+    fn transient_failures<K>(&self, site: &HashedSite<K>) -> u32 {
+        1 + (self.hash_at(FaultKind::TransientDeployRefusal, site) >> 16) as u32 % 3
     }
 
     /// Virtual duration of a slow step at `site`, when injected.
@@ -507,33 +584,22 @@ impl FaultPlan {
         h % cap_ms
     }
 
-    /// Applies the WSDL damage planned for `site` (if any), returning
-    /// the damaged document and the kind injected.
-    pub fn damage_wsdl(&self, site: &str, wsdl_xml: &str) -> Option<(String, FaultKind)> {
-        if self.decide(FaultKind::WsdlTruncation, site) {
-            let percent = 30 + (self.hash(FaultKind::WsdlTruncation, site) >> 16) % 51;
-            let cut = (wsdl_xml.len() as u64 * percent / 100) as usize;
-            let cut = floor_char_boundary(wsdl_xml, cut);
-            return Some((wsdl_xml[..cut].to_string(), FaultKind::WsdlTruncation));
+    /// The WSDL damage planned for `site`, first match in truncation
+    /// → corruption order.
+    fn damage_wsdl<K: fmt::Display>(&self, site: &HashedSite<K>) -> Option<WsdlDamage> {
+        if self.decide_at(FaultKind::WsdlTruncation, site) {
+            let percent = 30 + (self.hash_at(FaultKind::WsdlTruncation, site) >> 16) % 51;
+            return Some(WsdlDamage::Truncate { percent });
         }
-        if self.decide(FaultKind::WsdlCorruption, site) {
-            let h = self.hash(FaultKind::WsdlCorruption, site);
-            let damaged = if h & (1 << 9) == 0 {
-                // Malforming corruption: splice an unclosed element at a
-                // deterministic position.
-                let at = floor_char_boundary(wsdl_xml, (h >> 16) as usize % wsdl_xml.len().max(1));
-                format!(
-                    "{}<injected-fault>{}",
-                    &wsdl_xml[..at],
-                    &wsdl_xml[at..]
-                )
+        if self.decide_at(FaultKind::WsdlCorruption, site) {
+            let h = self.hash_at(FaultKind::WsdlCorruption, site);
+            return Some(if h & (1 << 9) == 0 {
+                WsdlDamage::Splice {
+                    at: (h >> 16) as usize,
+                }
             } else {
-                // Benign corruption: inter-element whitespace only. The
-                // document still parses identically — this is the
-                // population the `masked` column measures.
-                wsdl_xml.replacen("><", ">\n<", 1)
-            };
-            return Some((damaged, FaultKind::WsdlCorruption));
+                WsdlDamage::Whitespace
+            });
         }
         None
     }
@@ -702,18 +768,17 @@ fn kind_counter(base: &str, kind: FaultKind) -> String {
 
 /// Thread-safe fault accounting for one campaign run.
 ///
-/// The counts live in a [`MetricsRegistry`] (`faults_*` instruments):
-/// an uninstrumented log owns a private registry, an instrumented
-/// campaign shares its observer's — so [`FaultLog::report`] and
-/// `wsitool metrics` read the same numbers. The registry is
-/// observe-only; the resolution state (which kinds hit which sites)
-/// stays in the site maps below.
+/// The counts live in a [`crate::obs::MetricsRegistry`] (`faults_*`
+/// instruments): an uninstrumented log owns a private registry, an
+/// instrumented campaign shares its observer's — so
+/// [`FaultLog::report`] and `wsitool metrics` read the same numbers.
+/// The registry is observe-only; the site sets below hold which sites
+/// were hit.
 #[derive(Debug, Default)]
 pub struct FaultLog {
     metrics: Arc<crate::obs::MetricsRegistry>,
-    /// Injected kinds per site, pending resolution into
-    /// detected/masked.
-    sites: Mutex<BTreeMap<String, Vec<FaultKind>>>,
+    /// Sites at which a fault was injected and accounted.
+    affected: Mutex<BTreeSet<String>>,
     /// Sites whose cell was skipped by an open circuit breaker.
     breaker_skipped: Mutex<BTreeSet<String>>,
 }
@@ -732,16 +797,23 @@ impl FaultLog {
         }
     }
 
-    /// Records an injection of `kind` at `site` (idempotent per
-    /// `(site, kind)` — retries re-observe the same fault).
-    pub fn injected(&self, kind: FaultKind, site: &str) {
-        // lock-order: L2 (fault-log site map) — held across the L0
-        // counter bump so `(site, kind)` idempotence stays atomic.
-        let mut sites = lock_unpoisoned(&self.sites);
-        let kinds = sites.entry(site.to_string()).or_default();
-        if !kinds.contains(&kind) {
-            kinds.push(kind);
+    /// Accounts the faults injected at `site`, once its step is
+    /// classified: each of `kinds` counts as injected and, as
+    /// `detected` says, as detected (the step surfaced a Warning/Error
+    /// classification or a refused deployment) or masked. A site is
+    /// accounted once; a repeat is ignored.
+    pub fn record(&self, site: &str, kinds: impl IntoIterator<Item = FaultKind>, detected: bool) {
+        // lock-order: L2 (fault-log site set) — held across the L0
+        // counter bumps, so a report never sees a site without its
+        // counts.
+        let mut affected = lock_unpoisoned(&self.affected);
+        if !affected.insert(site.to_string()) {
+            return;
+        }
+        let verdict = if detected { M_DETECTED } else { M_MASKED };
+        for kind in kinds {
             self.metrics.inc(&kind_counter(M_INJECTED, kind));
+            self.metrics.inc(&kind_counter(verdict, kind));
         }
     }
 
@@ -778,34 +850,14 @@ impl FaultLog {
         lock_unpoisoned(&self.breaker_skipped).insert(site.to_string());
     }
 
-    /// Resolves every fault injected at `site`: `detected` means the
-    /// affected step surfaced a Warning/Error classification (or a
-    /// refused deployment); otherwise the fault was masked.
-    pub fn resolve(&self, site: &str, detected: bool) {
-        // lock-order: L2 (fault-log site map) — released before the
-        // L0 counter bumps.
-        let kinds = lock_unpoisoned(&self.sites).get(site).cloned();
-        let Some(kinds) = kinds else { return };
-        let base = if detected { M_DETECTED } else { M_MASKED };
-        for kind in kinds {
-            self.metrics.inc(&kind_counter(base, kind));
-        }
-    }
-
-    /// Whether any fault was injected at `site`.
-    pub fn is_affected(&self, site: &str) -> bool {
-        // lock-order: L2 (fault-log site map) — leaf.
-        lock_unpoisoned(&self.sites).contains_key(site)
-    }
-
     /// Snapshot of the accounting, read back from the registry (the
     /// same instruments `wsitool metrics` exports).
     pub fn report(&self) -> FaultReport {
-        // lock-order: L2 (fault-log site maps) — taken one at a time
-        // (never nested with each other), `sites` held across L0
+        // lock-order: L2 (fault-log site sets) — taken one at a time
+        // (never nested with each other), `affected` held across L0
         // registry reads so the snapshot is internally consistent.
         let breaker_skipped_sites = lock_unpoisoned(&self.breaker_skipped).clone();
-        let sites = lock_unpoisoned(&self.sites);
+        let affected = lock_unpoisoned(&self.affected);
         let counter = |name: &str| self.metrics.counter(name) as usize;
         FaultReport {
             per_kind: FaultKind::ALL
@@ -828,7 +880,7 @@ impl FaultLog {
             watchdog_cells: counter(M_WATCHDOG),
             breaker_trips: counter(M_BREAKER_TRIPS),
             breaker_skipped_sites,
-            affected_sites: sites.keys().cloned().collect(),
+            affected_sites: affected.clone(),
         }
     }
 }
@@ -981,77 +1033,6 @@ impl fmt::Display for FaultReport {
     }
 }
 
-/// Plan-driven deploy hook: transient refusals first, then real
-/// deployment, then WSDL damage on the published bytes.
-pub struct PlanServerHook<'a> {
-    plan: &'a FaultPlan,
-    log: &'a FaultLog,
-    resilience: &'a ResilienceConfig,
-    server: ServerId,
-    attempts: Mutex<BTreeMap<String, u32>>,
-}
-
-impl<'a> PlanServerHook<'a> {
-    /// A hook injecting `plan`'s deploy-step faults for `server`.
-    pub fn new(
-        plan: &'a FaultPlan,
-        log: &'a FaultLog,
-        resilience: &'a ResilienceConfig,
-        server: ServerId,
-    ) -> PlanServerHook<'a> {
-        PlanServerHook {
-            plan,
-            log,
-            resilience,
-            server,
-            attempts: Mutex::new(BTreeMap::new()),
-        }
-    }
-}
-
-impl ServerFaultHook for PlanServerHook<'_> {
-    fn deploy(&self, inner: &dyn ServerSubsystem, entry: &TypeEntry) -> DeployOutcome {
-        let site = deploy_site(self.server, &entry.fqcn);
-
-        if self.plan.decide(FaultKind::TransientDeployRefusal, &site) {
-            let failures = self
-                .plan
-                .transient_failures(&site)
-                .min(self.resilience.max_retries + 1);
-            let attempt = {
-                // lock-order: L2 (fault-hook attempt map) — leaf.
-                let mut attempts = lock_unpoisoned(&self.attempts);
-                let n = attempts.entry(site.clone()).or_insert(0);
-                *n += 1;
-                *n
-            };
-            self.log.injected(FaultKind::TransientDeployRefusal, &site);
-            if attempt <= failures {
-                return DeployOutcome::Refused {
-                    reason: format!(
-                        "{TRANSIENT_REFUSAL_PREFIX} connection reset during deployment \
-                         (attempt {attempt})"
-                    ),
-                };
-            }
-        }
-
-        let outcome = inner.deploy(entry);
-        match outcome {
-            DeployOutcome::Deployed { wsdl_xml } => {
-                match self.plan.damage_wsdl(&site, &wsdl_xml) {
-                    Some((damaged, kind)) => {
-                        self.log.injected(kind, &site);
-                        DeployOutcome::Deployed { wsdl_xml: damaged }
-                    }
-                    None => DeployOutcome::Deployed { wsdl_xml },
-                }
-            }
-            refused => refused,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1084,14 +1065,22 @@ mod tests {
         assert_eq!(plan.active_kinds(), 1);
     }
 
+    /// The damage a plan with only WSDL-damage rates decides at a
+    /// deploy site.
+    fn damage_at(plan: &FaultPlan, fqcn: &str) -> WsdlDamage {
+        plan.deploy_faults(SiteKey::Deploy(ServerId::Metro, fqcn))
+            .damage
+            .expect("a 1000‰ rate always damages")
+    }
+
     #[test]
     fn damage_is_deterministic_and_char_safe() {
         let plan = FaultPlan::silent(1).with_rate(FaultKind::WsdlTruncation, 1000);
         let doc = "<?xml version=\"1.0\"?><a>héllo wörld…</a>".repeat(4);
-        let (once, kind) = plan.damage_wsdl("deploy/Metro/x", &doc).unwrap();
-        let (twice, _) = plan.damage_wsdl("deploy/Metro/x", &doc).unwrap();
-        assert_eq!(kind, FaultKind::WsdlTruncation);
-        assert_eq!(once, twice);
+        let damage = damage_at(&plan, "x");
+        assert_eq!(damage.kind(), FaultKind::WsdlTruncation);
+        let once = damage.apply(&doc);
+        assert_eq!(once, damage_at(&plan, "x").apply(&doc));
         assert!(once.len() < doc.len());
     }
 
@@ -1102,7 +1091,9 @@ mod tests {
         let mut malformed = 0;
         let mut benign = 0;
         for i in 0..64 {
-            let (damaged, _) = plan.damage_wsdl(&format!("deploy/Metro/c{i}"), doc).unwrap();
+            let damage = damage_at(&plan, &format!("c{i}"));
+            assert_eq!(damage.kind(), FaultKind::WsdlCorruption);
+            let damaged = damage.apply(doc);
             if damaged.contains("<injected-fault>") {
                 malformed += 1;
             } else {
@@ -1114,25 +1105,31 @@ mod tests {
     }
 
     #[test]
-    fn log_resolves_into_detected_and_masked() {
+    fn log_records_detected_and_masked_sites_once() {
         let log = FaultLog::new();
-        log.injected(FaultKind::WsdlCorruption, "deploy/Metro/a");
-        log.injected(FaultKind::WsdlCorruption, "deploy/Metro/a"); // idempotent
-        log.injected(FaultKind::SlowStep, "gen/Metro/Axis1/a");
-        log.resolve("deploy/Metro/a", true);
-        log.resolve("gen/Metro/Axis1/a", false);
+        log.record("deploy/Metro/a", [FaultKind::WsdlCorruption], true);
+        log.record("deploy/Metro/a", [FaultKind::WsdlCorruption], true); // ignored
+        log.record(
+            "deploy/Metro/b",
+            [FaultKind::TransientDeployRefusal, FaultKind::WsdlTruncation],
+            true,
+        );
+        log.record("gen/Metro/Axis1/a", [FaultKind::SlowStep], false);
         log.retried(4);
         log.deadline_hit();
         let report = log.report();
         assert_eq!(report.counts(FaultKind::WsdlCorruption).injected, 1);
         assert_eq!(report.counts(FaultKind::WsdlCorruption).detected, 1);
+        assert_eq!(report.counts(FaultKind::TransientDeployRefusal).detected, 1);
+        assert_eq!(report.counts(FaultKind::WsdlTruncation).detected, 1);
         assert_eq!(report.counts(FaultKind::SlowStep).masked, 1);
         assert_eq!(report.retries_spent, 1);
         assert_eq!(report.backoff_ms, 4);
         assert_eq!(report.deadline_hits, 1);
-        assert_eq!(report.injected_total(), 2);
+        assert_eq!(report.injected_total(), 4);
+        assert_eq!(report.affected_sites.len(), 3);
         assert!(report.affects("deploy/Metro/a"));
-        assert!(!report.affects("deploy/Metro/b"));
+        assert!(!report.affects("deploy/Metro/c"));
         assert!(report.to_string().contains("wsdl-corruption"));
     }
 
@@ -1306,6 +1303,89 @@ mod tests {
         assert!(faults.slow_ms.is_some());
         let other = SiteKey::Gen(ServerId::Metro, ClientId::ALL[4], "java.util.Date");
         assert_eq!(plan.cell_faults(other), CellFaults::default());
+    }
+
+    /// The refusal count and damaged bytes a deploy site got when
+    /// both were decided from the formatted site string, one hash per
+    /// decision.
+    fn string_site_deploy(
+        plan: &FaultPlan,
+        site: &str,
+        wsdl_xml: &str,
+    ) -> (Option<u32>, Option<(String, FaultKind)>) {
+        let refusals = plan
+            .decide(FaultKind::TransientDeployRefusal, site)
+            .then(|| 1 + (plan.hash(FaultKind::TransientDeployRefusal, site) >> 16) as u32 % 3);
+        let damaged = if plan.decide(FaultKind::WsdlTruncation, site) {
+            let percent = 30 + (plan.hash(FaultKind::WsdlTruncation, site) >> 16) % 51;
+            let cut = (wsdl_xml.len() as u64 * percent / 100) as usize;
+            let cut = floor_char_boundary(wsdl_xml, cut);
+            Some((wsdl_xml[..cut].to_string(), FaultKind::WsdlTruncation))
+        } else if plan.decide(FaultKind::WsdlCorruption, site) {
+            let h = plan.hash(FaultKind::WsdlCorruption, site);
+            let damaged = if h & (1 << 9) == 0 {
+                let at = floor_char_boundary(wsdl_xml, (h >> 16) as usize % wsdl_xml.len().max(1));
+                format!("{}<injected-fault>{}", &wsdl_xml[..at], &wsdl_xml[at..])
+            } else {
+                wsdl_xml.replacen("><", ">\n<", 1)
+            };
+            Some((damaged, FaultKind::WsdlCorruption))
+        } else {
+            None
+        };
+        (refusals, damaged)
+    }
+
+    #[test]
+    fn deploy_faults_equal_the_string_site_decisions() {
+        let servers = [
+            ServerId::Metro,
+            ServerId::JBossWs,
+            ServerId::WcfDotNet,
+            ServerId::Axis2Java,
+        ];
+        let doc = "<?xml version=\"1.0\"?><definitions><types>héllo wörld…</types></definitions>";
+        let mut seen = (0, 0, 0);
+        for seed in [42, 7] {
+            let plan = FaultPlan::silent(seed)
+                .with_rate(FaultKind::TransientDeployRefusal, 400)
+                .with_rate(FaultKind::WsdlTruncation, 150)
+                .with_rate(FaultKind::WsdlCorruption, 300);
+            for server in servers {
+                for i in 0..200 {
+                    let fqcn = format!("java.util.C{i}");
+                    let key = SiteKey::Deploy(server, &fqcn);
+                    let site = deploy_site(server, &fqcn);
+                    let faults = plan.deploy_faults(key);
+                    let (refusals, damaged) = string_site_deploy(&plan, &site, doc);
+                    assert_eq!(faults.refusals, refusals, "{site}");
+                    assert_eq!(
+                        faults.damage.map(|d| (d.apply(doc), d.kind())),
+                        damaged,
+                        "{site}"
+                    );
+                    seen.0 += usize::from(refusals.is_some());
+                    seen.1 += usize::from(matches!(faults.damage, Some(WsdlDamage::Splice { .. })));
+                    seen.2 += usize::from(faults.damage == Some(WsdlDamage::Whitespace));
+                }
+            }
+        }
+        assert!(seen.0 > 0 && seen.1 > 0 && seen.2 > 0, "{seen:?}");
+
+        let fqcn = "java.util.Date";
+        let site = deploy_site(ServerId::WcfDotNet, fqcn);
+        let forced = FaultPlan::silent(42)
+            .force_at(FaultKind::TransientDeployRefusal, site.clone())
+            .force_at(FaultKind::WsdlTruncation, site.clone());
+        let faults = forced.deploy_faults(SiteKey::Deploy(ServerId::WcfDotNet, fqcn));
+        assert_eq!(string_site_deploy(&forced, &site, doc).0, faults.refusals);
+        assert!(faults.refusals.is_some_and(|n| (1..=3).contains(&n)));
+        assert_eq!(
+            faults.damage.map(WsdlDamage::kind),
+            Some(FaultKind::WsdlTruncation)
+        );
+        let other = forced.deploy_faults(SiteKey::Deploy(ServerId::Metro, fqcn));
+        assert_eq!(other, DeployFaults::default());
     }
 
     #[test]

@@ -20,7 +20,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use crate::sync::lock_unpoisoned;
-use crate::obs::metrics::json_string;
+use crate::obs::metrics::{json_string, parse_json_string};
 
 /// Default ring-buffer capacity: enough for a stride-200 campaign's
 /// full event stream (~2 events × ~1.5k spans) with headroom.
@@ -111,7 +111,7 @@ impl TraceKind {
 ///
 /// Identity fields are zero-copy where the producers allow it: the
 /// campaign's server/client/outcome labels are `&'static str`
-/// (`ServerId::name` etc.), so they ride as borrowed [`Cow`]s, and the
+/// (`ServerId::name` etc.), so they ride as borrowed [`Cow`](std::borrow::Cow)s, and the
 /// type id is a shared [`std::sync::Arc`] — the hot path allocates for
 /// the cell identity once, not once per field per event. The JSON
 /// reader half necessarily produces the owned variants; equality
@@ -387,45 +387,6 @@ fn parse_json_value(src: &str, i: usize) -> Option<(JsonValue, usize)> {
     }
 }
 
-fn parse_json_string(src: &str, i: usize) -> Option<(String, usize)> {
-    let bytes = src.as_bytes();
-    if bytes.get(i) != Some(&b'"') {
-        return None;
-    }
-    let mut out = String::new();
-    let mut j = i + 1;
-    while j < bytes.len() {
-        match bytes[j] {
-            b'"' => return Some((out, j + 1)),
-            b'\\' => {
-                j += 1;
-                match bytes.get(j)? {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'n' => out.push('\n'),
-                    b'r' => out.push('\r'),
-                    b't' => out.push('\t'),
-                    b'u' => {
-                        let hex = src.get(j + 1..j + 5)?;
-                        let code = u32::from_str_radix(hex, 16).ok()?;
-                        out.push(char::from_u32(code)?);
-                        j += 4;
-                    }
-                    _ => return None,
-                }
-                j += 1;
-            }
-            _ => {
-                // Multi-byte chars: copy the whole char, advance by its len.
-                let c = src[j..].chars().next()?;
-                out.push(c);
-                j += c.len_utf8();
-            }
-        }
-    }
-    None
-}
-
 /// Events a thread stages locally before taking the sink's merge lock.
 /// 64 events ≈ 32 spans: long enough to amortize the lock, short
 /// enough that the ring and the trace stream never lag a live worker
@@ -593,7 +554,7 @@ impl SinkCore {
 ///
 /// Recording goes through **per-thread staging buffers**: a worker
 /// appends to its own registered buffer (one all-but-uncontended mutex
-/// per thread) and only every [`LOCAL_BATCH`] events — or at thread
+/// per thread) and only every `LOCAL_BATCH` (64) events — or at thread
 /// exit — takes the shared merge lock to publish the batch. Read-side
 /// accessors steal every registered buffer's staged tail first, so
 /// they stay exact no matter which threads recorded or whether those
@@ -641,7 +602,7 @@ impl TraceSink {
 
     /// Record one event into the calling thread's staging buffer,
     /// publishing the batch to the ring (and the output stream) every
-    /// [`LOCAL_BATCH`] events. See the type docs for the merge
+    /// `LOCAL_BATCH` (64) events. See the type docs for the merge
     /// semantics; [`TraceSink::flush_local`] forces the tail batch
     /// out early.
     pub fn record(&self, event: TraceEvent) {

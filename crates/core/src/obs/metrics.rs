@@ -697,7 +697,7 @@ impl MetricsSnapshot {
     /// Returns `None` on any structural mismatch; this is a recovery
     /// path for our own files, not a general JSON parser.
     pub fn parse_json(src: &str) -> Option<MetricsSnapshot> {
-        let mut p = Parser { bytes: src.as_bytes(), at: 0 };
+        let mut p = Parser { src, bytes: src.as_bytes(), at: 0 };
         let snapshot = p.snapshot()?;
         p.skip_ws();
         if p.at != p.bytes.len() {
@@ -707,8 +707,9 @@ impl MetricsSnapshot {
     }
 }
 
-/// Cursor over the byte form of a snapshot JSON document.
+/// Cursor over a snapshot JSON document.
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     at: usize,
 }
@@ -746,42 +747,10 @@ impl Parser<'_> {
     }
 
     fn string(&mut self) -> Option<String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            match *self.bytes.get(self.at)? {
-                b'"' => {
-                    self.at += 1;
-                    return Some(out);
-                }
-                b'\\' => {
-                    self.at += 1;
-                    match *self.bytes.get(self.at)? {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self.bytes.get(self.at + 1..self.at + 5)?;
-                            let code =
-                                u32::from_str_radix(std::str::from_utf8(hex).ok()?, 16).ok()?;
-                            out.push(char::from_u32(code)?);
-                            self.at += 4;
-                        }
-                        _ => return None,
-                    }
-                    self.at += 1;
-                }
-                _ => {
-                    // Advance one whole UTF-8 scalar, not one byte.
-                    let rest = std::str::from_utf8(&self.bytes[self.at..]).ok()?;
-                    let c = rest.chars().next()?;
-                    out.push(c);
-                    self.at += c.len_utf8();
-                }
-            }
-        }
+        self.skip_ws();
+        let (out, next) = parse_json_string(self.src, self.at)?;
+        self.at = next;
+        Some(out)
     }
 
     fn number(&mut self) -> Option<u64> {
@@ -990,8 +959,9 @@ pub fn escape_label_value(value: &str) -> String {
     out
 }
 
-/// Minimal JSON string escaping (quotes, backslash, control chars).
-pub(crate) fn json_string(s: &str) -> String {
+/// A JSON string literal of `s`, quoted: minimal escaping (quotes,
+/// backslash, control characters), everything else verbatim.
+pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -1011,9 +981,68 @@ pub(crate) fn json_string(s: &str) -> String {
     out
 }
 
+/// Decodes the JSON string literal starting at byte `i` of `src` —
+/// the inverse of [`json_string`] — and returns it with the index one
+/// past its closing quote.
+pub(crate) fn parse_json_string(src: &str, i: usize) -> Option<(String, usize)> {
+    let bytes = src.as_bytes();
+    if bytes.get(i) != Some(&b'"') {
+        return None;
+    }
+    let mut out = String::new();
+    let mut j = i + 1;
+    while j < bytes.len() {
+        match bytes[j] {
+            b'"' => return Some((out, j + 1)),
+            b'\\' => {
+                j += 1;
+                match bytes.get(j)? {
+                    b'"' => out.push('"'),
+                    b'\\' => out.push('\\'),
+                    b'n' => out.push('\n'),
+                    b'r' => out.push('\r'),
+                    b't' => out.push('\t'),
+                    b'u' => {
+                        let hex = src.get(j + 1..j + 5)?;
+                        let code = u32::from_str_radix(hex, 16).ok()?;
+                        out.push(char::from_u32(code)?);
+                        j += 4;
+                    }
+                    _ => return None,
+                }
+                j += 1;
+            }
+            _ => {
+                // Multi-byte chars: copy the whole char, advance by its len.
+                let c = src[j..].chars().next()?;
+                out.push(c);
+                j += c.len_utf8();
+            }
+        }
+    }
+    None
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn json_strings_decode_to_what_was_encoded() {
+        for text in ["", "plain", "q\"uo\\te", "tab\tcr\rnl\n", "\u{1}\u{1f}", "héllo…🦀"] {
+            let encoded = json_string(text);
+            let padded = format!("x{encoded}y");
+            assert_eq!(
+                parse_json_string(&padded, 1),
+                Some((text.to_string(), padded.len() - 1)),
+                "{encoded}"
+            );
+        }
+        assert_eq!(parse_json_string("\"\\u00e9\"", 0), Some(("é".to_string(), 8)));
+        assert_eq!(parse_json_string("\"open", 0), None);
+        assert_eq!(parse_json_string("\"bad\\x\"", 0), None);
+        assert_eq!(parse_json_string("bare", 0), None);
+    }
 
     #[test]
     fn counters_accumulate_and_render_sorted() {

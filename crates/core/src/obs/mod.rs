@@ -28,6 +28,6 @@ pub use event::{
 };
 pub use export::{fmt_ns, Obs, ProgressMeter, SlowCell, SLOWEST_KEPT};
 pub use metrics::{
-    escape_label_value, CounterHandle, Exemplar, GaugeHandle, Histogram, HistogramHandle,
-    LazyCounter, MetricsRegistry, MetricsSnapshot, BUCKET_BOUNDS_NS,
+    escape_label_value, json_string, CounterHandle, Exemplar, GaugeHandle, Histogram,
+    HistogramHandle, LazyCounter, MetricsRegistry, MetricsSnapshot, BUCKET_BOUNDS_NS,
 };

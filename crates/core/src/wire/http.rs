@@ -283,38 +283,6 @@ fn truncate_for_display(line: &str) -> String {
     line[..cut].to_string()
 }
 
-/// Reads one request off the stream. `Ok(None)` means the peer closed
-/// cleanly between requests (the keep-alive end state).
-pub fn read_request(
-    stream: &TcpStream,
-    limits: &HttpLimits,
-) -> Result<Option<Request>, HttpError> {
-    let mut reader = BufReader::new(stream);
-    let Some(start) = read_line(&mut reader, limits.max_start_line)? else {
-        return Ok(None);
-    };
-    let mut parts = start.split_whitespace();
-    let (method, target, version) = match (parts.next(), parts.next(), parts.next()) {
-        (Some(m), Some(t), Some(v)) if v.starts_with("HTTP/1.") => {
-            (m.to_string(), t.to_string(), v.to_string())
-        }
-        _ => return Err(HttpError::BadStartLine(truncate_for_display(&start))),
-    };
-    let headers = read_headers(&mut reader, limits)?;
-    let body = read_body(&mut reader, &headers, limits, method == "POST")?;
-    let connection = headers
-        .iter()
-        .find(|(n, _)| n == "connection")
-        .map(|(_, v)| v.to_ascii_lowercase());
-    let keep_alive = match connection.as_deref() {
-        Some("close") => false,
-        Some(v) if v.contains("keep-alive") => true,
-        // HTTP/1.1 defaults to keep-alive; 1.0 to close.
-        _ => version == "HTTP/1.1",
-    };
-    Ok(Some(Request { method, target, headers, body, keep_alive }))
-}
-
 /// Reads one response off the stream.
 pub fn read_response(stream: &TcpStream, limits: &HttpLimits) -> Result<Response, HttpError> {
     let mut reader = BufReader::new(stream);
@@ -340,9 +308,9 @@ pub fn read_response(stream: &TcpStream, limits: &HttpLimits) -> Result<Response
 }
 
 /// A request head parsed from a complete in-memory head block — the
-/// incremental (nonblocking) server's parser. Where the blocking
-/// [`read_request`] pulls bytes off the socket itself, the event loop
-/// accumulates them into a buffer and hands the finished block here.
+/// one request parser. The server's event loop accumulates bytes into
+/// a buffer and hands the finished block here; the fault proxy reads
+/// its head off the socket byte by byte and does the same.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RequestHead {
     /// `GET` or `POST` (anything else is rejected upstream).
@@ -357,7 +325,7 @@ pub struct RequestHead {
 
 /// Finds the end of the head block in an accumulation buffer: the
 /// index one past the blank line, accepting both CRLF and bare-LF
-/// line endings (mirroring [`read_line`]'s tolerance).
+/// line endings (the response reader's tolerance too).
 pub fn find_head_end(buf: &[u8]) -> Option<usize> {
     let mut i = 0;
     while i < buf.len() {
@@ -375,7 +343,7 @@ pub fn find_head_end(buf: &[u8]) -> Option<usize> {
 }
 
 /// Parses a complete head block (start line + headers + blank line)
-/// under the same limits and error taxonomy as the blocking reader:
+/// under the same limits and error taxonomy as the response reader:
 /// an over-long start line is [`HttpError::StartLineTooLong`], header
 /// floods are [`HttpError::HeadersTooLarge`], unparseable lines are
 /// `BadStartLine`/`BadHeader`.
@@ -427,7 +395,7 @@ pub fn parse_request_head(head: &[u8], limits: &HttpLimits) -> Result<RequestHea
 }
 
 /// The declared `Content-Length` of a parsed head, under the same
-/// rules as the blocking [`read_body`]: over-cap declarations are
+/// rules as the response reader: over-cap declarations are
 /// rejected *before* any body byte is buffered, a `POST` without a
 /// parseable length is [`HttpError::BadContentLength`].
 pub fn declared_body_len(
@@ -454,9 +422,7 @@ pub fn declared_body_len(
 /// Renders one complete response (head + body) into a buffer — the
 /// nonblocking server's write path. `extra` headers (e.g.
 /// `Retry-After` on a `503` shed) are appended after the standard
-/// trio; with an empty `extra` slice the bytes are identical to what
-/// [`write_response`] puts on the wire, which is what keeps the E15
-/// loopback survey bit-identical across the server rewrite.
+/// trio.
 pub fn render_response(
     status: u16,
     reason: &str,
@@ -481,21 +447,6 @@ pub fn render_response(
     let mut out = head.into_bytes();
     out.extend_from_slice(body);
     out
-}
-
-/// Serializes and writes one response. `close` adds
-/// `Connection: close`; keep-alive is otherwise implied by HTTP/1.1.
-pub fn write_response(
-    stream: &mut TcpStream,
-    status: u16,
-    reason: &str,
-    content_type: &str,
-    body: &[u8],
-    close: bool,
-) -> Result<(), HttpError> {
-    let bytes = render_response(status, reason, content_type, &[], body, close);
-    stream.write_all(&bytes).map_err(|e| io_error(&e))?;
-    stream.flush().map_err(|e| io_error(&e))
 }
 
 /// Serializes one request, head and body, into one buffer — the
@@ -554,27 +505,38 @@ mod tests {
         (a, b)
     }
 
+    /// Parses one request out of `bytes` the way the server's event
+    /// loop does: find the head, parse it, take its declared body.
+    fn parse_request(bytes: &[u8], limits: &HttpLimits) -> Result<Request, HttpError> {
+        let end = find_head_end(bytes).expect("a complete head");
+        let head = parse_request_head(&bytes[..end], limits)?;
+        let want = declared_body_len(&head.headers, limits, head.method == "POST")?;
+        Ok(Request {
+            method: head.method,
+            target: head.target,
+            headers: head.headers,
+            body: bytes[end..end + want].to_vec(),
+            keep_alive: head.keep_alive,
+        })
+    }
+
     #[test]
     fn request_roundtrip_with_body() {
-        let (mut client, server) = pair();
-        write_request(
-            &mut client,
-            "POST",
-            "/svc",
-            "127.0.0.1",
-            Some("echo"),
-            b"<x/>",
-            false,
-        )
-        .unwrap();
-        let req = read_request(&server, &HttpLimits::default())
-            .unwrap()
-            .expect("one request");
+        let bytes = render_request("POST", "/svc", "127.0.0.1", Some("echo"), b"<x/>", false);
+        let req = parse_request(&bytes, &HttpLimits::default()).expect("one request");
         assert_eq!(req.method, "POST");
         assert_eq!(req.path(), "/svc");
         assert_eq!(req.body, b"<x/>");
         assert!(req.keep_alive);
         assert_eq!(req.header("soapaction"), Some("\"echo\""));
+    }
+
+    #[test]
+    fn head_end_accepts_crlf_and_bare_lf() {
+        assert_eq!(find_head_end(b"GET / HTTP/1.1\r\n\r\nrest"), Some(18));
+        assert_eq!(find_head_end(b"GET / HTTP/1.1\n\nrest"), Some(16));
+        assert_eq!(find_head_end(b"GET / HTTP/1.1\r\nHost: h\r\n"), None);
+        assert_eq!(find_head_end(b""), None);
     }
 
     #[test]
@@ -660,9 +622,8 @@ mod tests {
 
     #[test]
     fn query_is_split_from_the_path() {
-        let (mut client, server) = pair();
-        write_request(&mut client, "GET", "/svc?wsdl", "h", None, b"", true).unwrap();
-        let req = read_request(&server, &HttpLimits::default()).unwrap().unwrap();
+        let bytes = render_request("GET", "/svc?wsdl", "h", None, b"", true);
+        let req = parse_request(&bytes, &HttpLimits::default()).unwrap();
         assert_eq!(req.path(), "/svc");
         assert_eq!(req.query(), Some("wsdl"));
         assert!(!req.keep_alive);
@@ -670,62 +631,61 @@ mod tests {
 
     #[test]
     fn oversized_declared_body_is_rejected_before_reading_it() {
-        let (mut client, server) = pair();
-        use std::io::Write;
         // Declare a huge body but send none of it: the limit check must
         // fire from the headers alone.
-        client
-            .write_all(b"POST /svc HTTP/1.1\r\nContent-Length: 99999999\r\n\r\n")
-            .unwrap();
+        let bytes = b"POST /svc HTTP/1.1\r\nContent-Length: 99999999\r\n\r\n";
         let limits = HttpLimits { max_body: 1024, ..HttpLimits::default() };
-        let err = read_request(&server, &limits).unwrap_err();
+        let err = parse_request(bytes, &limits).unwrap_err();
         assert!(matches!(err, HttpError::BodyTooLarge { declared: 99999999, limit: 1024 }));
     }
 
     #[test]
     fn overlong_request_line_is_rejected() {
-        let (mut client, server) = pair();
-        use std::io::Write;
         let long = format!("GET /{} HTTP/1.1\r\n\r\n", "a".repeat(9000));
-        client.write_all(long.as_bytes()).unwrap();
-        let err = read_request(&server, &HttpLimits::default()).unwrap_err();
+        let err = parse_request(long.as_bytes(), &HttpLimits::default()).unwrap_err();
         assert_eq!(err, HttpError::StartLineTooLong);
     }
 
     #[test]
     fn header_flood_is_rejected() {
-        let (mut client, server) = pair();
-        use std::io::Write;
         let mut msg = String::from("GET / HTTP/1.1\r\n");
         for i in 0..100 {
             msg.push_str(&format!("X-H{i}: v\r\n"));
         }
         msg.push_str("\r\n");
-        client.write_all(msg.as_bytes()).unwrap();
-        let err = read_request(&server, &HttpLimits::default()).unwrap_err();
+        let err = parse_request(msg.as_bytes(), &HttpLimits::default()).unwrap_err();
         assert_eq!(err, HttpError::HeadersTooLarge);
     }
 
     #[test]
-    fn missing_content_length_on_post_is_rejected() {
-        let (mut client, server) = pair();
-        use std::io::Write;
-        client.write_all(b"POST /svc HTTP/1.1\r\n\r\n").unwrap();
-        let err = read_request(&server, &HttpLimits::default()).unwrap_err();
-        assert_eq!(err, HttpError::BadContentLength);
+    fn missing_or_unreadable_content_length_on_post_is_rejected() {
+        for bytes in [
+            &b"POST /svc HTTP/1.1\r\n\r\n"[..],
+            &b"POST /svc HTTP/1.1\r\nContent-Length: ten\r\n\r\n"[..],
+        ] {
+            let err = parse_request(bytes, &HttpLimits::default()).unwrap_err();
+            assert_eq!(err, HttpError::BadContentLength);
+        }
+        // A GET needs no declared length.
+        let get = parse_request(b"GET /svc HTTP/1.1\r\n\r\n", &HttpLimits::default());
+        assert_eq!(get.map(|req| req.body), Ok(Vec::new()));
     }
 
     #[test]
-    fn clean_close_before_any_byte_is_not_an_error() {
-        let (client, server) = pair();
-        drop(client);
-        assert_eq!(read_request(&server, &HttpLimits::default()).unwrap(), None);
+    fn malformed_start_and_header_lines_are_rejected() {
+        let limits = HttpLimits::default();
+        let err = parse_request(b"GET /svc SPDY/3\r\n\r\n", &limits).unwrap_err();
+        assert!(matches!(err, HttpError::BadStartLine(_)), "{err:?}");
+        let err = parse_request(b"GET /svc HTTP/1.1\r\nno-colon\r\n\r\n", &limits).unwrap_err();
+        assert_eq!(err, HttpError::BadHeader("no-colon".to_string()));
     }
 
     #[test]
     fn response_roundtrip() {
         let (client, mut server) = pair();
-        write_response(&mut server, 200, "OK", "text/xml", b"<ok/>", true).unwrap();
+        use std::io::Write;
+        let bytes = render_response(200, "OK", "text/xml", &[], b"<ok/>", true);
+        server.write_all(&bytes).unwrap();
         let resp = read_response(&client, &HttpLimits::default()).unwrap();
         assert_eq!(resp.status, 200);
         assert_eq!(resp.body, b"<ok/>");

@@ -29,7 +29,7 @@ use std::time::Duration;
 use crate::faults::{FaultPlan, SocketFault, WireFault};
 use crate::obs::MetricsRegistry;
 
-use super::http;
+use super::http::{self, HttpLimits, RequestHead};
 
 /// Hard cap on anything the proxy buffers (a chaos tool must not be
 /// its own memory bomb).
@@ -125,69 +125,45 @@ impl FaultProxy {
     }
 }
 
-/// The request head as the proxy needs it: raw start line, raw header
-/// block, the path, and the declared body length.
-struct Head {
-    method: String,
-    target: String,
-    soap_action: Option<String>,
-    content_length: usize,
-}
+/// Hard cap on a request head the proxy reads.
+const MAX_HEAD: usize = 16 * 1024;
 
 /// Reads the request head byte-by-byte directly off the socket —
 /// deliberately unbuffered, so the body stays in the kernel receive
-/// buffer (the RST fault depends on that).
-fn read_head(stream: &mut TcpStream) -> Option<Head> {
+/// buffer (the RST fault depends on that) — and parses it with the
+/// server's head parser. Returns the head and its declared body
+/// length.
+fn read_head(stream: &mut TcpStream) -> Option<(RequestHead, usize)> {
     let mut raw = Vec::with_capacity(512);
     let mut byte = [0u8; 1];
-    while !raw.ends_with(b"\r\n\r\n") {
-        if raw.len() > 16 * 1024 {
-            return None;
-        }
+    loop {
         match stream.read(&mut byte) {
             Ok(1) => raw.push(byte[0]),
             _ => return None,
         }
-    }
-    let text = String::from_utf8_lossy(&raw);
-    let mut lines = text.split("\r\n");
-    let mut start = lines.next()?.split_whitespace();
-    let method = start.next()?.to_string();
-    let target = start.next()?.to_string();
-    let mut content_length = 0;
-    let mut soap_action = None;
-    for line in lines {
-        let Some((name, value)) = line.split_once(':') else {
-            continue;
-        };
-        let name = name.trim().to_ascii_lowercase();
-        if name == "content-length" {
-            content_length = value.trim().parse().unwrap_or(0);
-        } else if name == "soapaction" {
-            soap_action = Some(value.trim().trim_matches('"').to_string());
+        // A head can only end at the newline just read, so only the
+        // last three bytes need a look: the read stays linear.
+        let tail = &raw[raw.len().saturating_sub(3)..];
+        if byte[0] == b'\n' && http::find_head_end(tail).is_some() {
+            break;
+        }
+        if raw.len() > MAX_HEAD {
+            return None;
         }
     }
-    Some(Head {
-        method,
-        target,
-        soap_action,
-        content_length,
-    })
+    // The server's limits, with the relay cap as the body cap.
+    let limits = HttpLimits {
+        max_body: MAX_RELAY,
+        ..HttpLimits::default()
+    };
+    let head = http::parse_request_head(&raw, &limits).ok()?;
+    let body_len = http::declared_body_len(&head.headers, &limits, head.method == "POST").ok()?;
+    Some((head, body_len))
 }
 
 fn read_exact_body(stream: &mut TcpStream, len: usize) -> Option<Vec<u8>> {
-    if len > MAX_RELAY {
-        return None;
-    }
     let mut body = vec![0u8; len];
-    let mut got = 0;
-    while got < len {
-        match stream.read(&mut body[got..]) {
-            Ok(0) => return None,
-            Ok(n) => got += n,
-            Err(_) => return None,
-        }
-    }
+    stream.read_exact(&mut body).ok()?;
     Some(body)
 }
 
@@ -218,7 +194,7 @@ fn damage_request(body: Vec<u8>, fault: WireFault) -> Vec<u8> {
 fn relay_connection(shared: &ProxyShared, mut downstream: TcpStream) {
     let _ = downstream.set_read_timeout(Some(Duration::from_millis(2000)));
     let _ = downstream.set_write_timeout(Some(Duration::from_millis(2000)));
-    let Some(head) = read_head(&mut downstream) else {
+    let Some((head, body_len)) = read_head(&mut downstream) else {
         return;
     };
     let path = head.target.split('?').next().unwrap_or(&head.target);
@@ -238,7 +214,7 @@ fn relay_connection(shared: &ProxyShared, mut downstream: TcpStream) {
 
     // Faults that never touch the upstream.
     match sock {
-        Some(SocketFault::ResetMidBody) if head.content_length > 0 => {
+        Some(SocketFault::ResetMidBody) if body_len > 0 => {
             // The body is still unread in the kernel buffer: write a
             // partial response, then drop the socket — the close with
             // unread data makes the kernel answer with a genuine RST.
@@ -252,7 +228,7 @@ fn relay_connection(shared: &ProxyShared, mut downstream: TcpStream) {
         Some(SocketFault::GarbageStatus) => {
             // Drain the body first (an unread body would turn the
             // close into a RST and mask the framing fault).
-            let _ = read_exact_body(&mut downstream, head.content_length);
+            let _ = read_exact_body(&mut downstream, body_len);
             let _ = downstream.write_all(b"ZZTP/0.9 999 @@garbage@@\r\n\r\n");
             let _ = downstream.flush();
             return;
@@ -260,7 +236,7 @@ fn relay_connection(shared: &ProxyShared, mut downstream: TcpStream) {
         _ => {}
     }
 
-    let Some(body) = read_exact_body(&mut downstream, head.content_length) else {
+    let Some(body) = read_exact_body(&mut downstream, body_len) else {
         return;
     };
     let body = match wire {
@@ -277,12 +253,17 @@ fn relay_connection(shared: &ProxyShared, mut downstream: TcpStream) {
     };
     let _ = upstream.set_read_timeout(Some(Duration::from_millis(2000)));
     let _ = upstream.set_write_timeout(Some(Duration::from_millis(2000)));
+    let soap_action = head
+        .headers
+        .iter()
+        .find(|(name, _)| name == "soapaction")
+        .map(|(_, value)| value.trim_matches('"'));
     if http::write_request(
         &mut upstream,
         &head.method,
         &head.target,
         "127.0.0.1",
-        head.soap_action.as_deref(),
+        soap_action,
         &body,
         true,
     )

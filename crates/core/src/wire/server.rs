@@ -3,10 +3,10 @@
 //!
 //! Architecture (DESIGN.md §15): a small set of reactor threads share
 //! one nonblocking listener; each accepted socket becomes a
-//! per-connection state machine ([`super::conn::Conn`]) owned by
+//! per-connection state machine (`wire/conn.rs`) owned by
 //! exactly one reactor, so connection state is thread-confined and the
 //! serving path takes **no locks** (docs/CONCURRENCY.md). The only
-//! cross-thread coordination is the atomic admission [`Gauges`] and
+//! cross-thread coordination is the atomic admission gauges and
 //! the handle-based [`WireStats`] counters.
 //!
 //! Degradation ladder (every layer answers with a well-formed,

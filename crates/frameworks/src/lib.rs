@@ -17,9 +17,10 @@
 //! The defects the generators plant are genuine flaws in the artifact
 //! model that the `wsinterop-compilers` toolchains then discover.
 //!
-//! The [`fault`] module adds a decorator ([`fault::FaultyServer`])
-//! that splices externally-planned *injected* faults into the deploy
-//! boundary — the substrate of the chaos campaign in `wsinterop-core`.
+//! The subsystems know nothing of *injected* faults: the chaos
+//! campaign in `wsinterop-core` decides those itself and injects them
+//! around its own calls to [`server::ServerSubsystem::deploy`] and the
+//! client generators.
 //!
 //! ## Example
 //!
@@ -38,5 +39,4 @@
 #![forbid(unsafe_code)]
 
 pub mod client;
-pub mod fault;
 pub mod server;

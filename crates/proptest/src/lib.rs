@@ -338,7 +338,7 @@ tuple_strategy!(A, B, C, D, E, G);
 pub mod collection {
     use super::*;
 
-    /// See [`vec`].
+    /// See [`vec()`].
     #[derive(Clone)]
     pub struct VecStrategy<S> {
         elem: S,

@@ -843,27 +843,9 @@ fn journal_summary(recovery: &Recovery) {
     }
 }
 
-/// Escapes a string for embedding in the `journal inspect --json`
-/// output (platform/client names are ASCII identifiers, but the
-/// journal path is user input).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn journal_inspect(path: &str, json: bool) -> ExitCode {
     use wsinterop::core::journal::{per_client_counts, per_server_counts, read_journal};
+    use wsinterop::core::obs::json_string;
     let read = match read_journal(std::path::Path::new(path)) {
         Ok(read) => read,
         Err(e) => {
@@ -880,7 +862,7 @@ fn journal_inspect(path: &str, json: bool) -> ExitCode {
         let object_of = |counts: std::collections::BTreeMap<String, usize>| {
             counts
                 .into_iter()
-                .map(|(name, count)| format!("\"{}\":{count}", json_escape(&name)))
+                .map(|(name, count)| format!("{}:{count}", json_string(&name)))
                 .collect::<Vec<_>>()
                 .join(",")
         };
@@ -909,12 +891,12 @@ fn journal_inspect(path: &str, json: bool) -> ExitCode {
                     .collect::<Vec<_>>()
                     .join(",");
                 format!(
-                    "{{\"server\":\"{:?}\",\"client\":\"{}\",\"service\":\"{}\",\
+                    "{{\"server\":\"{:?}\",\"client\":{},\"service\":{},\
                      \"case\":{},\"outcome\":\"{}\",\"seed\":{},\
                      \"digest\":\"0x{:016x}\",\"tape\":[{tape}]}}",
                     r.server,
-                    json_escape(r.client.name()),
-                    json_escape(&r.fqcn),
+                    json_string(r.client.name()),
+                    json_string(&r.fqcn),
                     r.case_index,
                     outcome_name(r.outcome),
                     r.seed,
@@ -924,11 +906,11 @@ fn journal_inspect(path: &str, json: bool) -> ExitCode {
             .collect::<Vec<_>>()
             .join(",");
         println!(
-            "{{\"journal\":\"{}\",\"config_hash\":\"0x{:016x}\",\"cells\":{},\
+            "{{\"journal\":{},\"config_hash\":\"0x{:016x}\",\"cells\":{},\
              \"breaker_skipped\":{skipped},\"disruptive\":{disruptive},\"torn_bytes\":{},\
              \"per_server\":{{{per_server}}},\"per_client\":{{{per_client}}},\
              \"fuzz_units\":{},\"reproducers\":[{reproducers}]}}",
-            json_escape(path),
+            json_string(path),
             read.config_hash,
             read.cells.len(),
             read.torn_bytes,
