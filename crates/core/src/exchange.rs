@@ -23,6 +23,7 @@ use std::fmt;
 use wsinterop_wsdl::de::from_xml_str;
 use wsinterop_wsdl::{soap, Definitions};
 use wsinterop_xml::writer::{write_document, WriteOptions};
+use wsinterop_xml::{Arena, ElementRef, XmlWriter};
 
 /// Outcome of one simulated message exchange.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -97,29 +98,112 @@ impl fmt::Display for ExchangeOutcome {
 
 /// Simulates the server's Execution step: parse the request envelope
 /// against the published description and produce the echo response (or
-/// a fault envelope).
+/// a fault envelope). A wrapper over [`serve_echo_into`].
 pub fn serve_echo(defs: &Definitions, request_xml: &str) -> String {
+    let mut out = String::with_capacity(1024);
+    serve_echo_into(defs, request_xml, &mut out);
+    out
+}
+
+/// The serving core: parses the request once, then appends the echo
+/// response — or a fault envelope — to `out`, copying the echoed value
+/// straight from the parse. Returns whether the envelope it wrote is a
+/// SOAP fault, which is always what [`soap::is_fault`] reads from those
+/// bytes: the wire server takes the HTTP status (WS-I BP R1126) from
+/// it instead of re-reading its own response.
+pub fn serve_echo_into(defs: &Definitions, request_xml: &str, out: &mut String) -> bool {
+    let start = out.len();
     let compact = WriteOptions::compact();
-    let payload = match soap::payload(request_xml) {
-        Ok(el) => el,
-        Err(e) => {
-            return write_document(&soap::fault("Client", &e.to_string()), &compact);
+    let mut w = XmlWriter::document_into(&compact, std::mem::take(out));
+    let doc = soap::parse_envelope(request_xml);
+    let echo = match &doc {
+        Ok(doc) => resolve_echo(defs, doc),
+        Err(e) => Err(("Client", e.to_string())),
+    };
+    let wrapper = match echo {
+        Ok(echo) => {
+            soap::open_envelope(&mut w);
+            w.open(echo.wrapper).attr("xmlns", echo.ns_uri);
+            if let Some(value) = echo.value {
+                // Re-root the echoed value under the response's element
+                // name, preserving all structured content.
+                w.copy_renamed(echo.return_name, value);
+            }
+            w.close().close().close();
+            Some(echo.wrapper)
+        }
+        Err((code, reason)) => {
+            soap::write_fault(&mut w, code, &reason);
+            None
         }
     };
-    let operation = payload.name().local_part().to_string();
-    if defs.find_operation(&operation).is_none() {
-        return write_document(
-            &soap::fault("Client", &format!("no such operation `{operation}`")),
-            &compact,
-        );
+    *out = w.finish();
+    match wrapper {
+        // A fault envelope always parses: its only variable part is
+        // escaped text.
+        None => true,
+        // Only a wrapper named `Fault` can read as one, and only when
+        // the echoed content parses too.
+        Some(name) => {
+            (name == "Fault" || name.ends_with(":Fault")) && soap::is_fault(&out[start..])
+        }
     }
-    // Echo the full payload element (structured content included) under
-    // the operation's response wrapper.
-    let request_value = payload.child_elements().next().cloned();
-    match build_echo_response(defs, &operation, request_value.as_ref()) {
-        Ok(doc) => write_document(&doc, &compact),
-        Err(e) => write_document(&soap::fault("Server", &e), &compact),
-    }
+}
+
+/// What the echo response holds: the output wrapper element, the name
+/// the echoed value takes inside it, and the value.
+struct Echo<'a> {
+    wrapper: &'a str,
+    ns_uri: &'a str,
+    return_name: &'a str,
+    value: Option<ElementRef<'a>>,
+}
+
+/// Reads the request's payload and resolves the operation's output
+/// wrapper; an error is the fault code and reason to answer with.
+fn resolve_echo<'a>(
+    defs: &'a Definitions,
+    doc: &'a Arena<'a>,
+) -> Result<Echo<'a>, (&'static str, String)> {
+    use wsinterop_wsdl::PartKind;
+
+    let payload = soap::body_payload(doc).map_err(|e| ("Client", e.to_string()))?;
+    let operation = payload.local_name();
+    let op = defs
+        .find_operation(operation)
+        .ok_or_else(|| ("Client", format!("no such operation `{operation}`")))?;
+    let server = |reason: String| ("Server", reason);
+    let output = op
+        .output
+        .as_ref()
+        .ok_or_else(|| server(format!("operation `{operation}` is one-way")))?;
+    let message = defs
+        .message(&output.local)
+        .ok_or_else(|| server(format!("missing message `{}`", output.local)))?;
+    let part = message
+        .parts
+        .first()
+        .ok_or_else(|| server("output message has no parts".to_string()))?;
+    let PartKind::Element(wrapper_ref) = &part.kind else {
+        return Err(server("type-style output parts are not supported".to_string()));
+    };
+    let wrapper_decl = defs
+        .resolve_part_element(part)
+        .ok_or_else(|| server(format!("unresolved wrapper `{}`", wrapper_ref.local)))?;
+    let return_name = wrapper_decl
+        .inline
+        .as_ref()
+        .and_then(|inline| match inline.content.particles.first() {
+            Some(wsinterop_xsd::Particle::Element(el)) => Some(el.name.as_str()),
+            _ => None,
+        })
+        .unwrap_or("return");
+    Ok(Echo {
+        wrapper: &wrapper_decl.name,
+        ns_uri: &wrapper_ref.ns_uri,
+        return_name,
+        value: payload.child_elements().next(),
+    })
 }
 
 /// First message-profile failure in a serialized envelope, if any.
@@ -127,59 +211,6 @@ pub(crate) fn first_message_violation(xml: &str) -> Option<String> {
     let report = wsinterop_wsi::message::check_message(xml);
     let first = report.failures().next();
     first.map(|f| format!("[{}] {}", f.assertion, f.detail))
-}
-
-fn build_echo_response(
-    defs: &Definitions,
-    operation: &str,
-    request_value: Option<&wsinterop_xml::Element>,
-) -> Result<wsinterop_xml::Document, String> {
-    use wsinterop_wsdl::PartKind;
-
-    let op = defs
-        .find_operation(operation)
-        .ok_or_else(|| format!("no such operation `{operation}`"))?;
-    let output = op
-        .output
-        .as_ref()
-        .ok_or_else(|| format!("operation `{operation}` is one-way"))?;
-    let message = defs
-        .message(&output.local)
-        .ok_or_else(|| format!("missing message `{}`", output.local))?;
-    let part = message.parts.first().ok_or("output message has no parts")?;
-    let PartKind::Element(wrapper_ref) = &part.kind else {
-        return Err("type-style output parts are not supported".to_string());
-    };
-    let wrapper_decl = defs
-        .resolve_part_element(part)
-        .ok_or_else(|| format!("unresolved wrapper `{}`", wrapper_ref.local))?;
-    let return_name = wrapper_decl
-        .inline
-        .as_ref()
-        .and_then(|inline| match inline.content.particles.first() {
-            Some(wsinterop_xsd::Particle::Element(el)) => Some(el.name.clone()),
-            _ => None,
-        })
-        .unwrap_or_else(|| "return".to_string());
-
-    let mut wrapper = wsinterop_xml::Element::new(&wrapper_decl.name)
-        .in_ns(wrapper_ref.ns_uri.clone());
-    wrapper.declare_ns(None, &wrapper_ref.ns_uri);
-    if let Some(value) = request_value {
-        // Re-root the echoed value under the response's element name,
-        // preserving all structured content.
-        let mut echoed = value.clone();
-        let renamed = wsinterop_xml::Element::new(&return_name);
-        let mut rebuilt = renamed;
-        for attr in echoed.attrs() {
-            rebuilt.set_attr(&attr.name().to_string(), attr.value());
-        }
-        for child in echoed.children_mut().drain(..) {
-            rebuilt.push_node(child);
-        }
-        wrapper.push_element(rebuilt);
-    }
-    Ok(soap::envelope(wrapper))
 }
 
 /// Runs the full Communication + Execution cycle for one operation of

@@ -23,7 +23,7 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Instant;
 
-use super::http::{self, HttpError, Request, RequestHead};
+use super::http::{self, HttpError, RequestHead};
 use super::server::{Env, PendingResponse};
 
 /// Bytes read per `read()` call; reads per conn per reactor pass are
@@ -264,9 +264,9 @@ impl Conn {
                     }
                 };
                 let want = match http::declared_body_len(
-                    &head.headers,
+                    &head,
                     &env.config.limits,
-                    head.method == "POST",
+                    head.method() == "POST",
                 ) {
                     Ok(want) => want,
                     Err(e) => {
@@ -340,14 +340,7 @@ impl Conn {
         else {
             unreachable!("dispatch outside ReadBody");
         };
-        let request = Request {
-            method: head.method,
-            target: head.target,
-            headers: head.headers,
-            body: std::mem::take(&mut self.body),
-            keep_alive: head.keep_alive,
-        };
-        let mut close = !request.keep_alive
+        let mut close = !head.keep_alive
             || self.served + 1 == env.config.keep_alive_requests
             || env.stopping();
         if !close && env.under_pressure() {
@@ -359,8 +352,8 @@ impl Conn {
         let request_id = env.next_request_id();
         // The path is only captured for the trace span — the serving
         // path never allocates for telemetry that is switched off.
-        let path = env.config.trace.is_some().then(|| request.path().to_string());
-        let responded = env.respond(&request, close, request_id);
+        let path = env.config.trace.is_some().then(|| head.path().to_string());
+        let responded = env.respond(&head, &self.body, close, request_id, &mut self.outbuf);
         self.pending = Some(PendingResponse {
             started: now,
             request_id,
@@ -368,7 +361,6 @@ impl Conn {
             admin: responded.admin,
             path,
         });
-        self.outbuf = responded.bytes;
         self.written = 0;
         self.close_after_write = close;
         self.write_deadline = now + env.config.write_timeout;

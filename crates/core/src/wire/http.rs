@@ -16,6 +16,7 @@
 
 use std::fmt;
 use std::io::{BufReader, Read, Write};
+use std::ops::Range;
 use std::net::TcpStream;
 
 /// Size limits enforced while reading a message off the wire.
@@ -40,42 +41,6 @@ impl Default for HttpLimits {
             max_headers: 64,
             max_body: 1 << 20,
         }
-    }
-}
-
-/// One parsed HTTP request.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Request {
-    /// `GET` or `POST` (anything else is rejected upstream).
-    pub method: String,
-    /// Request target as sent (path plus optional `?query`).
-    pub target: String,
-    /// Header `(name, value)` pairs, names lower-cased.
-    pub headers: Vec<(String, String)>,
-    /// Message body (empty for bodyless requests).
-    pub body: Vec<u8>,
-    /// Whether the peer asked to keep the connection open.
-    pub keep_alive: bool,
-}
-
-impl Request {
-    /// The target's path component (query stripped).
-    pub fn path(&self) -> &str {
-        self.target.split('?').next().unwrap_or(&self.target)
-    }
-
-    /// The target's query component, if any.
-    pub fn query(&self) -> Option<&str> {
-        self.target.split_once('?').map(|(_, q)| q)
-    }
-
-    /// First value of a header (name matched case-insensitively).
-    pub fn header(&self, name: &str) -> Option<&str> {
-        let name = name.to_ascii_lowercase();
-        self.headers
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, v)| v.as_str())
     }
 }
 
@@ -311,16 +276,56 @@ pub fn read_response(stream: &TcpStream, limits: &HttpLimits) -> Result<Response
 /// one request parser. The server's event loop accumulates bytes into
 /// a buffer and hands the finished block here; the fault proxy reads
 /// its head off the socket byte by byte and does the same.
+///
+/// The head keeps one copy of the block. The method, the target and
+/// every header name and value are ranges into it, and header names
+/// are matched case-insensitively where they are looked up.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RequestHead {
-    /// `GET` or `POST` (anything else is rejected upstream).
-    pub method: String,
-    /// Request target as sent (path plus optional `?query`).
-    pub target: String,
-    /// Header `(name, value)` pairs, names lower-cased.
-    pub headers: Vec<(String, String)>,
+    raw: String,
+    method: Range<usize>,
+    target: Range<usize>,
+    /// Header `(name, value)` ranges, trimmed, in arrival order.
+    headers: Vec<(Range<usize>, Range<usize>)>,
     /// Whether the peer asked to keep the connection open.
     pub keep_alive: bool,
+}
+
+impl RequestHead {
+    /// `GET` or `POST` (anything else is rejected upstream).
+    pub fn method(&self) -> &str {
+        &self.raw[self.method.clone()]
+    }
+
+    /// Request target as sent (path plus optional `?query`).
+    pub fn target(&self) -> &str {
+        &self.raw[self.target.clone()]
+    }
+
+    /// The target's path component (query stripped).
+    pub fn path(&self) -> &str {
+        let target = self.target();
+        target.split('?').next().unwrap_or(target)
+    }
+
+    /// The target's query component, if any.
+    pub fn query(&self) -> Option<&str> {
+        self.target().split_once('?').map(|(_, q)| q)
+    }
+
+    /// Header `(name, value)` pairs as sent, in arrival order.
+    pub fn headers(&self) -> impl Iterator<Item = (&str, &str)> {
+        self.headers
+            .iter()
+            .map(|(name, value)| (&self.raw[name.clone()], &self.raw[value.clone()]))
+    }
+
+    /// First value of a header (name matched case-insensitively).
+    pub fn header(&self, name: &str) -> Option<&str> {
+        self.headers()
+            .find(|(n, _)| n.eq_ignore_ascii_case(name))
+            .map(|(_, v)| v)
+    }
 }
 
 /// Finds the end of the head block in an accumulation buffer: the
@@ -348,28 +353,35 @@ pub fn find_head_end(buf: &[u8]) -> Option<usize> {
 /// floods are [`HttpError::HeadersTooLarge`], unparseable lines are
 /// `BadStartLine`/`BadHeader`.
 pub fn parse_request_head(head: &[u8], limits: &HttpLimits) -> Result<RequestHead, HttpError> {
+    // Each line with the offset it starts at; `end` follows the lines
+    // read, so the copy below holds exactly the validated ones.
+    let mut end = 0;
     let mut lines = head.split(|&b| b == b'\n').map(|line| {
-        let line = if line.last() == Some(&b'\r') { &line[..line.len() - 1] } else { line };
-        std::str::from_utf8(line).map_err(|_| HttpError::BadHeader("non-UTF-8 line".to_string()))
+        let at = end;
+        end = (at + line.len() + 1).min(head.len());
+        let line = line.strip_suffix(b"\r").unwrap_or(line);
+        std::str::from_utf8(line)
+            .map(|text| (at, text))
+            .map_err(|_| HttpError::BadHeader("non-UTF-8 line".to_string()))
     });
-    let start = match lines.next() {
-        Some(Ok(s)) => s,
-        Some(Err(e)) => return Err(e),
+    let (at, start) = match lines.next() {
+        Some(line) => line?,
         None => return Err(HttpError::BadStartLine(String::new())),
     };
     if start.len() > limits.max_start_line {
         return Err(HttpError::StartLineTooLong);
     }
     let mut parts = start.split_whitespace();
-    let (method, target, version) = match (parts.next(), parts.next(), parts.next()) {
+    let (method, target, http_11) = match (parts.next(), parts.next(), parts.next()) {
         (Some(m), Some(t), Some(v)) if v.starts_with("HTTP/1.") => {
-            (m.to_string(), t.to_string(), v.to_string())
+            (span(at, start, m), span(at, start, t), v == "HTTP/1.1")
         }
         _ => return Err(HttpError::BadStartLine(truncate_for_display(start))),
     };
-    let mut headers = Vec::new();
-    for line in lines {
-        let line = line?;
+    // Room for a SOAP client's usual five headers without regrowing.
+    let mut headers = Vec::with_capacity(8);
+    for line in lines.by_ref() {
+        let (at, line) = line?;
         if line.is_empty() {
             break;
         }
@@ -379,19 +391,32 @@ pub fn parse_request_head(head: &[u8], limits: &HttpLimits) -> Result<RequestHea
         let Some((name, value)) = line.split_once(':') else {
             return Err(HttpError::BadHeader(truncate_for_display(line)));
         };
-        headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
+        headers.push((span(at, line, name.trim()), span(at, line, value.trim())));
     }
-    let connection = headers
-        .iter()
-        .find(|(n, _)| n == "connection")
-        .map(|(_, v)| v.to_ascii_lowercase());
-    let keep_alive = match connection.as_deref() {
-        Some("close") => false,
-        Some(v) if v.contains("keep-alive") => true,
-        // HTTP/1.1 defaults to keep-alive; 1.0 to close.
-        _ => version == "HTTP/1.1",
+    drop(lines);
+    let mut parsed = RequestHead {
+        raw: String::from_utf8_lossy(&head[..end]).into_owned(),
+        method,
+        target,
+        headers,
+        keep_alive: false,
     };
-    Ok(RequestHead { method, target, headers, keep_alive })
+    parsed.keep_alive = match parsed.header("connection") {
+        Some(v) if v.eq_ignore_ascii_case("close") => false,
+        Some(v) if v.as_bytes().windows(10).any(|w| w.eq_ignore_ascii_case(b"keep-alive")) => {
+            true
+        }
+        // HTTP/1.1 defaults to keep-alive; 1.0 to close.
+        _ => http_11,
+    };
+    Ok(parsed)
+}
+
+/// Where `part`, a slice of `line`, sits in the head block, given that
+/// `line` starts at byte `at` of it.
+fn span(at: usize, line: &str, part: &str) -> Range<usize> {
+    let start = at + (part.as_ptr() as usize - line.as_ptr() as usize);
+    start..start + part.len()
 }
 
 /// The declared `Content-Length` of a parsed head, under the same
@@ -399,14 +424,13 @@ pub fn parse_request_head(head: &[u8], limits: &HttpLimits) -> Result<RequestHea
 /// rejected *before* any body byte is buffered, a `POST` without a
 /// parseable length is [`HttpError::BadContentLength`].
 pub fn declared_body_len(
-    headers: &[(String, String)],
+    head: &RequestHead,
     limits: &HttpLimits,
     required: bool,
 ) -> Result<usize, HttpError> {
-    let declared = headers
-        .iter()
-        .find(|(n, _)| n == "content-length")
-        .map(|(_, v)| v.parse::<usize>().map_err(|_| HttpError::BadContentLength));
+    let declared = head
+        .header("content-length")
+        .map(|v| v.parse::<usize>().map_err(|_| HttpError::BadContentLength));
     let declared = match declared {
         Some(Ok(n)) => n,
         Some(Err(e)) => return Err(e),
@@ -419,10 +443,62 @@ pub fn declared_body_len(
     Ok(declared)
 }
 
-/// Renders one complete response (head + body) into a buffer — the
-/// nonblocking server's write path. `extra` headers (e.g.
-/// `Retry-After` on a `503` shed) are appended after the standard
-/// trio.
+/// The head of one response: the status line, `Content-Type`,
+/// `Content-Length` and `Connection`, then an optional `X-Request-Id`
+/// and any `extra` headers (e.g. `Retry-After` on a `503` shed).
+#[derive(Debug, Clone, Copy)]
+pub struct ResponseHead<'a> {
+    /// Status code.
+    pub status: u16,
+    /// Reason phrase.
+    pub reason: &'a str,
+    /// `Content-Type` value.
+    pub content_type: &'a str,
+    /// Stamped as `X-Request-Id`, 16 lower-case hex digits.
+    pub request_id: Option<u64>,
+    /// Headers after the standard ones, in order.
+    pub extra: &'a [(&'a str, &'a str)],
+    /// `Connection: close` rather than `keep-alive`.
+    pub close: bool,
+}
+
+impl ResponseHead<'_> {
+    /// Appends the head of a response whose body is `body_len` bytes.
+    pub fn write(&self, out: &mut Vec<u8>, body_len: usize) {
+        use std::io::Write as _;
+        let connection = if self.close { "close" } else { "keep-alive" };
+        // Writing into a `Vec` cannot fail.
+        let _ = write!(
+            out,
+            "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {body_len}\r\n\
+             Connection: {connection}\r\n",
+            self.status, self.reason, self.content_type
+        );
+        if let Some(id) = self.request_id {
+            let _ = write!(out, "X-Request-Id: {id:016x}\r\n");
+        }
+        for (name, value) in self.extra {
+            for part in [name, ": ", value, "\r\n"] {
+                out.extend_from_slice(part.as_bytes());
+            }
+        }
+        out.extend_from_slice(b"\r\n");
+    }
+
+    /// Writes the head in front of the body already at
+    /// `out[body_start..]` — the server's render path, which writes a
+    /// response's body first because the head carries its length.
+    pub fn prepend(&self, out: &mut Vec<u8>, body_start: usize) {
+        let body_end = out.len();
+        self.write(out, body_end - body_start);
+        let head_len = out.len() - body_end;
+        out[body_start..].rotate_right(head_len);
+    }
+}
+
+/// Renders one complete response (head + body) into a fresh buffer,
+/// through [`ResponseHead::write`]. `extra` headers are appended after
+/// the standard trio.
 pub fn render_response(
     status: u16,
     reason: &str,
@@ -431,20 +507,9 @@ pub fn render_response(
     body: &[u8],
     close: bool,
 ) -> Vec<u8> {
-    let connection = if close { "close" } else { "keep-alive" };
-    let mut head = format!(
-        "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\n\
-         Content-Length: {}\r\nConnection: {connection}\r\n",
-        body.len()
-    );
-    for (name, value) in extra {
-        head.push_str(name);
-        head.push_str(": ");
-        head.push_str(value);
-        head.push_str("\r\n");
-    }
-    head.push_str("\r\n");
-    let mut out = head.into_bytes();
+    let mut out = Vec::with_capacity(128 + body.len());
+    let head = ResponseHead { status, reason, content_type, request_id: None, extra, close };
+    head.write(&mut out, body.len());
     out.extend_from_slice(body);
     out
 }
@@ -507,28 +572,23 @@ mod tests {
 
     /// Parses one request out of `bytes` the way the server's event
     /// loop does: find the head, parse it, take its declared body.
-    fn parse_request(bytes: &[u8], limits: &HttpLimits) -> Result<Request, HttpError> {
+    fn parse_request(bytes: &[u8], limits: &HttpLimits) -> Result<(RequestHead, Vec<u8>), HttpError> {
         let end = find_head_end(bytes).expect("a complete head");
         let head = parse_request_head(&bytes[..end], limits)?;
-        let want = declared_body_len(&head.headers, limits, head.method == "POST")?;
-        Ok(Request {
-            method: head.method,
-            target: head.target,
-            headers: head.headers,
-            body: bytes[end..end + want].to_vec(),
-            keep_alive: head.keep_alive,
-        })
+        let want = declared_body_len(&head, limits, head.method() == "POST")?;
+        Ok((head, bytes[end..end + want].to_vec()))
     }
 
     #[test]
     fn request_roundtrip_with_body() {
         let bytes = render_request("POST", "/svc", "127.0.0.1", Some("echo"), b"<x/>", false);
-        let req = parse_request(&bytes, &HttpLimits::default()).expect("one request");
-        assert_eq!(req.method, "POST");
+        let (req, body) = parse_request(&bytes, &HttpLimits::default()).expect("one request");
+        assert_eq!(req.method(), "POST");
         assert_eq!(req.path(), "/svc");
-        assert_eq!(req.body, b"<x/>");
+        assert_eq!(body, b"<x/>");
         assert!(req.keep_alive);
         assert_eq!(req.header("soapaction"), Some("\"echo\""));
+        assert_eq!(req.header("SOAPAction"), req.header("soapaction"));
     }
 
     #[test]
@@ -621,9 +681,61 @@ mod tests {
     }
 
     #[test]
+    fn head_fields_are_views_of_one_copy() {
+        let limits = HttpLimits::default();
+        let cases: [(&[u8], bool); 6] = [
+            (b"GET /a HTTP/1.1\r\nConnection: CLOSE\r\n\r\n", false),
+            (b"GET /a HTTP/1.1\r\nconnection: Upgrade, Keep-Alive\r\n\r\n", true),
+            (b"GET /a HTTP/1.0\r\nCONNECTION: keep-alive\r\n\r\n", true),
+            (b"GET /a HTTP/1.0\r\n\r\n", false),
+            (b"GET /a HTTP/1.1\nConnection: other\n\n", true),
+            (b"GET /a HTTP/1.1\r\nX: 1\r\nConnection: close\r\nConnection: keep-alive\r\n\r\n", false),
+        ];
+        for (bytes, keep_alive) in cases {
+            let head = parse_request_head(bytes, &limits).unwrap();
+            assert_eq!(head.keep_alive, keep_alive, "{:?}", String::from_utf8_lossy(bytes));
+            assert_eq!((head.method(), head.target()), ("GET", "/a"));
+        }
+        // Bytes after the blank line are not part of the head.
+        let head = parse_request_head(b"POST /s?q  HTTP/1.1\r\n Content-Length :  7 \r\n\r\n\xff", &limits)
+            .unwrap();
+        assert_eq!((head.path(), head.query()), ("/s", Some("q")));
+        assert_eq!(head.headers().collect::<Vec<_>>(), [("Content-Length", "7")]);
+        assert_eq!(declared_body_len(&head, &limits, true), Ok(7));
+        let err = parse_request_head(b"GET / HTTP/1.1\r\nX: \xff\r\n\r\n", &limits).unwrap_err();
+        assert_eq!(err, HttpError::BadHeader("non-UTF-8 line".to_string()));
+    }
+
+    #[test]
+    fn prepended_heads_match_rendered_responses() {
+        for (close, request_id) in [(false, Some(0xab)), (true, None)] {
+            let mut out = b"kept".to_vec();
+            out.extend_from_slice(b"<body/>");
+            let head = ResponseHead {
+                status: 500,
+                reason: "Internal Server Error",
+                content_type: "text/xml",
+                request_id,
+                extra: &[("Retry-After", "1")],
+                close,
+            };
+            head.prepend(&mut out, 4);
+            let id = request_id.map(|id| format!("{id:016x}"));
+            let mut extra = Vec::new();
+            if let Some(id) = &id {
+                extra.push(("X-Request-Id", id.as_str()));
+            }
+            extra.push(("Retry-After", "1"));
+            let rendered =
+                render_response(500, "Internal Server Error", "text/xml", &extra, b"<body/>", close);
+            assert_eq!(out, [&b"kept"[..], &rendered].concat());
+        }
+    }
+
+    #[test]
     fn query_is_split_from_the_path() {
         let bytes = render_request("GET", "/svc?wsdl", "h", None, b"", true);
-        let req = parse_request(&bytes, &HttpLimits::default()).unwrap();
+        let (req, _) = parse_request(&bytes, &HttpLimits::default()).unwrap();
         assert_eq!(req.path(), "/svc");
         assert_eq!(req.query(), Some("wsdl"));
         assert!(!req.keep_alive);
@@ -668,7 +780,7 @@ mod tests {
         }
         // A GET needs no declared length.
         let get = parse_request(b"GET /svc HTTP/1.1\r\n\r\n", &HttpLimits::default());
-        assert_eq!(get.map(|req| req.body), Ok(Vec::new()));
+        assert_eq!(get.map(|(_, body)| body), Ok(Vec::new()));
     }
 
     #[test]

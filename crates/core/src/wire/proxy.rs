@@ -157,7 +157,7 @@ fn read_head(stream: &mut TcpStream) -> Option<(RequestHead, usize)> {
         ..HttpLimits::default()
     };
     let head = http::parse_request_head(&raw, &limits).ok()?;
-    let body_len = http::declared_body_len(&head.headers, &limits, head.method == "POST").ok()?;
+    let body_len = http::declared_body_len(&head, &limits, head.method() == "POST").ok()?;
     Some((head, body_len))
 }
 
@@ -197,7 +197,7 @@ fn relay_connection(shared: &ProxyShared, mut downstream: TcpStream) {
     let Some((head, body_len)) = read_head(&mut downstream) else {
         return;
     };
-    let path = head.target.split('?').next().unwrap_or(&head.target);
+    let path = head.path();
     let wire = shared.plan.wire_fault(&format!("wire{path}"));
     let sock = shared
         .plan
@@ -253,15 +253,11 @@ fn relay_connection(shared: &ProxyShared, mut downstream: TcpStream) {
     };
     let _ = upstream.set_read_timeout(Some(Duration::from_millis(2000)));
     let _ = upstream.set_write_timeout(Some(Duration::from_millis(2000)));
-    let soap_action = head
-        .headers
-        .iter()
-        .find(|(name, _)| name == "soapaction")
-        .map(|(_, value)| value.trim_matches('"'));
+    let soap_action = head.header("soapaction").map(|value| value.trim_matches('"'));
     if http::write_request(
         &mut upstream,
-        &head.method,
-        &head.target,
+        head.method(),
+        head.target(),
         "127.0.0.1",
         soap_action,
         &body,

@@ -37,7 +37,7 @@
 //! The **admin plane** (§16) rides the same reactors: `GET /metrics`
 //! (Prometheus text), `GET /healthz` (readiness from the ladder
 //! state) and `GET /statusz` (JSON snapshot) are served through the
-//! identical state machine and `render_response` path as SOAP
+//! identical state machine and response renderer as SOAP
 //! traffic, but accounted under `wire_server_admin_*` so the
 //! served-only latency histogram and its quantiles never mix scrape
 //! traffic into serving numbers.
@@ -56,14 +56,14 @@ use wsinterop_wsdl::{soap, Definitions};
 use wsinterop_xml::writer::{write_document, WriteOptions};
 
 use crate::doccache::content_hash;
-use crate::exchange::serve_echo;
+use crate::exchange::serve_echo_into;
 use crate::obs::{
     CounterHandle, GaugeHandle, HistogramHandle, MetricsRegistry, TraceEvent, TracePhase,
     TraceSink,
 };
 
 use super::conn::{Conn, Drive, Phase};
-use super::http::{self, HttpLimits, Request};
+use super::http::{self, HttpLimits, RequestHead, ResponseHead};
 
 /// The admin path that triggers a remote graceful shutdown.
 pub const SHUTDOWN_PATH: &str = "/__admin/shutdown";
@@ -133,7 +133,13 @@ impl HostedService {
         // Held for the server's lifetime: release the renderer's spare
         // capacity rather than keep it allocated alongside the text.
         wsdl_xml.shrink_to_fit();
-        let defs = from_xml_str(&wsdl_xml).map_err(|e| e.to_string());
+        // Likewise for the parse: it grows its vectors as it reads, and
+        // a clone holds each at its length — over the stride-20 corpus
+        // that halves what the descriptions hold (E31).
+        let defs = match from_xml_str(&wsdl_xml) {
+            Ok(parsed) => Ok(Definitions::clone(&parsed)),
+            Err(e) => Err(e.to_string()),
+        };
         HostedService { wsdl_xml, defs }
     }
 }
@@ -468,10 +474,9 @@ pub(crate) struct Shared {
     config_hash: u64,
 }
 
-/// What [`Env::respond`] hands back: the rendered bytes plus the
+/// What [`Env::respond`] hands back beside the rendered bytes: the
 /// accounting facts the connection resolves when the flush completes.
 pub(crate) struct Responded {
-    pub(crate) bytes: Vec<u8>,
     pub(crate) status: u16,
     /// Admin-plane responses are excluded from the serving histogram
     /// and per-code counters.
@@ -562,13 +567,13 @@ impl Env<'_> {
 
     /// Admin-plane routing (DESIGN.md §16). Returns `None` for SOAP
     /// traffic; admin responses are rendered by the caller through the
-    /// same `render_response` path as everything else.
+    /// same [`ResponseHead`] as everything else.
     fn admin_route(
         &self,
-        request: &Request,
+        head: &RequestHead,
         path: &str,
     ) -> Option<(&'static str, u16, &'static str, &'static str, Vec<u8>)> {
-        match (request.method.as_str(), path) {
+        match (head.method(), path) {
             ("GET", "/metrics") => {
                 self.stats.sync_gauges();
                 let body = self.stats.registry.render_prometheus().into_bytes();
@@ -633,78 +638,86 @@ impl Env<'_> {
         )
     }
 
-    /// Handles one parsed request and renders the full response. The
-    /// id is stamped into the `X-Request-Id` header of every
-    /// dispatched response, admin or served.
-    pub(crate) fn respond(&self, request: &Request, close: bool, request_id: u64) -> Responded {
+    /// Handles one parsed request and renders the full response into
+    /// `out`, the connection's buffer: the body first, then the head in
+    /// front of it. The id is stamped into the `X-Request-Id` header of
+    /// every dispatched response, admin or served.
+    pub(crate) fn respond(
+        &self,
+        head: &RequestHead,
+        request_body: &[u8],
+        close: bool,
+        request_id: u64,
+        out: &mut Vec<u8>,
+    ) -> Responded {
         let shared = self.shared;
         let stats = self.stats;
-        let path = request.path();
-        let id_hex = format!("{request_id:016x}");
-        if let Some((route, status, reason, content_type, body)) =
-            self.admin_route(request, path)
-        {
-            stats.admin.inc();
-            stats.count_admin(route);
-            let bytes = http::render_response(
+        let path = head.path();
+        out.clear();
+        let render = |out: &mut Vec<u8>, status, reason, content_type| {
+            let head = ResponseHead {
                 status,
                 reason,
                 content_type,
-                &[("X-Request-Id", &id_hex)],
-                &body,
+                request_id: Some(request_id),
+                extra: &[],
                 close,
-            );
-            return Responded { bytes, status, admin: true };
+            };
+            head.prepend(out, 0);
+        };
+        if let Some((route, status, reason, content_type, admin_body)) =
+            self.admin_route(head, path)
+        {
+            stats.admin.inc();
+            stats.count_admin(route);
+            out.extend_from_slice(&admin_body);
+            render(out, status, reason, content_type);
+            return Responded { status, admin: true };
         }
-        let (status, reason, content_type, body): (u16, &str, &str, Vec<u8>) =
-            match (request.method.as_str(), path) {
+        let (status, reason, content_type, body): (u16, &str, &str, &[u8]) =
+            match (head.method(), path) {
                 ("GET", p) => match shared.services.get(p) {
-                    Some(service) if request.query() == Some("wsdl") => {
+                    Some(service) if head.query() == Some("wsdl") => {
                         stats.served.inc();
-                        (200, "OK", "text/xml", service.wsdl_xml.clone().into_bytes())
+                        (200, "OK", "text/xml", service.wsdl_xml.as_bytes())
                     }
                     Some(_) => {
                         stats.malformed.inc();
-                        (400, "Bad Request", "text/plain", b"expected ?wsdl".to_vec())
+                        (400, "Bad Request", "text/plain", b"expected ?wsdl")
                     }
                     None => {
                         stats.not_found.inc();
-                        (404, "Not Found", "text/plain", b"no such service".to_vec())
+                        (404, "Not Found", "text/plain", b"no such service")
                     }
                 },
                 ("POST", p) => match shared.services.get(p) {
-                    Some(service) => match soap_response(service, &request.body) {
-                        Ok((status, xml)) => {
+                    // The envelope is written straight into `out`.
+                    Some(service) => match soap_response(service, request_body, out) {
+                        Ok(status) => {
                             stats.served.inc();
                             let reason =
                                 if status == 200 { "OK" } else { "Internal Server Error" };
-                            (status, reason, "text/xml", xml.into_bytes())
+                            (status, reason, "text/xml", b"")
                         }
                         Err(detail) => {
                             stats.malformed.inc();
-                            (400, "Bad Request", "text/plain", detail.into_bytes())
+                            (400, "Bad Request", "text/plain", detail.as_bytes())
                         }
                     },
                     None => {
                         stats.not_found.inc();
-                        (404, "Not Found", "text/plain", b"no such service".to_vec())
+                        (404, "Not Found", "text/plain", b"no such service")
                     }
                 },
                 _ => {
                     stats.not_found.inc();
-                    (405, "Method Not Allowed", "text/plain", b"GET or POST only".to_vec())
+                    (405, "Method Not Allowed", "text/plain", b"GET or POST only")
                 }
             };
+        out.extend_from_slice(body);
         self.count_response(status);
-        let bytes = http::render_response(
-            status,
-            reason,
-            content_type,
-            &[("X-Request-Id", &id_hex)],
-            &body,
-            close,
-        );
-        Responded { bytes, status, admin: false }
+        render(out, status, reason, content_type);
+        Responded { status, admin: false }
     }
 }
 
@@ -947,27 +960,33 @@ fn admit(env: &Env<'_>, conns: &mut Vec<Conn>, stream: TcpStream) {
     }
 }
 
-/// Produces the SOAP response envelope and its HTTP status for one
-/// request body. Per WS-I BP 1.1 R1126/R1111, a fault envelope rides
-/// on `500`, a normal response on `200`.
-fn soap_response(service: &HostedService, body: &[u8]) -> Result<(u16, String), String> {
+/// Writes the SOAP response envelope for one request body into `out`
+/// (empty on entry) and returns its HTTP status. Per WS-I BP 1.1
+/// R1126/R1111, a fault envelope rides on `500`, a normal response on
+/// `200`; the echo reports which one it wrote.
+fn soap_response(
+    service: &HostedService,
+    body: &[u8],
+    out: &mut Vec<u8>,
+) -> Result<u16, &'static str> {
     let Ok(request_xml) = std::str::from_utf8(body) else {
-        return Err("request body is not UTF-8".to_string());
+        return Err("request body is not UTF-8");
     };
-    let response = match &service.defs {
-        Ok(defs) => serve_echo(defs, request_xml),
+    // An empty buffer is valid UTF-8: it becomes the envelope's text
+    // buffer and back without a copy.
+    let mut xml = String::from_utf8(std::mem::take(out)).unwrap_or_default();
+    let fault = match &service.defs {
+        Ok(defs) => serve_echo_into(defs, request_xml, &mut xml),
         // Mirrors the in-process exchange's wording exactly — E15
         // equivalence depends on it.
-        Err(e) => write_document(
-            &soap::fault(
-                "Server",
-                &format!("server cannot re-parse its own description: {e}"),
-            ),
-            &WriteOptions::compact(),
-        ),
+        Err(e) => {
+            let reason = format!("server cannot re-parse its own description: {e}");
+            xml.push_str(&write_document(&soap::fault("Server", &reason), &WriteOptions::compact()));
+            true
+        }
     };
-    let status = if soap::is_fault(&response) { 500 } else { 200 };
-    Ok((status, response))
+    *out = xml.into_bytes();
+    Ok(if fault { 500 } else { 200 })
 }
 
 #[cfg(test)]

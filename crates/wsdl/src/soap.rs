@@ -9,7 +9,7 @@
 use std::fmt;
 
 use wsinterop_xml::name::ns;
-use wsinterop_xml::{parse_arena, Document, Element};
+use wsinterop_xml::{parse_arena, Arena, Document, Element, ElementRef, XmlWriter};
 
 use crate::model::{Definitions, PartKind};
 
@@ -151,14 +151,21 @@ pub fn request_with_args(
     Ok(envelope(wrapper))
 }
 
-/// Extracts the first payload element from a SOAP envelope document.
+/// Parses a SOAP envelope into the arena [`body_payload`] reads.
 ///
 /// # Errors
 ///
-/// Fails when the input is not well-formed XML, not an envelope, or has
-/// an empty body.
-pub fn payload(xml: &str) -> Result<Element, SoapError> {
-    let doc = parse_arena(xml).map_err(|e| SoapError::new(e.to_string()))?;
+/// Fails when the input is not well-formed XML.
+pub fn parse_envelope(xml: &str) -> Result<Arena<'_>, SoapError> {
+    parse_arena(xml).map_err(|e| SoapError::new(e.to_string()))
+}
+
+/// The first payload element of a parsed SOAP envelope.
+///
+/// # Errors
+///
+/// Fails when the document is not an envelope or has an empty body.
+pub fn body_payload<'a>(doc: &'a Arena<'a>) -> Result<ElementRef<'a>, SoapError> {
     let root = doc.root();
     if !root.is_named(ns::SOAP_ENV, "Envelope") {
         return Err(SoapError::new(format!(
@@ -169,8 +176,19 @@ pub fn payload(xml: &str) -> Result<Element, SoapError> {
     let body = root
         .element(ns::SOAP_ENV, "Body")
         .ok_or_else(|| SoapError::new("envelope has no Body"))?;
-    let first = body.child_elements().next().map(|el| el.to_element());
+    let first = body.child_elements().next();
     first.ok_or_else(|| SoapError::new("Body is empty"))
+}
+
+/// Extracts the first payload element from a SOAP envelope document.
+///
+/// # Errors
+///
+/// Fails when the input is not well-formed XML, not an envelope, or has
+/// an empty body.
+pub fn payload(xml: &str) -> Result<Element, SoapError> {
+    let doc = parse_envelope(xml)?;
+    body_payload(&doc).map(|el| el.to_element())
 }
 
 /// Builds a SOAP 1.1 fault envelope (`faultcode`/`faultstring`).
@@ -180,6 +198,23 @@ pub fn fault(code: &str, reason: &str) -> Document {
         .with_child(Element::new("faultcode").with_text(format!("soapenv:{code}")))
         .with_child(Element::new("faultstring").with_text(reason));
     envelope_with_body_child(fault)
+}
+
+/// Writes the start of an [`envelope`] document, the `soapenv:Envelope`
+/// and `soapenv:Body` start tags, leaving both open for the payload.
+pub fn open_envelope(w: &mut XmlWriter<'_>) {
+    w.open_prefixed("soapenv", "Envelope")
+        .attr_prefixed(Some("xmlns"), "soapenv", ns::SOAP_ENV);
+    w.open_prefixed("soapenv", "Body");
+}
+
+/// Writes the whole [`fault`] envelope without building its tree.
+pub fn write_fault(w: &mut XmlWriter<'_>, code: &str, reason: &str) {
+    open_envelope(w);
+    w.open_prefixed("soapenv", "Fault")
+        .text_element("faultcode", &format!("soapenv:{code}"))
+        .text_element("faultstring", reason);
+    w.close().close().close();
 }
 
 fn envelope_with_body_child(child: Element) -> Document {
@@ -194,9 +229,9 @@ fn envelope_with_body_child(child: Element) -> Document {
 
 /// Returns `true` when the envelope carries a SOAP fault.
 pub fn is_fault(xml: &str) -> bool {
-    payload(xml)
-        .map(|el| el.is_named(ns::SOAP_ENV, "Fault"))
-        .unwrap_or(false)
+    parse_envelope(xml).is_ok_and(|doc| {
+        body_payload(&doc).is_ok_and(|el| el.is_named(ns::SOAP_ENV, "Fault"))
+    })
 }
 
 /// Extracts the text of the first child of the payload wrapper — the
@@ -258,6 +293,16 @@ mod tests {
         let xml = xml_of(&doc);
         assert!(is_fault(&xml));
         assert!(!is_fault(&xml_of(&envelope(Element::new("ok")))));
+    }
+
+    #[test]
+    fn written_faults_match_the_fault_tree() {
+        let opts = WriteOptions::compact();
+        for (code, reason) in [("Client", "boom"), ("Server", ""), ("Server", "a<b & \"c\" ]]>")] {
+            let mut w = XmlWriter::document(&opts);
+            write_fault(&mut w, code, reason);
+            assert_eq!(w.finish(), xml_of(&fault(code, reason)));
+        }
     }
 
     #[test]

@@ -225,6 +225,47 @@ impl<'a> ElementRef<'a> {
         out
     }
 
+    /// Whether any direct child is character data (text or CDATA) —
+    /// the mixed content a pretty writer keeps on one line.
+    pub(crate) fn has_text_child(&self) -> bool {
+        let mut i = self.idx + 1;
+        while i < self.slot().end {
+            match &self.arena.nodes[i] {
+                Slot::Element(el) => i = el.end,
+                Slot::Text(_) | Slot::CData(_) => return true,
+                _ => i += 1,
+            }
+        }
+        false
+    }
+
+    /// Visits everything inside this element in document order: each
+    /// descendant element is opened, its content visited, and closed.
+    pub(crate) fn walk_content(&self, mut visit: impl FnMut(Visit<'a>)) {
+        let arena = self.arena;
+        // Ends of the open descendants' subtrees, innermost last.
+        let mut open: Vec<usize> = Vec::new();
+        for i in self.idx + 1..self.slot().end {
+            while open.last() == Some(&i) {
+                open.pop();
+                visit(Visit::Close);
+            }
+            match &arena.nodes[i] {
+                Slot::Element(el) => {
+                    visit(Visit::Open(ElementRef { arena, idx: i }));
+                    open.push(el.end);
+                }
+                Slot::Text(t) => visit(Visit::Text(t)),
+                Slot::CData(t) => visit(Visit::CData(t)),
+                Slot::Comment(t) => visit(Visit::Comment(t)),
+                Slot::Pi { target, data } => visit(Visit::Pi { target, data }),
+            }
+        }
+        for _ in open {
+            visit(Visit::Close);
+        }
+    }
+
     /// Converts this element and its subtree into the owned tree. Each
     /// namespace URI becomes one `Arc<str>` shared by every element in
     /// that namespace.
@@ -283,6 +324,19 @@ impl<'a> ElementRef<'a> {
         }
         done
     }
+}
+
+/// One step of [`ElementRef::walk_content`].
+pub(crate) enum Visit<'a> {
+    /// A descendant element starts; its content and a matching
+    /// [`Visit::Close`] follow.
+    Open(ElementRef<'a>),
+    /// The innermost open descendant ends.
+    Close,
+    Text(&'a str),
+    CData(&'a str),
+    Comment(&'a str),
+    Pi { target: &'a str, data: &'a str },
 }
 
 /// Iterator over the child elements of an [`ElementRef`].

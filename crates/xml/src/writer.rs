@@ -5,6 +5,7 @@
 //! the WSDL and XSD serializers drive it straight from their object
 //! models, and [`write_document`] drives it from an owned tree.
 
+use crate::arena::{ElementRef, Visit};
 use crate::escape::{push_escaped_attr, push_escaped_text};
 use crate::tree::{Document, Element, Node};
 
@@ -92,8 +93,12 @@ impl<'o> XmlWriter<'o> {
     }
 
     fn with_capacity(opts: &'o WriteOptions, capacity: usize) -> XmlWriter<'o> {
+        XmlWriter::appending(opts, String::with_capacity(capacity))
+    }
+
+    fn appending(opts: &'o WriteOptions, out: String) -> XmlWriter<'o> {
         XmlWriter {
-            out: String::with_capacity(capacity),
+            out,
             indent: opts.indent.as_deref(),
             document: false,
             names: String::with_capacity(64),
@@ -104,7 +109,14 @@ impl<'o> XmlWriter<'o> {
     /// A writer for a whole document: writes the XML declaration when
     /// `opts` asks for it, and ends pretty output with a newline.
     pub fn document(opts: &'o WriteOptions) -> XmlWriter<'o> {
-        let mut w = XmlWriter::with_capacity(opts, 1024);
+        XmlWriter::document_into(opts, String::with_capacity(1024))
+    }
+
+    /// [`XmlWriter::document`] appending to `out`, whose capacity
+    /// [`XmlWriter::finish`] hands back — a caller that clears and
+    /// passes the same buffer each time writes without allocating it.
+    pub fn document_into(opts: &'o WriteOptions, out: String) -> XmlWriter<'o> {
+        let mut w = XmlWriter::appending(opts, out);
         w.document = true;
         if opts.declaration {
             w.out.push_str("<?xml version=\"1.0\" encoding=\"UTF-8\"?>");
@@ -214,6 +226,43 @@ impl<'o> XmlWriter<'o> {
         }
         self.out.push_str(local);
         self.out.push_str("=\"");
+    }
+
+    /// Writes the element `name` holding the character data `text`, as
+    /// [`write_document`] writes an element built `with_text(text)`.
+    pub fn text_element(&mut self, name: &str, text: &str) -> &mut Self {
+        self.open_with(None, name, true);
+        self.text(text);
+        self.close()
+    }
+
+    /// Writes a parsed element with all its attributes and content,
+    /// renamed to `name`: byte for byte what writing an owned copy
+    /// ([`ElementRef::to_element`]) under that name gives, without
+    /// building the copy.
+    pub fn copy_renamed(&mut self, name: &str, el: ElementRef<'_>) -> &mut Self {
+        self.open_copy(None, name, el);
+        el.walk_content(|step| match step {
+            Visit::Open(child) => self.open_copy(child.prefix(), child.local_name(), child),
+            Visit::Close => {
+                self.close();
+            }
+            Visit::Text(t) => self.text(t),
+            Visit::CData(t) => self.cdata(t),
+            Visit::Comment(t) => self.comment(t),
+            Visit::Pi { target, data } => self.pi(target, data),
+        });
+        self.close()
+    }
+
+    /// Opens `prefix:local` with the attributes of `el`; mixed content
+    /// stays inline, as [`write_document`] writes it.
+    fn open_copy(&mut self, prefix: Option<&str>, local: &str, el: ElementRef<'_>) {
+        let mixed = self.indent.is_some() && el.has_text_child();
+        self.open_with(prefix, local, mixed);
+        for attr in el.attrs() {
+            self.attr(attr.name(), attr.value());
+        }
     }
 
     /// Writes character data (escaped).
@@ -480,6 +529,47 @@ mod tests {
             }
         }
         assert_eq!(w.finish(), write_element(&tree, &opts));
+    }
+
+    #[test]
+    fn copied_elements_match_the_owned_copy() {
+        let docs = [
+            "<a/>",
+            "<a></a>",
+            r#"<p:a xmlns:p="urn:p" xmlns="urn:d" p:x="1&amp;2" y="&quot;&#9;"><b/><p:c>t</p:c></p:a>"#,
+            "<a>t<!--c--><![CDATA[<raw>]]><?pi d?><?bare?><b><c/>u<d></d></b>v</a>",
+            "<a>\n  <b>  </b>\n  <c> x </c>\n</a>",
+            "<a><b><c><d>deep</d></c></b><e/></a>",
+        ];
+        for opts in [WriteOptions::compact(), WriteOptions::pretty()] {
+            for input in docs {
+                let doc = crate::parse_arena(input).unwrap();
+                let mut w = XmlWriter::new(&opts);
+                w.open("wrap").copy_renamed("renamed", doc.root()).close();
+                let mut renamed = Element::new("renamed");
+                let owned = doc.root().to_element();
+                for attr in owned.attrs() {
+                    renamed.set_attr(&attr.name().to_string(), attr.value());
+                }
+                for child in owned.children() {
+                    renamed.push_node(child.clone());
+                }
+                let tree = Element::new("wrap").with_child(renamed);
+                assert_eq!(w.finish(), write_element(&tree, &opts), "{input}");
+            }
+        }
+    }
+
+    #[test]
+    fn text_elements_match_the_tree_writer() {
+        for opts in [WriteOptions::compact(), WriteOptions::pretty()] {
+            for text in ["", "a<b&c>", " "] {
+                let mut w = XmlWriter::document_into(&opts, String::from("kept"));
+                w.open("r").text_element("t", text).close();
+                let tree = Document::new(Element::new("r").with_child(Element::new("t").with_text(text)));
+                assert_eq!(w.finish(), format!("kept{}", write_document(&tree, &opts)));
+            }
+        }
     }
 
     #[test]

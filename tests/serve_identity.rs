@@ -18,6 +18,10 @@
 //!   echoed (one-way, type-style part, unresolved wrapper) or whose
 //!   response wrapper is itself `soapenv:Fault`.
 //!
+//! The serving core, `serve_echo_into`, must report the fault status
+//! that `soap::is_fault` reads from its bytes, for every one of these
+//! inputs.
+//!
 //! A last digest pins the full HTTP responses of a loopback
 //! `WireServer`: a keep-alive and a closing SOAP POST, a SOAP fault,
 //! `GET ?wsdl`, a 404 and a malformed request's 400.
@@ -27,7 +31,7 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 use wsinterop::core::doccache::content_hash;
-use wsinterop::core::exchange::{serve_echo, SURVEY_PROBE};
+use wsinterop::core::exchange::{serve_echo, serve_echo_into, SURVEY_PROBE};
 use wsinterop::core::fuzz::{generate_case, GenLimits};
 use wsinterop::core::wire::{host_survey_services, http, WireServer, WireServerConfig};
 use wsinterop::wsdl::{soap, Definitions, PartKind};
@@ -249,6 +253,11 @@ fn echo_envelopes_and_fault_status_are_byte_identical() {
     let mut pin = |defs: &Definitions, request: &str| {
         let response = serve_echo(defs, request);
         let fault = soap::is_fault(&response);
+        // The serving core appends the same bytes to a used buffer and
+        // reports the same status without re-reading them.
+        let mut appended = String::from("kept");
+        assert_eq!(serve_echo_into(defs, request, &mut appended), fault, "{request}");
+        assert_eq!(appended.strip_prefix("kept"), Some(response.as_str()));
         served += 1;
         faults += usize::from(fault);
         digest = fold(digest, response.as_bytes());
