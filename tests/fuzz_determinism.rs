@@ -9,7 +9,7 @@ use std::process::Command;
 
 use wsinterop::core::faults::{fuzz_site, FaultKind, FaultPlan};
 use wsinterop::core::fuzz::{
-    self, generate_case, replay_outcome, FuzzConfig, FuzzOutcome, FuzzTrigger,
+    self, generate_case, replay_outcome, FuzzConfig, FuzzOutcome, FuzzTransport, FuzzTrigger,
 };
 use wsinterop::core::ShardSpec;
 use wsinterop::frameworks::server::ServerId;
@@ -45,6 +45,21 @@ fn armed_config(cases: usize, threads: usize) -> FuzzConfig {
 
 fn temp_path(tag: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("wsitool-fuzz-det-{tag}-{}", std::process::id()))
+}
+
+/// E19's loopback ≡ in-process equivalence, enforced: under
+/// `--transport both` every case posted over TCP classifies exactly as
+/// in process, and the run's table is the in-process-only run's table.
+#[test]
+fn tcp_leg_never_diverges_from_the_in_process_leg() {
+    let in_process = fuzz::run(&armed_config(4, 2), None).expect("in-process run");
+    let mut config = armed_config(4, 2);
+    config.transport = FuzzTransport::Both;
+    let both = fuzz::run(&config, None).expect("both-transport run");
+    assert_eq!(both.divergences, 0, "transport divergences");
+    assert_eq!(both.cap_hits, 0, "no case reaches the body cap at this size");
+    assert_eq!(both.table, in_process.table);
+    assert!(both.table.totals().iter().sum::<u64>() > 0);
 }
 
 #[test]
