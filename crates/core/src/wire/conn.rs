@@ -63,7 +63,9 @@ pub(crate) struct Conn {
     inbuf: Vec<u8>,
     /// The body being assembled for the current request.
     body: Vec<u8>,
-    /// The rendered response being flushed.
+    /// The response being flushed. A dispatched response is rendered
+    /// into it in place, and it keeps its capacity from one keep-alive
+    /// request to the next.
     outbuf: Vec<u8>,
     written: usize,
     /// Requests fully served on this connection.

@@ -16,8 +16,8 @@
 
 use std::fmt;
 use std::io::{BufReader, Read, Write};
-use std::ops::Range;
 use std::net::TcpStream;
+use std::ops::Range;
 
 /// Size limits enforced while reading a message off the wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -393,7 +393,7 @@ pub fn parse_request_head(head: &[u8], limits: &HttpLimits) -> Result<RequestHea
         };
         headers.push((span(at, line, name.trim()), span(at, line, value.trim())));
     }
-    drop(lines);
+    drop(lines); // releases `end`
     let mut parsed = RequestHead {
         raw: String::from_utf8_lossy(&head[..end]).into_owned(),
         method,
@@ -403,13 +403,18 @@ pub fn parse_request_head(head: &[u8], limits: &HttpLimits) -> Result<RequestHea
     };
     parsed.keep_alive = match parsed.header("connection") {
         Some(v) if v.eq_ignore_ascii_case("close") => false,
-        Some(v) if v.as_bytes().windows(10).any(|w| w.eq_ignore_ascii_case(b"keep-alive")) => {
-            true
-        }
+        Some(v) if contains_ignore_ascii_case(v, "keep-alive") => true,
         // HTTP/1.1 defaults to keep-alive; 1.0 to close.
         _ => http_11,
     };
     Ok(parsed)
+}
+
+fn contains_ignore_ascii_case(haystack: &str, needle: &str) -> bool {
+    haystack
+        .as_bytes()
+        .windows(needle.len())
+        .any(|w| w.eq_ignore_ascii_case(needle.as_bytes()))
 }
 
 /// Where `part`, a slice of `line`, sits in the head block, given that

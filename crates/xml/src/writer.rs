@@ -89,11 +89,7 @@ pub struct XmlWriter<'o> {
 impl<'o> XmlWriter<'o> {
     /// A writer for a fragment: no declaration, no trailing newline.
     pub fn new(opts: &'o WriteOptions) -> XmlWriter<'o> {
-        XmlWriter::with_capacity(opts, 256)
-    }
-
-    fn with_capacity(opts: &'o WriteOptions, capacity: usize) -> XmlWriter<'o> {
-        XmlWriter::appending(opts, String::with_capacity(capacity))
+        XmlWriter::appending(opts, String::with_capacity(256))
     }
 
     fn appending(opts: &'o WriteOptions, out: String) -> XmlWriter<'o> {
