@@ -22,8 +22,10 @@ use std::fmt;
 
 use wsinterop_wsdl::de::from_xml_str;
 use wsinterop_wsdl::{soap, Definitions};
+use wsinterop_wsi::{message, Report};
+use wsinterop_xml::name::ns;
 use wsinterop_xml::writer::{write_document, WriteOptions};
-use wsinterop_xml::{Arena, ElementRef, XmlWriter};
+use wsinterop_xml::{parse_arena, Arena, ElementRef, XmlWriter};
 
 /// Outcome of one simulated message exchange.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -208,7 +210,10 @@ fn resolve_echo<'a>(
 
 /// First message-profile failure in a serialized envelope, if any.
 pub(crate) fn first_message_violation(xml: &str) -> Option<String> {
-    let report = wsinterop_wsi::message::check_message(xml);
+    first_failure(&message::check_message(xml))
+}
+
+fn first_failure(report: &Report) -> Option<String> {
     let first = report.failures().next();
     first.map(|f| format!("[{}] {}", f.assertion, f.detail))
 }
@@ -325,23 +330,30 @@ pub fn exchange_generated(
 /// transport ([`crate::wire`]), which is what makes the two surveys
 /// bit-identical (E15): both paths run exactly this code over exactly
 /// the same envelope bytes.
+///
+/// The response is parsed once: the profile check, fault detection, the
+/// fault reason and the echoed value all read that one arena.
 pub fn classify_response(request: &str, response: &str, value: &str) -> ExchangeOutcome {
-    if let Some(violation) = first_message_violation(response) {
+    let parsed = parse_arena(response);
+    if let Some(violation) = first_failure(&message::check_parsed(parsed.as_ref())) {
         return ExchangeOutcome::NonConformantMessage {
             side: "response",
             detail: violation,
         };
     }
-    if soap::is_fault(response) {
-        let reason = soap::payload(response)
-            .ok()
-            .map(|f| f.text_content())
-            .unwrap_or_default();
-        return ExchangeOutcome::ServerFault { reason };
-    }
-
-    // Client side: unwrap the echoed value.
-    match soap::unwrap_single_value(response) {
+    let Ok(doc) = parsed else {
+        unreachable!("a response that is not XML fails R9980");
+    };
+    // Client side: read the fault, or unwrap the echoed value.
+    let received = match soap::body_payload(&doc) {
+        Ok(fault) if fault.is_named(ns::SOAP_ENV, "Fault") => {
+            return ExchangeOutcome::ServerFault {
+                reason: fault.text_content(),
+            };
+        }
+        payload => payload.and_then(soap::single_value),
+    };
+    match received {
         Ok(received) if received == value => ExchangeOutcome::Completed {
             bytes_on_wire: request.len() + response.len(),
         },

@@ -436,7 +436,7 @@ impl<'a> Gen<'a> {
     /// the wrapper namespace exactly as [`soap::request`] names its
     /// single argument. The first argument particle is clamped to at
     /// least one instance so the echoed value is well-defined.
-    fn wrapper_args(&mut self, wrapper: &'a ElementDecl, ns_uri: &str) -> Vec<Element> {
+    fn wrapper_args(&mut self, wrapper: &'a ElementDecl) -> Vec<Element> {
         let mut args = Vec::new();
         let Some(inline) = &wrapper.inline else {
             return args;
@@ -449,9 +449,7 @@ impl<'a> Gen<'a> {
                         n = n.max(1);
                     }
                     for _ in 0..n {
-                        let el = self
-                            .gen_element(&format!("m:{}", decl.name), decl, 0)
-                            .in_ns(ns_uri.to_string());
+                        let el = self.gen_element(&format!("m:{}", decl.name), decl, 0);
                         args.push(el);
                     }
                 }
@@ -478,7 +476,7 @@ pub fn generate_case(
     tape: Option<&[u32]>,
     limits: &GenLimits,
 ) -> Result<GeneratedCase, soap::SoapError> {
-    let (wrapper, ns_uri) = soap::input_wrapper(defs, op_name)?;
+    let (wrapper, _) = soap::input_wrapper(defs, op_name)?;
     let cs = match tape {
         None => ChoiceStream::fresh(seed),
         Some(tape) => ChoiceStream::replay(tape),
@@ -489,7 +487,7 @@ pub fn generate_case(
         limits,
         budget: limits.payload_budget as i64,
     };
-    let args = gen.wrapper_args(wrapper, ns_uri);
+    let args = gen.wrapper_args(wrapper);
     let expected = args.first().map(Element::text_content).unwrap_or_default();
     let doc = soap::request_with_args(defs, op_name, args)?;
     Ok(GeneratedCase {

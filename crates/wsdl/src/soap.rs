@@ -50,11 +50,9 @@ impl std::error::Error for SoapError {}
 /// ```
 pub fn envelope(payload: Element) -> Document {
     let body = Element::new("soapenv:Body")
-        .in_ns(ns::SOAP_ENV)
         .with_child(payload);
     Document::new(
         Element::new("soapenv:Envelope")
-            .in_ns(ns::SOAP_ENV)
             .with_ns_decl(Some("soapenv"), ns::SOAP_ENV)
             .with_child(body),
     )
@@ -110,17 +108,13 @@ pub fn input_wrapper<'a>(
 ///
 /// Same resolution failures as [`input_wrapper`].
 pub fn request(defs: &Definitions, op_name: &str, arg_text: &str) -> Result<Document, SoapError> {
-    let (wrapper_decl, ns_uri) = input_wrapper(defs, op_name)?;
+    let (wrapper_decl, _) = input_wrapper(defs, op_name)?;
     let mut args = Vec::new();
     if let Some(inline) = &wrapper_decl.inline {
         if let Some(wsinterop_xsd::Particle::Element(first)) =
             inline.content.particles.first()
         {
-            args.push(
-                Element::new(&format!("m:{}", first.name))
-                    .in_ns(ns_uri.to_string())
-                    .with_text(arg_text),
-            );
+            args.push(Element::new(&format!("m:{}", first.name)).with_text(arg_text));
         }
     }
     request_with_args(defs, op_name, args)
@@ -143,7 +137,6 @@ pub fn request_with_args(
 ) -> Result<Document, SoapError> {
     let (wrapper_decl, ns_uri) = input_wrapper(defs, op_name)?;
     let mut wrapper = Element::new(&format!("m:{}", wrapper_decl.name))
-        .in_ns(ns_uri.to_string())
         .with_ns_decl(Some("m"), ns_uri);
     for arg in args {
         wrapper.push_element(arg);
@@ -180,24 +173,12 @@ pub fn body_payload<'a>(doc: &'a Arena<'a>) -> Result<ElementRef<'a>, SoapError>
     first.ok_or_else(|| SoapError::new("Body is empty"))
 }
 
-/// Extracts the first payload element from a SOAP envelope document.
-///
-/// # Errors
-///
-/// Fails when the input is not well-formed XML, not an envelope, or has
-/// an empty body.
-pub fn payload(xml: &str) -> Result<Element, SoapError> {
-    let doc = parse_envelope(xml)?;
-    body_payload(&doc).map(|el| el.to_element())
-}
-
 /// Builds a SOAP 1.1 fault envelope (`faultcode`/`faultstring`).
 pub fn fault(code: &str, reason: &str) -> Document {
     let fault = Element::new("soapenv:Fault")
-        .in_ns(ns::SOAP_ENV)
         .with_child(Element::new("faultcode").with_text(format!("soapenv:{code}")))
         .with_child(Element::new("faultstring").with_text(reason));
-    envelope_with_body_child(fault)
+    envelope(fault)
 }
 
 /// Writes the start of an [`envelope`] document, the `soapenv:Envelope`
@@ -217,16 +198,6 @@ pub fn write_fault(w: &mut XmlWriter<'_>, code: &str, reason: &str) {
     w.close().close().close();
 }
 
-fn envelope_with_body_child(child: Element) -> Document {
-    let body = Element::new("soapenv:Body").in_ns(ns::SOAP_ENV).with_child(child);
-    Document::new(
-        Element::new("soapenv:Envelope")
-            .in_ns(ns::SOAP_ENV)
-            .with_ns_decl(Some("soapenv"), ns::SOAP_ENV)
-            .with_child(body),
-    )
-}
-
 /// Returns `true` when the envelope carries a SOAP fault.
 pub fn is_fault(xml: &str) -> bool {
     parse_envelope(xml).is_ok_and(|doc| {
@@ -236,8 +207,21 @@ pub fn is_fault(xml: &str) -> bool {
 
 /// Extracts the text of the first child of the payload wrapper — the
 /// doc/literal "echoed value" in the study's canonical services.
+///
+/// # Errors
+///
+/// Fails when the input is not well-formed XML, not an envelope, has an
+/// empty body, or its wrapper holds no element.
 pub fn unwrap_single_value(xml: &str) -> Result<String, SoapError> {
-    let wrapper = payload(xml)?;
+    single_value(body_payload(&parse_envelope(xml)?)?)
+}
+
+/// The text of the first child element of a payload wrapper.
+///
+/// # Errors
+///
+/// Fails when the wrapper holds no element.
+pub fn single_value(wrapper: ElementRef<'_>) -> Result<String, SoapError> {
     let first = wrapper
         .child_elements()
         .next()
@@ -281,10 +265,10 @@ mod tests {
     #[test]
     fn payload_roundtrip() {
         let defs = doc_literal_echo("S", "urn:t", "echo", TypeRef::BuiltIn(BuiltIn::Int));
-        let doc = request(&defs, "echo", "7").unwrap();
-        let wrapper = payload(&xml_of(&doc)).unwrap();
-        assert_eq!(wrapper.name().local_part(), "echo");
-        assert_eq!(unwrap_single_value(&xml_of(&doc)).unwrap(), "7");
+        let xml = xml_of(&request(&defs, "echo", "7").unwrap());
+        let doc = parse_envelope(&xml).unwrap();
+        assert_eq!(body_payload(&doc).unwrap().local_name(), "echo");
+        assert_eq!(unwrap_single_value(&xml).unwrap(), "7");
     }
 
     #[test]
@@ -307,13 +291,15 @@ mod tests {
 
     #[test]
     fn payload_rejects_non_envelope() {
-        assert!(payload("<x/>").is_err());
-        assert!(payload("not xml").is_err());
+        assert!(parse_envelope("not xml").is_err());
+        let doc = parse_envelope("<x/>").unwrap();
+        assert!(body_payload(&doc).is_err());
     }
 
     #[test]
     fn payload_rejects_empty_body() {
         let xml = r#"<soapenv:Envelope xmlns:soapenv="http://schemas.xmlsoap.org/soap/envelope/"><soapenv:Body/></soapenv:Envelope>"#;
-        assert!(payload(xml).is_err());
+        let doc = parse_envelope(xml).unwrap();
+        assert_eq!(body_payload(&doc).unwrap_err().to_string(), "SOAP error: Body is empty");
     }
 }

@@ -10,7 +10,7 @@
 
 use std::fmt;
 
-use wsinterop_xml::Element;
+use wsinterop_xml::{Element, ElementRef};
 use wsinterop_xsd::lexical;
 use wsinterop_xsd::{BuiltIn, ComplexType, ElementDecl, Particle, Schema, TypeRef};
 
@@ -176,7 +176,7 @@ pub fn marshal(
     }
 }
 
-/// Unmarshals an element back into a typed value.
+/// Unmarshals a parsed element back into a typed value.
 ///
 /// # Errors
 ///
@@ -184,7 +184,7 @@ pub fn marshal(
 pub fn unmarshal(
     defs: &Definitions,
     type_ref: &TypeRef,
-    element: &Element,
+    element: ElementRef<'_>,
 ) -> Result<Value, BindError> {
     if element.attr("xsi:nil") == Some("true") {
         return Ok(Value::Nil);
@@ -211,7 +211,7 @@ pub fn unmarshal(
             for particle in flatten_elements(ct) {
                 let child = element
                     .child_elements()
-                    .find(|el| el.name().local_part() == particle.name);
+                    .find(|el| el.local_name() == particle.name);
                 match child {
                     Some(el) => {
                         let field_type = particle
@@ -361,7 +361,7 @@ pub fn typed_request(
         .clone()
         .unwrap_or(TypeRef::BuiltIn(BuiltIn::AnyType));
 
-    let mut wrapper = Element::new(&wrapper_decl.name).in_ns(wrapper_ref.ns_uri.clone());
+    let mut wrapper = Element::new(&wrapper_decl.name);
     wrapper.declare_ns(None, &wrapper_ref.ns_uri);
     wrapper.push_element(marshal(defs, &param_type, &param.name, value)?);
     Ok(crate::soap::envelope(wrapper))
@@ -375,8 +375,9 @@ pub fn typed_request(
 /// Fails when the envelope is malformed or the payload violates the
 /// declared parameter type.
 pub fn typed_payload_value(defs: &Definitions, envelope_xml: &str) -> Result<Value, BindError> {
-    let wrapper =
-        crate::soap::payload(envelope_xml).map_err(|e| BindError::new(e.to_string()))?;
+    let soap_error = |e: crate::soap::SoapError| BindError::new(e.to_string());
+    let doc = crate::soap::parse_envelope(envelope_xml).map_err(soap_error)?;
+    let wrapper = crate::soap::body_payload(&doc).map_err(soap_error)?;
     let param_type = echo_parameter_type(defs)
         .ok_or_else(|| BindError::new("document declares no echo parameter"))?;
     let param_el = wrapper
@@ -390,7 +391,18 @@ pub fn typed_payload_value(defs: &Definitions, envelope_xml: &str) -> Result<Val
 mod tests {
     use super::*;
     use crate::builder::DocLiteralBuilder;
+    use wsinterop_xml::name::ns;
+    use wsinterop_xml::{parse_arena, write_element, WriteOptions};
     use wsinterop_xsd::{ComplexType, ElementDecl, Particle, SimpleType};
+
+    /// Writes `el` under a parent declaring `xsi`, parses it back and
+    /// unmarshals the parsed copy.
+    fn reread(defs: &Definitions, type_ref: &TypeRef, el: &Element) -> Result<Value, BindError> {
+        let parent = Element::new("w").with_ns_decl(Some("xsi"), ns::XSI).with_child(el.clone());
+        let xml = write_element(&parent, &WriteOptions::compact());
+        let doc = parse_arena(&xml).unwrap();
+        unmarshal(defs, type_ref, doc.root().child_elements().next().unwrap())
+    }
 
     fn bean_defs() -> Definitions {
         let bean = ComplexType::named("Order")
@@ -428,7 +440,7 @@ mod tests {
             ("paid".into(), Value::boolean(true)),
         ]);
         let el = marshal(&defs, &order_type(), "order", &value).unwrap();
-        let back = unmarshal(&defs, &order_type(), &el).unwrap();
+        let back = reread(&defs, &order_type(), &el).unwrap();
         assert_eq!(back, value);
     }
 
@@ -440,8 +452,8 @@ mod tests {
             ("paid".into(), Value::boolean(false)),
         ]);
         let el = marshal(&defs, &order_type(), "order", &value).unwrap();
-        assert_eq!(el.child_elements().count(), 2);
-        assert_eq!(unmarshal(&defs, &order_type(), &el).unwrap(), value);
+        assert_eq!(el.children().len(), 2);
+        assert_eq!(reread(&defs, &order_type(), &el).unwrap(), value);
     }
 
     #[test]
@@ -464,7 +476,7 @@ mod tests {
         let mut el = Element::new("order");
         el.push_element(Element::new("id").with_text("NaN-ish"));
         el.push_element(Element::new("paid").with_text("true"));
-        assert!(unmarshal(&defs, &order_type(), &el).is_err());
+        assert!(reread(&defs, &order_type(), &el).is_err());
     }
 
     #[test]
@@ -477,7 +489,7 @@ mod tests {
         });
         let status = TypeRef::named("urn:orders", "Status");
         let ok = marshal(&defs, &status, "status", &Value::Enum("OPEN".into())).unwrap();
-        assert_eq!(unmarshal(&defs, &status, &ok).unwrap(), Value::Enum("OPEN".into()));
+        assert_eq!(reread(&defs, &status, &ok).unwrap(), Value::Enum("OPEN".into()));
         assert!(marshal(&defs, &status, "status", &Value::Enum("BROKEN".into())).is_err());
     }
 
@@ -485,7 +497,7 @@ mod tests {
     fn nil_roundtrip() {
         let defs = bean_defs();
         let el = marshal(&defs, &order_type(), "order", &Value::Nil).unwrap();
-        assert_eq!(unmarshal(&defs, &order_type(), &el).unwrap(), Value::Nil);
+        assert_eq!(reread(&defs, &order_type(), &el).unwrap(), Value::Nil);
     }
 
     #[test]
@@ -495,7 +507,7 @@ mod tests {
         assert_eq!(ty, order_type());
         let sample = sample_value(&defs, &ty).unwrap();
         let el = marshal(&defs, &ty, "order", &sample).unwrap();
-        assert_eq!(unmarshal(&defs, &ty, &el).unwrap(), sample);
+        assert_eq!(reread(&defs, &ty, &el).unwrap(), sample);
     }
 
     #[test]

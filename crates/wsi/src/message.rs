@@ -16,7 +16,7 @@
 //!   `faultstring` as unqualified children.
 
 use wsinterop_xml::name::ns;
-use wsinterop_xml::{parse_document, Element};
+use wsinterop_xml::{parse_arena, Arena, ElementRef, ParseXmlError};
 
 use crate::report::{Finding, Report, Severity};
 
@@ -35,14 +35,19 @@ fn finding(
 }
 
 /// Checks one serialized SOAP 1.1 message for Basic Profile
-/// conformance.
+/// conformance: [`check_parsed`] over its parse.
+pub fn check_message(xml: &str) -> Report {
+    check_parsed(parse_arena(xml).as_ref())
+}
+
+/// Checks a parsed SOAP 1.1 message for Basic Profile conformance.
 ///
 /// Returns a [`Report`]; malformed XML yields a single `R9980` failure
 /// rather than an error, because "not even XML" is the strongest
 /// non-conformance there is.
-pub fn check_message(xml: &str) -> Report {
+pub fn check_parsed(parsed: Result<&Arena<'_>, &ParseXmlError>) -> Report {
     let mut report = Report::new();
-    let doc = match parse_document(xml) {
+    let doc = match parsed {
         Ok(doc) => doc,
         Err(e) => {
             report.push(finding(
@@ -95,23 +100,22 @@ pub fn check_message(xml: &str) -> Report {
     }
 
     // R1005/R1007: encodingStyle is banned on literal messages.
-    let offenders = root.descendants_where(|el| {
-        el.attrs()
-            .iter()
-            .any(|a| a.name().local_part() == "encodingStyle")
-    });
+    let offenders = root
+        .descendants()
+        .filter(|el| el.attrs().any(|a| a.local_name() == "encodingStyle"));
     for el in offenders {
         report.push(finding(
             "R1005",
             Severity::Failure,
-            el.name().to_string(),
+            el.name(),
             "carries a soapenv:encodingStyle attribute",
         ));
     }
 
     // R1011: at most one Body child in doc/literal wrapped exchanges.
-    let body_children: Vec<&Element> = body.child_elements().collect();
-    if body_children.len() > 1 && !is_fault(&body_children) {
+    let body_children: Vec<ElementRef<'_>> = body.child_elements().collect();
+    let is_fault = |el: &ElementRef<'_>| el.is_named(ns::SOAP_ENV, "Fault");
+    if body_children.len() > 1 && !body_children.iter().any(is_fault) {
         report.push(finding(
             "R1011",
             Severity::Warning,
@@ -120,15 +124,15 @@ pub fn check_message(xml: &str) -> Report {
         ));
     }
 
-    for child in &body_children {
-        if child.is_named(ns::SOAP_ENV, "Fault") {
+    for child in body_children {
+        if is_fault(&child) {
             check_fault(child, &mut report);
         } else if child.ns_uri().is_none() {
             // R1014: body children must be namespace-qualified.
             report.push(finding(
                 "R1014",
                 Severity::Failure,
-                child.name().to_string(),
+                child.name(),
                 "Body child is not namespace-qualified",
             ));
         }
@@ -136,17 +140,9 @@ pub fn check_message(xml: &str) -> Report {
     report
 }
 
-fn is_fault(children: &[&Element]) -> bool {
-    children
-        .iter()
-        .any(|el| el.is_named(ns::SOAP_ENV, "Fault"))
-}
-
-fn check_fault(fault: &Element, report: &mut Report) {
+fn check_fault(fault: ElementRef<'_>, report: &mut Report) {
     for required in ["faultcode", "faultstring"] {
-        match fault
-            .child_elements()
-            .find(|el| el.name().local_part() == required)
+        match fault.child_elements().find(|el| el.local_name() == required)
         {
             None => report.push(finding(
                 "R1004",

@@ -122,13 +122,11 @@ impl Report {
 
         const REPORT_NS: &str = "urn:wsinterop:wsi-report";
         let mut root = Element::new("wsi:report")
-            .in_ns(REPORT_NS)
             .with_ns_decl(Some("wsi"), REPORT_NS)
             .with_attr("conformant", self.conformant().to_string());
         for finding in &self.findings {
             root.push_element(
                 Element::new("wsi:finding")
-                    .in_ns(REPORT_NS)
                     .with_attr("assertion", finding.assertion)
                     .with_attr("severity", finding.severity.to_string())
                     .with_attr("target", &finding.target)
@@ -219,7 +217,7 @@ mod tests {
         });
         r.push(f(Severity::Warning));
         let xml = r.to_xml();
-        let doc = wsinterop_xml::parse_document(&xml).unwrap();
+        let doc = wsinterop_xml::parse_arena(&xml).unwrap();
         assert_eq!(doc.root().attr("conformant"), Some("false"));
         let findings: Vec<_> = doc.root().child_elements().collect();
         assert_eq!(findings.len(), 2);

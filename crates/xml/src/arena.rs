@@ -7,15 +7,14 @@
 //! subtree is the run of nodes up to its recorded end, so walking the
 //! children skips each child's subtree in one step.
 //!
-//! [`ElementRef`] reads an element the way [`Element`] does — `attr`,
-//! `elements`, `element`, `child_elements`, `is_named`, `ns_uri` — and
-//! [`ElementRef::to_element`] converts a subtree into the owned tree.
+//! [`ElementRef`] is the one way to read a parsed element — `attr`,
+//! `elements`, `element`, `child_elements`, `descendants`, `is_named`,
+//! `ns_uri`, `text_content`. The owned [`Element`](crate::Element) tree
+//! is only for building documents to write.
 
 use std::borrow::Cow;
-use std::sync::Arc;
 
-use crate::name::{ns, split_at, ExpandedName, QName};
-use crate::tree::{Attr, Document, Element, Node};
+use crate::name::{ns, split_at, ExpandedName};
 
 /// Namespace reference: the element is in no namespace. Any reference
 /// but the `NS_*` constants is the index of the declaring attribute.
@@ -67,7 +66,6 @@ pub(crate) struct AttrSlot<'a> {
 pub struct Arena<'a> {
     pub(crate) nodes: Vec<Slot<'a>>,
     pub(crate) attrs: Vec<AttrSlot<'a>>,
-    pub(crate) prolog_comments: Vec<&'a str>,
 }
 
 impl<'a> Arena<'a> {
@@ -77,15 +75,6 @@ impl<'a> Arena<'a> {
             arena: self,
             idx: 0,
         }
-    }
-
-    /// Converts the whole document into the owned tree.
-    pub fn to_document(&self) -> Document {
-        let mut doc = Document::new(self.root().to_element());
-        for comment in &self.prolog_comments {
-            doc.push_prolog_comment(*comment);
-        }
-        doc
     }
 
     fn ns_uri(&self, ns_ref: usize) -> Option<&str> {
@@ -211,6 +200,14 @@ impl<'a> ElementRef<'a> {
         self.child_elements().find(|e| e.is_named(ns_uri, local))
     }
 
+    /// This element and every element below it, in document order.
+    pub fn descendants(&self) -> impl Iterator<Item = ElementRef<'a>> + 'a {
+        let arena = self.arena;
+        (self.idx..self.slot().end)
+            .filter(move |&idx| matches!(arena.nodes[idx], Slot::Element(_)))
+            .map(move |idx| ElementRef { arena, idx })
+    }
+
     /// Concatenation of all descendant text and CDATA content.
     pub fn text_content(&self) -> String {
         let subtree = &self.arena.nodes[self.idx + 1..self.slot().end];
@@ -264,65 +261,6 @@ impl<'a> ElementRef<'a> {
         for _ in open {
             visit(Visit::Close);
         }
-    }
-
-    /// Converts this element and its subtree into the owned tree. Each
-    /// namespace URI becomes one `Arc<str>` shared by every element in
-    /// that namespace.
-    pub fn to_element(&self) -> Element {
-        let arena = self.arena;
-        let mut uris: Vec<(usize, Arc<str>)> = Vec::new();
-        // Open elements with the end of their subtree, innermost last.
-        let mut open: Vec<(Element, usize)> = Vec::new();
-        for i in self.idx..self.slot().end {
-            while open.last().is_some_and(|&(_, end)| end == i) {
-                let (done, _) = open.pop().expect("checked non-empty");
-                open.last_mut()
-                    .expect("a closed child has an open parent")
-                    .0
-                    .push_element(done);
-            }
-            let node = match &arena.nodes[i] {
-                Slot::Element(el) => {
-                    let ns_uri = (el.ns != NS_NONE).then(|| {
-                        if let Some((_, uri)) = uris.iter().find(|(r, _)| *r == el.ns) {
-                            return uri.clone();
-                        }
-                        let uri: Arc<str> = Arc::from(arena.ns_uri(el.ns).unwrap_or_default());
-                        uris.push((el.ns, uri.clone()));
-                        uri
-                    });
-                    let attrs = arena.attrs[el.attrs.clone()]
-                        .iter()
-                        .map(|a| {
-                            let name = QName::from_checked(a.name, a.local_start);
-                            Attr::from_parts(name, a.value.to_string())
-                        })
-                        .collect();
-                    let name = QName::from_checked(el.name, el.local_start);
-                    open.push((Element::from_parts(name, ns_uri, attrs), el.end));
-                    continue;
-                }
-                Slot::Text(t) => Node::Text(t.to_string()),
-                Slot::CData(t) => Node::CData(t.to_string()),
-                Slot::Comment(t) => Node::Comment(t.to_string()),
-                Slot::Pi { target, data } => Node::Pi {
-                    target: target.to_string(),
-                    data: data.to_string(),
-                },
-            };
-            open.last_mut()
-                .expect("content nodes sit inside an element")
-                .0
-                .push_node(node);
-        }
-        // Everything still open ends with this subtree.
-        let (mut done, _) = open.pop().expect("the subtree's own element");
-        while let Some((mut parent, _)) = open.pop() {
-            parent.push_element(done);
-            done = parent;
-        }
-        done
     }
 }
 
@@ -384,6 +322,11 @@ impl<'a> AttrRef<'a> {
         split_at(self.slot.name, self.slot.local_start).0
     }
 
+    /// The name's local part.
+    pub fn local_name(&self) -> &'a str {
+        split_at(self.slot.name, self.slot.local_start).1
+    }
+
     /// The attribute value, unescaped.
     pub fn value(&self) -> &'a str {
         &self.slot.value
@@ -428,12 +371,13 @@ mod tests {
     }
 
     #[test]
-    fn to_element_converts_one_subtree() {
-        let doc = parse_arena(r#"<a xmlns="urn:a"><b x="1">t<c/></b><d/></a>"#).unwrap();
-        let b = doc.root().child_elements().next().unwrap().to_element();
-        assert_eq!(b.ns_uri(), Some("urn:a"));
-        assert_eq!(b.attr("x"), Some("1"));
-        assert_eq!(b.children().len(), 2);
-        assert_eq!(b.text_content(), "t");
+    fn descendants_are_in_document_order() {
+        let doc = parse_arena(r#"<a x:n="1" xmlns:x="urn:x"><b>t<c/></b><!--d--><e/></a>"#).unwrap();
+        let names: Vec<_> = doc.root().descendants().map(|e| e.name()).collect();
+        assert_eq!(names, ["a", "b", "c", "e"]);
+        let b = doc.root().child_elements().next().unwrap();
+        assert_eq!(b.descendants().count(), 2);
+        let attr = doc.root().attrs().next().unwrap();
+        assert_eq!((attr.prefix(), attr.local_name()), (Some("x"), "n"));
     }
 }

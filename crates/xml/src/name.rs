@@ -227,21 +227,14 @@ pub(crate) fn split_at(raw: &str, local_start: usize) -> (Option<&str>, &str) {
     (prefix, &raw[local_start..])
 }
 
-impl QName {
-    /// A name already checked by [`local_start`].
-    pub(crate) fn from_checked(raw: &str, local_start: usize) -> QName {
-        QName {
-            raw: raw.into(),
-            local_start,
-        }
-    }
-}
-
 impl FromStr for QName {
     type Err = ParseQNameError;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        Ok(QName::from_checked(s, local_start(s)?))
+        Ok(QName {
+            local_start: local_start(s)?,
+            raw: s.into(),
+        })
     }
 }
 

@@ -9,10 +9,8 @@
 //! One tokenizer fills a flat [`Arena`] ([`parse_arena`]) and resolves
 //! every element's namespace on the way. Names, attribute values and
 //! character data borrow from the input; only values holding entity
-//! references are unescaped into owned strings. [`parse_document`] is a
-//! conversion of that arena into the owned tree, so both entry points
-//! share one set of well-formedness checks and one set of error
-//! messages.
+//! references are unescaped into owned strings. The arena is the only
+//! parse result: every reader of XML goes through its views.
 
 use std::borrow::Cow;
 use std::collections::HashSet;
@@ -22,7 +20,6 @@ use crate::arena::{Arena, AttrSlot, ElementSlot, Slot, NS_NONE, NS_XML, NS_XMLNS
 use crate::escape::unescape;
 use crate::name::{local_start, split_at, ParseQNameError};
 use crate::scope::PrefixScope;
-use crate::tree::{Document, Element};
 
 /// Position of an error within the input, 1-based.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,7 +63,7 @@ impl fmt::Display for ParseXmlError {
 
 impl std::error::Error for ParseXmlError {}
 
-/// Parses a complete document into the owned tree.
+/// Parses a complete document into an [`Arena`] that borrows `input`.
 ///
 /// # Errors
 ///
@@ -77,41 +74,22 @@ impl std::error::Error for ParseXmlError {}
 /// # Examples
 ///
 /// ```
-/// use wsinterop_xml::parse_document;
-/// let doc = parse_document(r#"<a xmlns="urn:x"><b c="1">t</b></a>"#)?;
+/// use wsinterop_xml::parse_arena;
+/// let doc = parse_arena(r#"<a xmlns="urn:x"><b c="1">t</b></a>"#)?;
 /// assert_eq!(doc.root().ns_uri(), Some("urn:x"));
 /// let b = doc.root().element("urn:x", "b").unwrap();
 /// assert_eq!(b.attr("c"), Some("1"));
 /// assert_eq!(b.text_content(), "t");
 /// # Ok::<(), wsinterop_xml::parser::ParseXmlError>(())
 /// ```
-pub fn parse_document(input: &str) -> Result<Document, ParseXmlError> {
-    parse_arena(input).map(|arena| arena.to_document())
-}
-
-/// Parses a string containing exactly one element (fragment form).
-///
-/// # Errors
-///
-/// Same failure modes as [`parse_document`].
-pub fn parse_element(input: &str) -> Result<Element, ParseXmlError> {
-    parse_arena(input).map(|arena| arena.root().to_element())
-}
-
-/// Parses a complete document into an [`Arena`] that borrows `input`.
-///
-/// # Errors
-///
-/// Same failure modes as [`parse_document`].
 pub fn parse_arena(input: &str) -> Result<Arena<'_>, ParseXmlError> {
     let mut p = Parser::new(input);
     p.skip_bom();
     p.skip_prolog()?;
-    let mut prolog_comments = Vec::new();
     loop {
         p.skip_ws();
         if p.starts_with("<!--") {
-            prolog_comments.push(p.read_comment()?);
+            p.read_comment()?;
         } else if p.starts_with("<?") {
             p.read_pi()?; // discard prolog PIs
         } else if p.starts_with("<!DOCTYPE") {
@@ -136,7 +114,6 @@ pub fn parse_arena(input: &str) -> Result<Arena<'_>, ParseXmlError> {
     Ok(Arena {
         nodes: p.nodes,
         attrs: p.attrs,
-        prolog_comments,
     })
 }
 
@@ -619,29 +596,29 @@ mod tests {
     use super::*;
     use crate::name::ns;
     use crate::writer::{write_document, WriteOptions};
+    use crate::{Document, Element};
 
     #[test]
     fn parses_minimal_document() {
-        let doc = parse_document("<r/>").unwrap();
-        assert_eq!(doc.root().name().local_part(), "r");
+        let doc = parse_arena("<r/>").unwrap();
+        assert_eq!(doc.root().local_name(), "r");
         assert_eq!(doc.root().ns_uri(), None);
     }
 
     #[test]
     fn parses_declaration_and_doctype() {
-        let doc =
-            parse_document("<?xml version=\"1.0\"?><!DOCTYPE r SYSTEM \"x.dtd\"><r/>").unwrap();
-        assert_eq!(doc.root().name().local_part(), "r");
+        let doc = parse_arena("<?xml version=\"1.0\"?><!DOCTYPE r SYSTEM \"x.dtd\"><r/>").unwrap();
+        assert_eq!(doc.root().local_name(), "r");
     }
 
     #[test]
     fn rejects_doctype_internal_subset() {
-        assert!(parse_document("<!DOCTYPE r [<!ENTITY x \"y\">]><r/>").is_err());
+        assert!(parse_arena("<!DOCTYPE r [<!ENTITY x \"y\">]><r/>").is_err());
     }
 
     #[test]
     fn resolves_default_namespace() {
-        let doc = parse_document(r#"<a xmlns="urn:a"><b/></a>"#).unwrap();
+        let doc = parse_arena(r#"<a xmlns="urn:a"><b/></a>"#).unwrap();
         assert_eq!(doc.root().ns_uri(), Some("urn:a"));
         let b = doc.root().child_elements().next().unwrap();
         assert_eq!(b.ns_uri(), Some("urn:a"));
@@ -650,7 +627,8 @@ mod tests {
     #[test]
     fn resolves_prefixed_namespaces_with_shadowing() {
         let xml = r#"<p:a xmlns:p="urn:1"><p:b xmlns:p="urn:2"><p:c/></p:b><p:d/></p:a>"#;
-        let root = parse_element(xml).unwrap();
+        let doc = parse_arena(xml).unwrap();
+        let root = doc.root();
         assert_eq!(root.ns_uri(), Some("urn:1"));
         let b = root.child_elements().next().unwrap();
         assert_eq!(b.ns_uri(), Some("urn:2"));
@@ -662,115 +640,122 @@ mod tests {
 
     #[test]
     fn default_ns_can_be_undeclared() {
-        let xml = r#"<a xmlns="urn:a"><b xmlns=""><c/></b></a>"#;
-        let root = parse_element(xml).unwrap();
-        let b = root.child_elements().next().unwrap();
+        let doc = parse_arena(r#"<a xmlns="urn:a"><b xmlns=""><c/></b></a>"#).unwrap();
+        let b = doc.root().child_elements().next().unwrap();
         assert_eq!(b.ns_uri(), None);
         assert_eq!(b.child_elements().next().unwrap().ns_uri(), None);
     }
 
     #[test]
     fn rejects_undeclared_prefix() {
-        let err = parse_element("<p:a/>").unwrap_err();
+        let err = parse_arena("<p:a/>").unwrap_err();
         assert!(err.message().contains("undeclared namespace prefix"));
     }
 
     #[test]
     fn rejects_undeclared_attribute_prefix() {
-        assert!(parse_element(r#"<a q:x="1"/>"#).is_err());
+        assert!(parse_arena(r#"<a q:x="1"/>"#).is_err());
     }
 
     #[test]
     fn xml_prefix_is_predeclared() {
-        let el = parse_element(r#"<a xml:lang="en"/>"#).unwrap();
-        assert_eq!(el.attr("xml:lang"), Some("en"));
+        let doc = parse_arena(r#"<a xml:lang="en"/>"#).unwrap();
+        assert_eq!(doc.root().attr("xml:lang"), Some("en"));
     }
 
     #[test]
     fn rejects_duplicate_attributes() {
-        let err = parse_element(r#"<a x="1" x="2"/>"#).unwrap_err();
+        let err = parse_arena(r#"<a x="1" x="2"/>"#).unwrap_err();
         assert!(err.message().contains("duplicate attribute"));
     }
 
     #[test]
     fn rejects_mismatched_tags() {
-        let err = parse_element("<a><b></a></b>").unwrap_err();
+        let err = parse_arena("<a><b></a></b>").unwrap_err();
         assert!(err.message().contains("mismatched end tag"));
     }
 
     #[test]
     fn rejects_trailing_garbage() {
-        assert!(parse_document("<a/><b/>").is_err());
+        assert!(parse_arena("<a/><b/>").is_err());
     }
 
     #[test]
     fn whitespace_only_text_is_dropped_between_elements() {
-        let el = parse_element("<a>\n  <b/>\n</a>").unwrap();
-        assert_eq!(el.children().len(), 1);
+        let doc = parse_arena("<a>\n  <b/>\n</a>").unwrap();
+        assert_eq!(doc.nodes.len(), 2);
     }
 
     #[test]
     fn significant_text_is_kept() {
-        let el = parse_element("<a>hi <b/> there</a>").unwrap();
-        assert_eq!(el.text_content(), "hi  there");
+        let doc = parse_arena("<a>hi <b/> there</a>").unwrap();
+        assert_eq!(doc.root().text_content(), "hi  there");
     }
 
     #[test]
     fn entities_are_expanded() {
-        let el = parse_element("<a b=\"&lt;&amp;&quot;\">&#65;&apos;</a>").unwrap();
-        assert_eq!(el.attr("b"), Some("<&\""));
-        assert_eq!(el.text_content(), "A'");
+        let doc = parse_arena("<a b=\"&lt;&amp;&quot;\">&#65;&apos;</a>").unwrap();
+        assert_eq!(doc.root().attr("b"), Some("<&\""));
+        assert_eq!(doc.root().text_content(), "A'");
     }
 
     #[test]
     fn cdata_preserved_verbatim() {
-        let el = parse_element("<a><![CDATA[<not-xml> & stuff]]></a>").unwrap();
-        assert_eq!(el.text_content(), "<not-xml> & stuff");
+        let doc = parse_arena("<a><![CDATA[<not-xml> & stuff]]></a>").unwrap();
+        assert_eq!(doc.root().text_content(), "<not-xml> & stuff");
     }
 
     #[test]
     fn comments_and_pis_in_content() {
-        let el = parse_element("<a><!-- c --><?t d?><b/></a>").unwrap();
-        assert_eq!(el.children().len(), 3);
+        let doc = parse_arena("<a><!-- c --><?t d?><b/></a>").unwrap();
+        assert_eq!(doc.nodes.len(), 4);
     }
 
     #[test]
     fn attribute_single_quotes() {
-        let el = parse_element("<a x='v'/>").unwrap();
-        assert_eq!(el.attr("x"), Some("v"));
+        let doc = parse_arena("<a x='v'/>").unwrap();
+        assert_eq!(doc.root().attr("x"), Some("v"));
     }
 
     #[test]
     fn error_position_is_reported() {
-        let err = parse_document("<a>\n  <b x=></b>\n</a>").unwrap_err();
+        let err = parse_arena("<a>\n  <b x=></b>\n</a>").unwrap_err();
         assert_eq!(err.pos().line, 2);
     }
 
     #[test]
     fn write_parse_roundtrip_preserves_structure() {
-        let el = crate::Element::new("wsdl:definitions")
-            .in_ns(ns::WSDL)
+        let el = Element::new("wsdl:definitions")
             .with_ns_decl(Some("wsdl"), ns::WSDL)
             .with_ns_decl(Some("xsd"), ns::XSD)
             .with_attr("targetNamespace", "urn:test")
             .with_child(
-                crate::Element::new("wsdl:types").in_ns(ns::WSDL).with_child(
-                    crate::Element::new("xsd:schema")
-                        .in_ns(ns::XSD)
+                Element::new("wsdl:types").with_child(
+                    Element::new("xsd:schema")
                         .with_attr("targetNamespace", "urn:test"),
                 ),
             );
         let doc = Document::new(el);
         for opts in [WriteOptions::pretty(), WriteOptions::compact()] {
             let xml = write_document(&doc, &opts);
-            let parsed = parse_document(&xml).unwrap();
-            assert_eq!(parsed.root(), doc.root());
+            let parsed = parse_arena(&xml).unwrap();
+            let root = parsed.root();
+            assert!(root.is_named(ns::WSDL, "definitions"));
+            let attrs: Vec<_> = root.attrs().map(|a| (a.name(), a.value())).collect();
+            assert_eq!(
+                attrs,
+                [("xmlns:wsdl", ns::WSDL), ("xmlns:xsd", ns::XSD), ("targetNamespace", "urn:test")]
+            );
+            let types = root.element(ns::WSDL, "types").unwrap();
+            let schema = types.element(ns::XSD, "schema").unwrap();
+            assert_eq!(schema.attr("targetNamespace"), Some("urn:test"));
+            assert_eq!(root.descendants().count(), 3);
         }
     }
 
     #[test]
     fn bom_is_skipped() {
-        let doc = parse_document("\u{feff}<r/>").unwrap();
-        assert_eq!(doc.root().name().local_part(), "r");
+        let doc = parse_arena("\u{feff}<r/>").unwrap();
+        assert_eq!(doc.root().local_name(), "r");
     }
 }

@@ -233,9 +233,9 @@ impl<'o> XmlWriter<'o> {
     }
 
     /// Writes a parsed element with all its attributes and content,
-    /// renamed to `name`: byte for byte what writing an owned copy
-    /// ([`ElementRef::to_element`]) under that name gives, without
-    /// building the copy.
+    /// renamed to `name`: byte for byte what [`write_document`] gives
+    /// for an owned tree of the same content under that name, without
+    /// building the tree.
     pub fn copy_renamed(&mut self, name: &str, el: ElementRef<'_>) -> &mut Self {
         self.open_copy(None, name, el);
         el.walk_content(|step| match step {
@@ -529,29 +529,41 @@ mod tests {
 
     #[test]
     fn copied_elements_match_the_owned_copy() {
-        let docs = [
-            "<a/>",
-            "<a></a>",
-            r#"<p:a xmlns:p="urn:p" xmlns="urn:d" p:x="1&amp;2" y="&quot;&#9;"><b/><p:c>t</p:c></p:a>"#,
-            "<a>t<!--c--><![CDATA[<raw>]]><?pi d?><?bare?><b><c/>u<d></d></b>v</a>",
-            "<a>\n  <b>  </b>\n  <c> x </c>\n</a>",
-            "<a><b><c><d>deep</d></c></b><e/></a>",
+        // Each input, and what writing an owned copy of its root under
+        // `<wrap>` as `renamed` gives, compact then pretty.
+        let cases = [
+            ("<a/>", "<renamed/>", "\n  <renamed/>\n"),
+            ("<a></a>", "<renamed/>", "\n  <renamed/>\n"),
+            (
+                r#"<p:a xmlns:p="urn:p" xmlns="urn:d" p:x="1&amp;2" y="&quot;&#9;"><b/><p:c>t</p:c></p:a>"#,
+                r#"<renamed xmlns:p="urn:p" xmlns="urn:d" p:x="1&amp;2" y="&quot;&#9;"><b/><p:c>t</p:c></renamed>"#,
+                "\n  <renamed xmlns:p=\"urn:p\" xmlns=\"urn:d\" p:x=\"1&amp;2\" y=\"&quot;&#9;\">\n    \
+                 <b/>\n    <p:c>t</p:c>\n  </renamed>\n",
+            ),
+            (
+                "<a>t<!--c--><![CDATA[<raw>]]><?pi d?><?bare?><b><c/>u<d></d></b>v</a>",
+                "<renamed>t<!--c--><![CDATA[<raw>]]><?pi d?><?bare?><b><c/>u<d/></b>v</renamed>",
+                "\n  <renamed>t<!--c--><![CDATA[<raw>]]><?pi d?><?bare?><b><c/>u<d/></b>v</renamed>\n",
+            ),
+            (
+                "<a>\n  <b>  </b>\n  <c> x </c>\n</a>",
+                "<renamed><b/><c> x </c></renamed>",
+                "\n  <renamed>\n    <b/>\n    <c> x </c>\n  </renamed>\n",
+            ),
+            (
+                "<a><b><c><d>deep</d></c></b><e/></a>",
+                "<renamed><b><c><d>deep</d></c></b><e/></renamed>",
+                "\n  <renamed>\n    <b>\n      <c>\n        <d>deep</d>\n      </c>\n    \
+                 </b>\n    <e/>\n  </renamed>\n",
+            ),
         ];
-        for opts in [WriteOptions::compact(), WriteOptions::pretty()] {
-            for input in docs {
-                let doc = crate::parse_arena(input).unwrap();
+        for (input, compact, pretty) in cases {
+            let doc = crate::parse_arena(input).unwrap();
+            let layouts = [(WriteOptions::compact(), compact), (WriteOptions::pretty(), pretty)];
+            for (opts, want) in layouts {
                 let mut w = XmlWriter::new(&opts);
                 w.open("wrap").copy_renamed("renamed", doc.root()).close();
-                let mut renamed = Element::new("renamed");
-                let owned = doc.root().to_element();
-                for attr in owned.attrs() {
-                    renamed.set_attr(&attr.name().to_string(), attr.value());
-                }
-                for child in owned.children() {
-                    renamed.push_node(child.clone());
-                }
-                let tree = Element::new("wrap").with_child(renamed);
-                assert_eq!(w.finish(), write_element(&tree, &opts), "{input}");
+                assert_eq!(w.finish(), format!("<wrap>{want}</wrap>"), "{input}");
             }
         }
     }

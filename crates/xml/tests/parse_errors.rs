@@ -7,7 +7,7 @@
 //! classifier reads it. Any change to wording or to the `line:col`
 //! position changes campaign output, so each one is pinned here.
 
-use wsinterop_xml::parse_document;
+use wsinterop_xml::parse_arena;
 
 const CASES: &[(&str, &str, &str)] = &[
     (
@@ -112,7 +112,7 @@ const CASES: &[(&str, &str, &str)] = &[
 #[test]
 fn malformed_inputs_report_pinned_errors() {
     for (what, input, expected) in CASES {
-        let err = parse_document(input).expect_err(what);
+        let err = parse_arena(input).expect_err(what);
         assert_eq!(err.to_string(), *expected, "{what}: {input:?}");
     }
 }

@@ -1,5 +1,6 @@
 //! Property-based tests for the XML crate: escaping, write→parse
-//! roundtrips over randomly generated trees, namespace resolution
+//! roundtrips over randomly generated trees (the parsed arena read
+//! back against the tree that was written), namespace resolution
 //! against a reference resolver, and duplicate-attribute rejection.
 
 use std::collections::BTreeMap;
@@ -7,7 +8,7 @@ use std::collections::BTreeMap;
 use proptest::prelude::*;
 use wsinterop_xml::escape::{escape_attr, escape_text, unescape};
 use wsinterop_xml::writer::{write_document, WriteOptions};
-use wsinterop_xml::{parse_arena, parse_document, Document, Element, ElementRef, Node};
+use wsinterop_xml::{parse_arena, Document, Element, ElementRef, Node};
 
 proptest! {
     /// Any string survives text-escape → unescape unchanged.
@@ -93,9 +94,6 @@ fn arb_element(depth: u32) -> BoxedStrategy<Element> {
 /// element-only content disappears under pretty printing.
 fn canonical(el: &Element) -> Element {
     let mut out = Element::new(&el.name().to_string());
-    if let Some(uri) = el.ns_uri() {
-        out.set_ns_uri(uri);
-    }
     for a in el.attrs() {
         out.set_attr(&a.name().to_string(), a.value());
     }
@@ -121,11 +119,18 @@ fn canonical(el: &Element) -> Element {
     out
 }
 
-/// Checks an arena view against a tree: name, resolved namespace,
-/// attributes in order, child elements in order, and text.
+/// The child elements of an owned tree.
+fn kids(el: &Element) -> impl Iterator<Item = &Element> {
+    el.children().iter().filter_map(|node| match node {
+        Node::Element(child) => Some(child),
+        _ => None,
+    })
+}
+
+/// Checks an arena view against a tree: name, attributes in order,
+/// child elements in order, and text.
 fn assert_view_matches(view: ElementRef<'_>, el: &Element) {
     assert_eq!(view.name(), el.name().to_string());
-    assert_eq!(view.ns_uri(), el.ns_uri());
     let attrs: Vec<_> = view.attrs().map(|a| (a.name(), a.value())).collect();
     let want: Vec<_> = el
         .attrs()
@@ -137,8 +142,8 @@ fn assert_view_matches(view: ElementRef<'_>, el: &Element) {
         assert_eq!((*name, *value), (want_name.as_str(), *want_value));
     }
     assert_eq!(view.text_content(), el.text_content());
-    assert_eq!(view.child_elements().count(), el.child_elements().count());
-    for (v, e) in view.child_elements().zip(el.child_elements()) {
+    assert_eq!(view.child_elements().count(), kids(el).count());
+    for (v, e) in view.child_elements().zip(kids(el)) {
         assert_view_matches(v, e);
     }
 }
@@ -146,44 +151,23 @@ fn assert_view_matches(view: ElementRef<'_>, el: &Element) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Compact write → parse produces a canonically equal tree.
+    /// Write → parse reads back a canonically equal tree, under both
+    /// layouts.
     #[test]
-    fn write_parse_roundtrip_compact(el in arb_element(3)) {
-        let doc = Document::new(el);
-        let xml = write_document(&doc, &WriteOptions::compact());
-        let parsed = parse_document(&xml).unwrap();
-        prop_assert_eq!(canonical(parsed.root()), canonical(doc.root()));
-    }
-
-    /// Pretty write → parse produces a canonically equal tree.
-    #[test]
-    fn write_parse_roundtrip_pretty(el in arb_element(3)) {
-        let doc = Document::new(el);
-        let xml = write_document(&doc, &WriteOptions::pretty());
-        let parsed = parse_document(&xml).unwrap();
-        prop_assert_eq!(canonical(parsed.root()), canonical(doc.root()));
-    }
-
-    /// The arena view and the owned tree `parse_document` converts it
-    /// into both read back what was written, under both layouts.
-    #[test]
-    fn arena_view_and_owned_tree_agree(el in arb_element(3)) {
+    fn write_parse_roundtrip(el in arb_element(3)) {
         let expected = canonical(&el);
         let doc = Document::new(el);
         for opts in [WriteOptions::compact(), WriteOptions::pretty()] {
             let xml = write_document(&doc, &opts);
             let arena = parse_arena(&xml).unwrap();
             assert_view_matches(arena.root(), &expected);
-            let tree = parse_document(&xml).unwrap();
-            prop_assert_eq!(canonical(tree.root()), expected.clone());
-            assert_view_matches(arena.root(), tree.root());
         }
     }
 
     /// Parsing never panics on arbitrary input.
     #[test]
     fn parser_never_panics(raw in "\\PC{0,128}") {
-        let _ = parse_document(&raw);
+        let _ = parse_arena(&raw);
     }
 }
 
@@ -284,32 +268,27 @@ fn realize(spec: &NsSpec, declared: &[&'static str]) -> Element {
 
 /// The reference resolver: recomputes every element's namespace from
 /// the declarations in the tree, keeping a whole prefix→URI map per
-/// level (no shared stack, no sharing of URIs), and returns the tree
-/// with each `ns_uri` filled in.
-fn with_reference_ns(el: &Element, inherited: &BTreeMap<Option<String>, String>) -> Element {
+/// level (no shared stack, no sharing of URIs), and appends them to
+/// `out` in document order.
+fn reference_ns(
+    el: &Element,
+    inherited: &BTreeMap<Option<String>, String>,
+    out: &mut Vec<Option<String>>,
+) {
     let mut scope = inherited.clone();
-    for (p, uri) in el.ns_decls() {
-        scope.insert(p.map(str::to_string), uri.to_string());
-    }
-    let mut out = Element::new(&el.name().to_string());
-    let prefix = el.name().prefix().map(str::to_string);
-    if let Some(uri) = scope.get(&prefix).filter(|uri| !uri.is_empty()) {
-        out.set_ns_uri(uri.as_str());
-    }
     for a in el.attrs() {
-        out.set_attr(&a.name().to_string(), a.value());
+        let declared = match (a.name().prefix(), a.name().local_part()) {
+            (None, "xmlns") => None,
+            (Some("xmlns"), p) => Some(p.to_string()),
+            _ => continue,
+        };
+        scope.insert(declared, a.value().to_string());
     }
-    for child in el.child_elements() {
-        out.push_element(with_reference_ns(child, &scope));
+    let prefix = el.name().prefix().map(str::to_string);
+    out.push(scope.get(&prefix).filter(|uri| !uri.is_empty()).cloned());
+    for child in kids(el) {
+        reference_ns(child, &scope, out);
     }
-    out
-}
-
-/// Every element's resolved namespace, in document order.
-fn ns_uris(el: &Element) -> Vec<Option<String>> {
-    let mut out = Vec::new();
-    el.walk(&mut |e| out.push(e.ns_uri().map(str::to_string)));
-    out
 }
 
 proptest! {
@@ -321,12 +300,18 @@ proptest! {
     #[test]
     fn parsed_namespaces_match_the_reference_resolver(spec in arb_ns_spec(3)) {
         let tree = realize(&spec, &[]);
-        let expected = with_reference_ns(&tree, &BTreeMap::new());
+        let mut expected = Vec::new();
+        reference_ns(&tree, &BTreeMap::new(), &mut expected);
         for opts in [WriteOptions::compact(), WriteOptions::pretty()] {
             let xml = write_document(&Document::new(tree.clone()), &opts);
-            let parsed = parse_document(&xml).unwrap();
-            prop_assert_eq!(ns_uris(parsed.root()), ns_uris(&expected), "{}", xml);
-            prop_assert_eq!(canonical(parsed.root()), canonical(&expected));
+            let parsed = parse_arena(&xml).unwrap();
+            let uris: Vec<_> = parsed
+                .root()
+                .descendants()
+                .map(|e| e.ns_uri().map(str::to_string))
+                .collect();
+            prop_assert_eq!(&uris, &expected, "{}", xml);
+            assert_view_matches(parsed.root(), &canonical(&tree));
         }
     }
 
@@ -353,7 +338,7 @@ proptest! {
             xml.push_str(&format!(" {name}=\"{}\"", escape_attr(&value)));
         }
         xml.push_str("/>");
-        let err = parse_document(&xml).unwrap_err();
+        let err = parse_arena(&xml).unwrap_err();
         let first_dup = names
             .iter()
             .enumerate()

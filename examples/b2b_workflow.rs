@@ -70,9 +70,10 @@ fn main() {
     );
     let response = host.dispatch(&cal_url, &wire).unwrap();
     assert!(soap::is_fault(&response));
+    let parsed = soap::parse_envelope(&response).unwrap();
     println!(
         "  corrupted `yearMonth` on the wire -> {}",
-        soap::payload(&response).unwrap().text_content().trim()
+        soap::body_payload(&parsed).unwrap().text_content().trim()
     );
 
     println!("\nb2b workflow complete.");

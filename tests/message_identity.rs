@@ -162,7 +162,6 @@ fn branch_envelope_reads_are_identical() {
 fn typed_envelope(defs: &Definitions, op: &str, param: Element, xsi: bool) -> String {
     let (decl, uri) = soap::input_wrapper(defs, op).expect("a resolvable wrapper");
     let mut wrapper = Element::new(&decl.name)
-        .in_ns(uri.to_string())
         .with_ns_decl(None, uri);
     if xsi {
         wrapper.declare_ns(Some("xsi"), ns::XSI);
