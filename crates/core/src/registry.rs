@@ -14,7 +14,7 @@ use std::fmt;
 use wsinterop_frameworks::server::{DeployOutcome, ServerSubsystem};
 use wsinterop_wsdl::de::from_xml_str;
 use wsinterop_wsdl::{soap, values, Definitions};
-use wsinterop_xml::writer::{write_document, WriteOptions};
+use wsinterop_xml::writer::{WriteOptions, XmlWriter};
 
 /// One hosted service.
 #[derive(Debug, Clone)]
@@ -191,10 +191,9 @@ impl ServiceHost {
         // declares a typed echo parameter).
         if values::echo_parameter_type(&service.defs).is_some() {
             if let Err(e) = values::typed_payload_value(&service.defs, request_xml) {
-                return Ok(write_document(
-                    &soap::fault("Client", &format!("payload rejected: {e}")),
-                    &compact,
-                ));
+                let mut w = XmlWriter::document(&compact);
+                soap::write_fault(&mut w, "Client", &format!("payload rejected: {e}"));
+                return Ok(w.finish());
             }
         }
         Ok(crate::exchange::serve_echo(&service.defs, request_xml))
@@ -206,6 +205,7 @@ mod tests {
     use super::*;
     use wsinterop_frameworks::server::{JBossWs, Metro, WcfDotNet};
     use wsinterop_wsdl::values::Value;
+    use wsinterop_xml::writer::write_document;
     use wsinterop_xsd::BuiltIn;
 
     #[test]

@@ -53,7 +53,7 @@ use std::time::{Duration, Instant};
 use wsinterop_typecat::rng::splitmix64;
 use wsinterop_wsdl::de::from_xml_str;
 use wsinterop_wsdl::{soap, Definitions};
-use wsinterop_xml::writer::{write_document, WriteOptions};
+use wsinterop_xml::writer::{WriteOptions, XmlWriter};
 
 use crate::doccache::content_hash;
 use crate::exchange::serve_echo_into;
@@ -981,7 +981,10 @@ fn soap_response(
         // equivalence depends on it.
         Err(e) => {
             let reason = format!("server cannot re-parse its own description: {e}");
-            xml.push_str(&write_document(&soap::fault("Server", &reason), &WriteOptions::compact()));
+            let compact = WriteOptions::compact();
+            let mut w = XmlWriter::document_into(&compact, std::mem::take(&mut xml));
+            soap::write_fault(&mut w, "Server", &reason);
+            xml = w.finish();
             true
         }
     };
@@ -992,6 +995,20 @@ fn soap_response(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wsinterop_xml::writer::write_document;
+
+    #[test]
+    fn an_unparseable_description_answers_with_a_server_fault() {
+        let service = HostedService::new("not a description".to_string());
+        let Err(e) = &service.defs else {
+            panic!("the description parsed");
+        };
+        let reason = format!("server cannot re-parse its own description: {e}");
+        let want = write_document(&soap::fault("Server", &reason), &WriteOptions::compact());
+        let mut out = Vec::new();
+        assert_eq!(soap_response(&service, b"<x/>", &mut out), Ok(500));
+        assert_eq!(String::from_utf8(out).unwrap(), want);
+    }
 
     #[test]
     fn ladder_codes_are_all_preresolved_never_fall_back() {
