@@ -229,3 +229,86 @@ fn e5_error_disruptiveness_invariant() {
         }
     }
 }
+
+#[test]
+fn shapes_hold_on_a_sampled_run() {
+    // The relations Fig. 4, Table III and the totals communicate must
+    // survive sampling, not only hold for the exact full-run numbers.
+    let results = Campaign::sampled(40).run();
+
+    // Fig. 4: compile warnings dominate and appear on every server; the
+    // JScript generation warnings concentrate on the Java servers; the
+    // .NET server shows the most generation errors (DataSet family).
+    let fig4 = Fig4::from_results(&results);
+    for (server, row) in &fig4.rows {
+        assert!(row.cac_warnings >= row.cag_warnings, "{server}: compile warnings dominate");
+        assert!(row.cac_warnings > 0, "{server}: Axis compile warnings appear");
+    }
+    let (metro, wcf) = (fig4.row(ServerId::Metro), fig4.row(ServerId::WcfDotNet));
+    assert!(metro.cag_warnings > 10 * wcf.cag_warnings.max(1) / 2, "JScript warnings");
+    assert!(wcf.cag_errors >= metro.cag_errors, "DataSet generation errors");
+
+    // Table III: Axis1 leads compile errors on the Java servers, the
+    // mature tools never fail to compile, and the dynamic clients have
+    // no compilation columns.
+    let table = TableIII::from_results(&results);
+    let compile_errors = |c, s| table.cell(c, s).compile_errors.unwrap_or(0);
+    for server in [ServerId::Metro, ServerId::JBossWs] {
+        for client in ClientId::ALL {
+            assert!(
+                compile_errors(ClientId::Axis1, server) >= compile_errors(client, server),
+                "Axis1 leads compile errors on {server}"
+            );
+        }
+    }
+    for server in ServerId::ALL {
+        use ClientId::*;
+        for client in [Metro, Cxf, JBossWs, DotnetCs, Gsoap] {
+            assert_eq!(compile_errors(client, server), 0, "{client} on {server}");
+        }
+        for client in [Zend, Suds] {
+            let cell = table.cell(client, server);
+            assert_eq!((cell.compile_errors, cell.compile_warnings), (None, None));
+        }
+    }
+
+    // Totals: eleven tests per deployed service, most candidates
+    // excluded, and errors on both steps.
+    let totals = Totals::from_results(&results);
+    assert_eq!(totals.tests_executed, totals.services_deployed * 11);
+    assert!(totals.services_excluded > totals.services_deployed);
+    assert!(totals.generation_errors > 0);
+    assert!(totals.compilation_errors > 0);
+    assert!(totals.compilation_warnings > totals.compilation_errors);
+}
+
+#[test]
+fn a1_the_fault_wrapper_defect_alone_breaks_throwable_services() {
+    // Ablation: over Throwable services, Axis1's stub generator fails
+    // javac exactly when its fault-wrapper defect is switched on.
+    use wsinterop::artifact::ArtifactLanguage;
+    use wsinterop::compilers::{Compiler, Javac};
+    use wsinterop::frameworks::client::facts::DocFacts;
+    use wsinterop::frameworks::client::stubgen::{generate, StubOptions};
+    use wsinterop::frameworks::server::{Metro, ServerSubsystem};
+    use wsinterop::wsdl::de::from_xml_str;
+
+    let failures = |fault_wrapper_bug| {
+        let opts = StubOptions {
+            unchecked_lint: true,
+            fault_wrapper_bug,
+            ..StubOptions::default()
+        };
+        let throwable = Metro.catalog().iter().filter(|e| e.is_throwable && e.is_bean_bindable());
+        throwable
+            .take(60)
+            .filter(|entry| {
+                let defs = from_xml_str(Metro.deploy(entry).wsdl().unwrap()).unwrap();
+                let facts = DocFacts::analyze(&defs);
+                let bundle = generate(&defs, ArtifactLanguage::Java, &opts, &facts);
+                !Javac.compile(&bundle).success()
+            })
+            .count()
+    };
+    assert_eq!((failures(true), failures(false)), (60, 0));
+}
