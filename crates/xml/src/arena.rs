@@ -48,6 +48,9 @@ pub(crate) struct ElementSlot<'a> {
 pub(crate) struct AttrSlot<'a> {
     pub(crate) name: &'a str,
     pub(crate) local_start: usize,
+    /// The namespace reference of a prefixed name, as for elements;
+    /// `NS_NONE` for an unprefixed name or a namespace declaration.
+    pub(crate) ns: usize,
     pub(crate) value: Cow<'a, str>,
 }
 
@@ -220,6 +223,27 @@ impl<'a> ElementRef<'a> {
             }
         }
         out
+    }
+
+    /// The prefixes that this element's name (unless it is `value`
+    /// itself, whose name a copy replaces) and its attributes use and
+    /// that are bound on an ancestor of `value`, each with its URI.
+    /// Declarations are numbered in document order, so one numbered
+    /// before `value`'s own attributes sits on an ancestor.
+    pub(crate) fn outer_bindings(
+        &self,
+        value: ElementRef<'a>,
+    ) -> impl Iterator<Item = (&'a str, &'a str)> + 'a {
+        let (arena, first_inside) = (self.arena, value.slot().attrs.start);
+        let name = (*self != value).then(|| (self.prefix(), self.slot().ns));
+        let attrs = self.arena.attrs[self.slot().attrs.clone()]
+            .iter()
+            .map(|a| (split_at(a.name, a.local_start).0, a.ns));
+        // The `NS_*` sentinels sort after every declaration.
+        name.into_iter().chain(attrs).filter_map(move |(prefix, ns)| match prefix {
+            Some(prefix) if ns < first_inside => Some((prefix, arena.attrs[ns].value.as_ref())),
+            _ => None,
+        })
     }
 
     /// Whether any direct child is character data (text or CDATA) —

@@ -541,6 +541,7 @@ impl<'a> Parser<'a> {
             self.attrs.push(AttrSlot {
                 name: attr_name,
                 local_start: attr_local,
+                ns: NS_NONE,
                 value,
             });
         }
@@ -552,16 +553,20 @@ impl<'a> Parser<'a> {
             },
             None => self.resolve(None),
         };
-        // Prefixed attributes must also resolve (value unused, but an
-        // undeclared prefix is a well-formedness error under NSXML).
-        for attr in &self.attrs[attrs_start..] {
-            if let Some(p) = split_at(attr.name, attr.local_start).0 {
-                if p != "xmlns" && self.resolve(Some(p)) == NS_NONE {
+        // Prefixed attributes must also resolve: an undeclared prefix
+        // is a well-formedness error under NSXML.
+        for i in attrs_start..self.attrs.len() {
+            let (attr_name, attr_local) = (self.attrs[i].name, self.attrs[i].local_start);
+            let Some(p) = split_at(attr_name, attr_local).0.filter(|&p| p != "xmlns") else {
+                continue;
+            };
+            match self.resolve(Some(p)) {
+                NS_NONE => {
                     return Err(self.error(format!(
-                        "undeclared namespace prefix `{p}` on attribute `{}`",
-                        attr.name
-                    )));
+                        "undeclared namespace prefix `{p}` on attribute `{attr_name}`"
+                    )))
                 }
+                ns => self.attrs[i].ns = ns,
             }
         }
 

@@ -236,12 +236,22 @@ impl<'o> XmlWriter<'o> {
     /// renamed to `name`: byte for byte what [`write_document`] gives
     /// for an owned tree of the same content under that name, without
     /// building the tree.
+    ///
+    /// A prefix the copy uses whose declaration sits on an ancestor of
+    /// `el` is declared again, after the attributes of the first copied
+    /// element that uses it in each scope, so the copy stands alone.
     pub fn copy_renamed(&mut self, name: &str, el: ElementRef<'_>) -> &mut Self {
-        self.open_copy(None, name, el);
+        // Outer prefixes declared in the copy, with the depth of the
+        // open element that declares each.
+        let mut declared = Vec::new();
+        self.open_copy(None, name, el, el, &mut declared);
         el.walk_content(|step| match step {
-            Visit::Open(child) => self.open_copy(child.prefix(), child.local_name(), child),
+            Visit::Open(child) => {
+                self.open_copy(child.prefix(), child.local_name(), child, el, &mut declared)
+            }
             Visit::Close => {
                 self.close();
+                declared.retain(|&(_, depth)| depth <= self.open.len());
             }
             Visit::Text(t) => self.text(t),
             Visit::CData(t) => self.cdata(t),
@@ -251,13 +261,28 @@ impl<'o> XmlWriter<'o> {
         self.close()
     }
 
-    /// Opens `prefix:local` with the attributes of `el`; mixed content
-    /// stays inline, as [`write_document`] writes it.
-    fn open_copy(&mut self, prefix: Option<&str>, local: &str, el: ElementRef<'_>) {
+    /// Opens `prefix:local` with the attributes of `el`, then declares
+    /// the prefixes it uses that are bound outside `value` and not yet
+    /// declared in the copy; mixed content stays inline, as
+    /// [`write_document`] writes it.
+    fn open_copy<'v>(
+        &mut self,
+        prefix: Option<&str>,
+        local: &str,
+        el: ElementRef<'v>,
+        value: ElementRef<'v>,
+        declared: &mut Vec<(&'v str, usize)>,
+    ) {
         let mixed = self.indent.is_some() && el.has_text_child();
         self.open_with(prefix, local, mixed);
         for attr in el.attrs() {
             self.attr(attr.name(), attr.value());
+        }
+        for (prefix, uri) in el.outer_bindings(value) {
+            if declared.iter().all(|&(p, _)| p != prefix) {
+                self.attr_prefixed(Some("xmlns"), prefix, uri);
+                declared.push((prefix, self.open.len()));
+            }
         }
     }
 
@@ -566,6 +591,22 @@ mod tests {
                 assert_eq!(w.finish(), format!("<wrap>{want}</wrap>"), "{input}");
             }
         }
+    }
+
+    #[test]
+    fn copies_declare_prefixes_bound_outside_the_value() {
+        let input = r#"<w xmlns:m="urn:m" xmlns:f="urn:f"><m:a f:x="1" xml:lang="en"><m:b><m:c/></m:b><m:d xmlns:m="urn:i"><m:e/></m:d>t</m:a></w>"#;
+        let doc = crate::parse_arena(input).unwrap();
+        let value = doc.root().child_elements().next().unwrap();
+        let opts = WriteOptions::compact();
+        let mut w = XmlWriter::new(&opts);
+        w.copy_renamed("r", value);
+        let copy = w.finish();
+        assert_eq!(
+            copy,
+            r#"<r f:x="1" xml:lang="en" xmlns:f="urn:f"><m:b xmlns:m="urn:m"><m:c/></m:b><m:d xmlns:m="urn:i"><m:e/></m:d>t</r>"#
+        );
+        crate::parse_arena(&copy).unwrap();
     }
 
     #[test]

@@ -57,7 +57,8 @@ pub fn hand_built(wrapper: &str, uri: &str, arg: &str) -> Vec<String> {
     let a = |attrs: &str, content: &str| format!("<m:{arg}{attrs}>{content}</m:{arg}>");
     let mut out = vec![
         // Foreign and default declarations on the payload wrapper; the
-        // echoed value uses the foreign prefix on an attribute.
+        // echoed value uses the foreign prefix on an attribute, which
+        // the response must declare again.
         w(
             " xmlns:f=\"urn:foreign\" xmlns=\"urn:default\"",
             &a(" f:a=\"1\"", "v<plain/>"),
@@ -83,8 +84,8 @@ pub fn hand_built(wrapper: &str, uri: &str, arg: &str) -> Vec<String> {
         w("", &a("", "a &lt; b &amp; &quot;c&quot; &#233; &#x1F980; ]]&gt; &apos;")),
         // Repeated arguments: only the first is echoed.
         w("", &format!("{}{}", a("", "1"), a("", "2"))),
-        // The echoed value's children in the wrapper's prefix, which
-        // the response does not declare.
+        // The echoed value's children and attributes in the wrapper's
+        // prefix, which the response must declare again.
         w("", &a("", "<m:inner>v</m:inner>")),
         w("", &a(" m:attr=\"v\"", "")),
         // A payload without an element child, with and without text.
@@ -249,10 +250,11 @@ pub fn each_request(mut visit: impl FnMut(&Definitions, &str, &str)) -> usize {
         for damaged in damaged_descriptions(defs, op) {
             visit(&damaged, &probe, SURVEY_PROBE);
             visit(&damaged, &format!("{probe}<!-- trailing -->"), SURVEY_PROBE);
-            // A response the client cannot parse is not a fault, even
-            // under a `{soapenv}Fault` wrapper.
-            if let Some(unbound) = shapes.iter().find(|r| r.contains("<m:inner>")) {
-                visit(&damaged, unbound, SURVEY_PROBE);
+            // A value in a prefix the request declared on the wrapper:
+            // its echo declares the prefix again, so under a
+            // `{soapenv}Fault` wrapper it reads as a fault.
+            if let Some(outer) = shapes.iter().find(|r| r.contains("<m:inner>")) {
+                visit(&damaged, outer, SURVEY_PROBE);
             }
         }
     }

@@ -32,11 +32,12 @@ use std::time::Duration;
 
 mod serve_corpus;
 
-use serve_corpus::{each_request, envelope, invocable, STRIDE};
+use serve_corpus::{each_request, envelope, hand_built, input_shape, invocable, STRIDE};
 use wsinterop::core::doccache::content_hash;
 use wsinterop::core::exchange::{serve_echo, serve_echo_into, SURVEY_PROBE};
 use wsinterop::core::wire::{host_survey_services, http, WireServer, WireServerConfig};
 use wsinterop::wsdl::soap;
+use wsinterop::wsi::message::check_message;
 use wsinterop::xml::writer::{write_document, WriteOptions};
 
 /// Folds `bytes` into a running digest.
@@ -62,8 +63,29 @@ fn echo_envelopes_and_fault_status_are_byte_identical() {
         digest = fold(digest, &[u8::from(fault)]);
     });
     assert_eq!(services, 364);
-    assert_eq!((served, faults), (18_928, 10_192), "served, faults");
-    assert_eq!(digest, 0xb914_ec79_91c4_193e, "digest {digest:#018x}");
+    assert_eq!((served, faults), (18_928, 10_556), "served, faults");
+    assert_eq!(digest, 0xaa84_a17b_3ac3_1bf4, "digest {digest:#018x}");
+}
+
+#[test]
+fn echoes_of_the_hand_built_shapes_are_well_formed_messages() {
+    // A prefix the echoed value uses but the request declared on an
+    // ancestor must be declared in the response too.
+    let mut checked = 0usize;
+    for (_, defs, op) in invocable() {
+        let Some((wrapper, uri, arg)) = input_shape(&defs, &op) else {
+            continue;
+        };
+        for request in hand_built(&wrapper, &uri, &arg) {
+            let response = serve_echo(&defs, &request);
+            if !soap::is_fault(&response) {
+                let report = check_message(&response);
+                assert!(report.conformant(), "{request}\n{response}\n{report}");
+                checked += 1;
+            }
+        }
+    }
+    assert!(checked > 0);
 }
 
 /// Reads one response off a keep-alive connection: the head, then the
