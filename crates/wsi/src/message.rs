@@ -142,8 +142,7 @@ pub fn check_parsed(parsed: Result<&Arena<'_>, &ParseXmlError>) -> Report {
 
 fn check_fault(fault: ElementRef<'_>, report: &mut Report) {
     for required in ["faultcode", "faultstring"] {
-        match fault.child_elements().find(|el| el.local_name() == required)
-        {
+        match fault.child_elements().find(|el| el.local_name() == required) {
             None => report.push(finding(
                 "R1004",
                 Severity::Failure,

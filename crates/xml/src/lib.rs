@@ -28,7 +28,6 @@
 //!
 //! let doc = Document::new(
 //!     Element::new("wsdl:definitions")
-//!
 //!         .with_ns_decl(Some("wsdl"), ns::WSDL)
 //!         .with_attr("name", "EchoService"),
 //! );
