@@ -505,3 +505,43 @@ fn usage_lists_every_flag_each_command_accepts() {
     }
     assert!(missing.is_empty(), "usage() omits: {}", missing.join(", "));
 }
+
+/// CI's "Loadgen smoke" arguments: a seeded 4× overload mix (8 clients
+/// against 2 workers + 2 queue slots) with every abusive profile and
+/// the admin-plane scrape leg.
+const LOADGEN_SMOKE: &str = "loadgen --ops 160 --clients 8 --seed 42 --stride 200 --workers 2 \
+    --queue 2 --read-timeout-ms 150 --slow-pct 5 --abort-pct 5 --oversized-pct 5 \
+    --keep-alive-pct 50 --scrape-pct 10";
+
+/// Replaces every numeric JSON value with `#`, leaving keys (`p99`,
+/// `timeout_408`) and booleans as they are: what is left is the key
+/// set, its order and the invariant verdicts.
+fn mask_numbers(json: &str) -> String {
+    let mask = |part: &str| match part.trim_start_matches(|c: char| c.is_ascii_digit() || c == '.') {
+        rest if rest.len() < part.len() => format!("#{rest}"),
+        _ => part.to_string(),
+    };
+    json.split(": ").map(mask).collect::<Vec<_>>().join(": ")
+}
+
+/// The loadgen stdout (run config, plan, invariants) is byte-stable per
+/// seed, and the `--bench-out` snapshot keeps its key set and order:
+/// both are pinned whole, so moving the command's body cannot shift a
+/// byte of either.
+#[test]
+fn loadgen_smoke_stdout_and_bench_keys_are_pinned() {
+    let path = std::env::temp_dir().join(format!("wsitool-cli-bench-wire-{}.json", std::process::id()));
+    let mut args: Vec<&str> = LOADGEN_SMOKE.split_whitespace().collect();
+    args.extend(["--bench-out", path.to_str().unwrap()]);
+    let out = wsitool(&args);
+    let bench = std::fs::read_to_string(&path);
+    std::fs::remove_file(&path).ok();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let golden = |name: &str| {
+        std::fs::read_to_string(format!("{}/tests/golden/{name}", env!("CARGO_MANIFEST_DIR")))
+            .expect("golden file")
+    };
+    assert_eq!(String::from_utf8_lossy(&out.stdout), golden("loadgen_smoke_stdout.txt"));
+    let bench = bench.expect("--bench-out writes the snapshot");
+    assert_eq!(mask_numbers(&bench), golden("loadgen_bench_masked.json"));
+}
