@@ -726,31 +726,38 @@ impl Campaign {
         Ok((results, log.report(), stats))
     }
 
+    /// Every strided catalog entry of every configured server, in
+    /// configuration order: `(server, strided index, entry)`. Shard
+    /// ownership is decided on the strided index, so the chunk grid
+    /// partitions exactly the entries this configuration would execute
+    /// and every shard sees the same grid regardless of which shard it
+    /// is.
+    fn strided_entries(&self) -> impl Iterator<Item = (usize, usize, &'static TypeEntry)> + '_ {
+        self.servers.iter().enumerate().flat_map(move |(server, subsystem)| {
+            let entries = subsystem.catalog().entries().iter().step_by(self.stride);
+            entries.enumerate().map(move |(index, entry)| (server, index, entry))
+        })
+    }
+
     /// Every document the run deploys, in campaign order: servers in
     /// configuration order, each server's strided entries by fqcn. A
-    /// document's index here is its rank. Shard ownership is decided
-    /// on the *strided* entry index: the chunk grid partitions exactly
-    /// the entries this configuration would execute, so every shard
-    /// sees the same grid regardless of which shard it is.
+    /// document's index here is its rank.
     fn queue(&self) -> Vec<(usize, &'static TypeEntry)> {
-        let mut queue = Vec::new();
-        for (server, subsystem) in self.servers.iter().enumerate() {
-            let start = queue.len();
-            queue.extend(
-                subsystem
-                    .catalog()
-                    .entries()
-                    .iter()
-                    .step_by(self.stride)
-                    .enumerate()
-                    .filter(|(strided_index, _)| {
-                        self.shard.is_none_or(|s| s.owns(*strided_index))
-                    })
-                    .map(|(_, entry)| (server, entry)),
-            );
-            queue[start..].sort_by(|a, b| a.1.fqcn.cmp(&b.1.fqcn));
-        }
+        let mut queue: Vec<(usize, &'static TypeEntry)> = self
+            .strided_entries()
+            .filter(|(_, index, _)| self.shard.is_none_or(|s| s.owns(*index)))
+            .map(|(server, _, entry)| (server, entry))
+            .collect();
+        queue.sort_by(|a, b| (a.0, &a.1.fqcn).cmp(&(b.0, &b.1.fqcn)));
         queue
+    }
+
+    /// The shard chunk grid as the supervisor needs it: each
+    /// `(server, fqcn)` of the unsharded run mapped to its strided
+    /// index, from which [`ShardSpec::chunk_of`] finds its chunk.
+    pub fn strided_index(&self) -> BTreeMap<(ServerId, String), usize> {
+        let key = |server: usize, entry: &TypeEntry| (self.servers[server].info().id, entry.fqcn.clone());
+        self.strided_entries().map(|(server, index, entry)| (key(server, entry), index)).collect()
     }
 
     /// One document, end to end: deploy it, parse and analyse it once,

@@ -62,6 +62,11 @@ impl Response {
     pub fn body_str(&self) -> Option<&str> {
         std::str::from_utf8(&self.body).ok()
     }
+
+    /// The first value of header `name` (lower-case).
+    pub fn header(&self, name: &str) -> Option<&str> {
+        self.headers.iter().find(|(n, _)| n == name).map(|(_, v)| v.as_str())
+    }
 }
 
 /// Framing-level failures while reading a message.

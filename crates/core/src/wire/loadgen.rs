@@ -16,16 +16,28 @@
 //! `413` cap, or a clean transport-level close). Anything else counts
 //! as `malformed`, and the overload property test pins `malformed ==
 //! 0` at 4× overload.
+//!
+//! [`run_hosted`] is the whole `wsitool loadgen` run as a library call:
+//! it hosts the survey services, replays [`survey_corpus`] against
+//! them, and checks the closed world ([`Invariants`]). The CLI and the
+//! overload test both call it, so the check and the documented p99
+//! bound ([`p99_bound_ns`]) are defined once.
 
+use std::collections::BTreeMap;
+use std::fmt;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use wsinterop_typecat::rng::splitmix64;
+use wsinterop_wsdl::soap;
+use wsinterop_xml::writer::{write_document, WriteOptions};
 
-use crate::obs::Histogram;
+use crate::exchange::{first_survey_operation, SURVEY_PROBE};
+use crate::obs::{Histogram, MetricsSnapshot};
 
 use super::http::{self, HttpLimits};
+use super::server::{host_survey_services, HostedService, WireServer, WireServerConfig, WireStats};
 
 /// One replayable request from the surveyed corpus.
 #[derive(Debug, Clone)]
@@ -36,6 +48,37 @@ pub struct CorpusEntry {
     pub operation: String,
     /// Serialized SOAP request envelope.
     pub body: Vec<u8>,
+}
+
+/// Builds the replayable request corpus from hosted survey services:
+/// for each deployed description, the first operation and its
+/// serialized survey-probe envelope — the same construction
+/// [`super::exchange_over_http`] performs per exchange, done once up
+/// front. Services whose description does not parse, or that have no
+/// invocable operation, are left out.
+pub fn survey_corpus(services: &BTreeMap<String, HostedService>) -> Vec<CorpusEntry> {
+    services
+        .iter()
+        .filter_map(|(path, hosted)| {
+            let defs = hosted.defs.as_ref().ok()?;
+            let operation = first_survey_operation(&hosted.wsdl_xml)?;
+            let doc = soap::request(defs, &operation, SURVEY_PROBE).ok()?;
+            Some(CorpusEntry {
+                path: path.clone(),
+                operation,
+                body: write_document(&doc, &WriteOptions::compact()).into_bytes(),
+            })
+        })
+        .collect()
+}
+
+/// The documented p99 bound on served latency (DESIGN.md §15): a
+/// served request can queue for up to the read deadline, then be read
+/// and written under one deadline each, plus 2 s of scheduler slack.
+/// `BENCH_wire.json` records it as `p99_bound_ns`, so gates compare
+/// against the recorded value, never a constant of their own.
+pub fn p99_bound_ns(read_timeout_ms: u64) -> u64 {
+    (3 * read_timeout_ms + 2_000) * 1_000_000
 }
 
 /// Load-mix tuning. Percentages are rolled per op, in the order
@@ -379,40 +422,19 @@ fn run_op(
                 tally.counts.closed += 1;
                 return;
             }
-            match http::read_response(&stream, &config.limits) {
-                Ok(response) => {
-                    let served = matches!(response.status, 200 | 500);
-                    if served {
-                        tally
-                            .latency
-                            .observe(started.elapsed().as_nanos().min(u64::MAX as u128) as u64);
-                    }
-                    let closing = response
-                        .headers
-                        .iter()
-                        .any(|(n, v)| n == "connection" && v.eq_ignore_ascii_case("close"));
-                    if keep_alive && closing {
-                        tally.counts.demoted += 1;
-                    }
-                    match response.status {
-                        200 => tally.counts.ok += 1,
-                        500 => tally.counts.fault += 1,
-                        503 => tally.counts.shed += 1,
-                        408 => tally.counts.timeout_408 += 1,
-                        413 => tally.counts.too_large += 1,
-                        _ => tally.counts.malformed += 1,
-                    }
-                    if keep_alive && !closing {
-                        *kept = Some(stream);
-                    }
-                }
-                Err(
-                    http::HttpError::ConnectionClosed
-                    | http::HttpError::Reset
-                    | http::HttpError::Timeout
-                    | http::HttpError::TruncatedBody { .. },
-                ) => tally.counts.closed += 1,
-                Err(_) => tally.counts.malformed += 1,
+            let read = http::read_response(&stream, &config.limits);
+            let elapsed = started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+            let vocabulary = [200, 500, 503, 408, 413];
+            let Some(response) = classify(read, &vocabulary, &mut tally.counts) else { return };
+            if matches!(response.status, 200 | 500) {
+                tally.latency.observe(elapsed);
+            }
+            let closing = response.header("connection").is_some_and(|v| v.eq_ignore_ascii_case("close"));
+            if keep_alive && closing {
+                tally.counts.demoted += 1;
+            }
+            if keep_alive && !closing {
+                *kept = Some(stream);
             }
         }
         OpProfile::SlowLoris => {
@@ -425,20 +447,7 @@ fn run_op(
                 return;
             }
             std::thread::sleep(config.dawdle);
-            match http::read_response(&stream, &config.limits) {
-                Ok(response) => match response.status {
-                    408 => tally.counts.timeout_408 += 1,
-                    503 => tally.counts.shed += 1,
-                    _ => tally.counts.malformed += 1,
-                },
-                Err(
-                    http::HttpError::ConnectionClosed
-                    | http::HttpError::Reset
-                    | http::HttpError::Timeout
-                    | http::HttpError::TruncatedBody { .. },
-                ) => tally.counts.closed += 1,
-                Err(_) => tally.counts.malformed += 1,
-            }
+            classify(http::read_response(&stream, &config.limits), &[408, 503], &mut tally.counts);
         }
         OpProfile::Abort => {
             let Some(mut stream) = connect(addr, config) else {
@@ -472,12 +481,7 @@ fn run_op(
                         );
                         classify_scrape(target, &response, &mut tally.counts);
                     }
-                    Err(
-                        http::HttpError::ConnectionClosed
-                        | http::HttpError::Reset
-                        | http::HttpError::Timeout
-                        | http::HttpError::TruncatedBody { .. },
-                    ) => tally.counts.scrape_closed += 1,
+                    Err(e) if closed_quietly(&e) => tally.counts.scrape_closed += 1,
                     Err(_) => tally.counts.scrape_malformed += 1,
                 }
             }
@@ -497,22 +501,319 @@ fn run_op(
                 tally.counts.closed += 1;
                 return;
             }
-            match http::read_response(&stream, &config.limits) {
-                Ok(response) => match response.status {
-                    413 => tally.counts.too_large += 1,
-                    503 => tally.counts.shed += 1,
-                    _ => tally.counts.malformed += 1,
-                },
-                Err(
-                    http::HttpError::ConnectionClosed
-                    | http::HttpError::Reset
-                    | http::HttpError::Timeout
-                    | http::HttpError::TruncatedBody { .. },
-                ) => tally.counts.closed += 1,
-                Err(_) => tally.counts.malformed += 1,
-            }
+            classify(http::read_response(&stream, &config.limits), &[413, 503], &mut tally.counts);
         }
     }
+}
+
+/// A self-hosted run: the endpoint [`run_hosted`] stands up over the
+/// stride-`N` survey services, and the mix it drives against it.
+#[derive(Debug, Clone)]
+pub struct HostedRun {
+    /// Survey stride of the hosted services.
+    pub stride: usize,
+    /// Server in-flight budget.
+    pub workers: usize,
+    /// Server queue depth.
+    pub queue: usize,
+    /// Server read/write deadline in milliseconds.
+    pub read_timeout_ms: u64,
+    /// The load mix. [`run_hosted`] derives its `dawdle` and
+    /// `client_timeout` from `read_timeout_ms`.
+    pub mix: LoadgenConfig,
+}
+
+impl Default for HostedRun {
+    fn default() -> HostedRun {
+        let server = WireServerConfig::default();
+        HostedRun {
+            stride: 200,
+            workers: server.workers,
+            queue: server.queue_depth,
+            read_timeout_ms: 250,
+            mix: LoadgenConfig::default(),
+        }
+    }
+}
+
+/// The closed-world check of one hosted run. Every exchange op is
+/// classified exactly once into the ladder's vocabulary; every scrape
+/// op issues exactly two admin requests (`/metrics` + `/healthz`), so
+/// their classifications sum to twice the planned count; no serving
+/// path hits the by-name response fallback; admin latencies stay out
+/// of the serving histogram (DESIGN.md §16); and after the drain every
+/// connection-lifecycle gauge reads zero.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Invariants {
+    /// Exchange ops classified into the closed set.
+    pub accounted: usize,
+    /// Exchange ops planned (every op but the scrapes).
+    pub exchange_ops: usize,
+    /// Admin requests classified into the scrape closed set.
+    pub scrape_accounted: usize,
+    /// Admin requests planned (two per scrape op).
+    pub scrape_requests: usize,
+    /// Exchange responses outside the closed set.
+    pub malformed: usize,
+    /// Admin responses outside the scrape closed set.
+    pub scrape_malformed: usize,
+    /// Responses counted by the server's by-name fallback.
+    pub response_fallbacks: usize,
+    /// Serving and admin latencies landed in disjoint histograms, and
+    /// every observation maps back to a dispatched request id.
+    pub admin_excluded: bool,
+    /// Open, in-flight and queued connections left after the drain.
+    pub connection_leaks: usize,
+}
+
+impl Invariants {
+    /// Checks `report` against the `plan` it ran, the server's `stats`
+    /// and a `snapshot` of its registry taken after the drain.
+    pub fn check(
+        report: &LoadgenReport,
+        plan: &LoadgenCounts,
+        stats: &WireStats,
+        snapshot: &MetricsSnapshot,
+    ) -> Invariants {
+        let c = &report.counts;
+        let hist_count = |name: &str| snapshot.histograms.get(name).map_or(0, |h| h.count);
+        let serving_ns = hist_count("wire_server_request_ns");
+        let admin_ns = hist_count("wire_server_admin_request_ns");
+        let (ids_issued, admin) = (stats.request_ids_issued(), stats.admin() as u64);
+        Invariants {
+            accounted: c.ok + c.fault + c.shed + c.timeout_408 + c.too_large + c.aborted
+                + c.closed + c.malformed,
+            exchange_ops: plan.planned_normal + plan.planned_slow + plan.planned_abort
+                + plan.planned_oversized,
+            scrape_accounted: c.scrape_ok + c.scrape_healthy + c.scrape_degraded + c.scrape_shed
+                + c.scrape_closed + c.scrape_malformed,
+            scrape_requests: 2 * plan.planned_scrape,
+            malformed: c.malformed,
+            scrape_malformed: c.scrape_malformed,
+            response_fallbacks: stats.responses_fallback(),
+            admin_excluded: admin_ns <= admin
+                && serving_ns + admin_ns <= ids_issued
+                && serving_ns <= ids_issued.saturating_sub(admin),
+            connection_leaks: stats.open() + stats.in_flight() + stats.queued(),
+        }
+    }
+
+    /// Whether the closed world held.
+    pub fn holds(&self) -> bool {
+        self.accounted == self.exchange_ops
+            && self.scrape_accounted == self.scrape_requests
+            && self.malformed == 0
+            && self.scrape_malformed == 0
+            && self.response_fallbacks == 0
+            && self.admin_excluded
+            && self.connection_leaks == 0
+    }
+}
+
+/// The byte-stable `loadgen invariants:` line.
+impl fmt::Display for Invariants {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "loadgen invariants: accounted {}/{}, scrape accounted {}/{}, malformed {}, \
+             scrape malformed {}, response fallbacks {}, admin excluded {}, connection leaks \
+             {}, server stopped true",
+            self.accounted, self.exchange_ops, self.scrape_accounted, self.scrape_requests,
+            self.malformed, self.scrape_malformed, self.response_fallbacks, self.admin_excluded,
+            self.connection_leaks,
+        )
+    }
+}
+
+/// One finished hosted run: what it planned, measured and checked.
+#[derive(Debug, Clone)]
+pub struct HostedReport {
+    /// The run's settings.
+    pub run: HostedRun,
+    /// The seeded plan.
+    pub plan: LoadgenCounts,
+    /// Corpus entries the plan drew from.
+    pub corpus_len: usize,
+    /// Classified outcomes and timing.
+    pub report: LoadgenReport,
+    /// The stopped server's counters and gauges.
+    pub stats: WireStats,
+    /// The closed-world check.
+    pub invariants: Invariants,
+}
+
+/// Hosts the stride-`N` survey services on a loopback endpoint, drives
+/// the seeded mix against them, drains the server and checks the
+/// closed world. Fails only when there is nothing to replay or the
+/// endpoint cannot bind; a violated invariant is a result, read from
+/// [`Invariants::holds`].
+pub fn run_hosted(run: &HostedRun) -> Result<HostedReport, String> {
+    let services = host_survey_services(run.stride);
+    let corpus = survey_corpus(&services);
+    if corpus.is_empty() {
+        return Err(format!(
+            "stride {} deploys no invokable service; nothing to replay",
+            run.stride
+        ));
+    }
+    let deadline = Duration::from_millis(run.read_timeout_ms);
+    let server_config = WireServerConfig {
+        workers: run.workers,
+        queue_depth: run.queue,
+        read_timeout: deadline,
+        write_timeout: deadline,
+        ..WireServerConfig::default()
+    };
+    let server = WireServer::start(0, services, server_config)
+        .map_err(|e| format!("cannot bind loopback endpoint: {e}"))?;
+    let stats = server.stats();
+    // The dawdle must outlast the read deadline or the slow-loris
+    // profile never triggers its 408; the client waits well past every
+    // server deadline.
+    let config = LoadgenConfig {
+        dawdle: Duration::from_millis(2 * run.read_timeout_ms + 100),
+        client_timeout: Duration::from_millis((4 * run.read_timeout_ms).max(5_000)),
+        ..run.mix.clone()
+    };
+    let plan = plan_counts(&config);
+    let report = self::run(server.addr(), &corpus, &config);
+    server.request_stop();
+    server.shutdown();
+    stats.sync_gauges();
+    let invariants = Invariants::check(&report, &plan, &stats, &stats.registry.snapshot());
+    Ok(HostedReport { run: run.clone(), plan, corpus_len: corpus.len(), report, stats, invariants })
+}
+
+impl HostedReport {
+    /// The byte-stable stdout lines that precede the invariants: the
+    /// run config and the seeded plan.
+    pub fn header(&self) -> String {
+        let (run, mix, plan) = (&self.run, &self.run.mix, &self.plan);
+        format!(
+            "run config: loadgen ops {} clients {} seed {} stride {} workers {} queue {} \
+             read-timeout-ms {} mix {}/{}/{}/{}/{}\n\
+             loadgen plan: normal {} (keep-alive {}) / slow {} / abort {} / oversized {} / \
+             scrape {} over {} corpus path(s)\n",
+            mix.ops, mix.clients, mix.seed, run.stride, run.workers, run.queue,
+            run.read_timeout_ms, mix.slow_pct, mix.abort_pct, mix.oversized_pct,
+            mix.keep_alive_pct, mix.scrape_pct,
+            plan.planned_normal, plan.planned_keep_alive, plan.planned_slow, plan.planned_abort,
+            plan.planned_oversized, plan.planned_scrape, self.corpus_len,
+        )
+    }
+
+    /// The measured half, one line per aspect: outcomes, scrapes,
+    /// timing, server counters and the admin plane.
+    pub fn summary(&self) -> String {
+        let (c, timing, stats) = (&self.report.counts, &self.report.timing, &self.stats);
+        let (lat, ms) = (&timing.latency, |ns: u64| ns as f64 / 1e6);
+        format!(
+            "loadgen outcomes: ok {}, fault {}, shed {}, 408 {}, 413 {}, aborted {}, \
+             closed {}, demoted {}, malformed {}\n\
+             loadgen scrape: metrics-ok {}, healthy {}, degraded {}, shed {}, closed {}, \
+             malformed {}; p99 {:.3} ms over {} sample(s)\n\
+             loadgen timing: {} op(s) in {:.1} ms ({:.1} req/s); served latency \
+             p50 {:.3} ms p95 {:.3} ms p99 {:.3} ms max {:.3} ms over {} sample(s)\n\
+             loadgen server: accepted {}, served {}, shed {}, timeouts {}, queue-timeouts {}, \
+             write-stalls {}, demoted {}, oversized {}, malformed {}\n\
+             loadgen admin: requests {}, response fallbacks {}, request ids issued {}\n",
+            c.ok, c.fault, c.shed, c.timeout_408, c.too_large, c.aborted, c.closed, c.demoted,
+            c.malformed,
+            c.scrape_ok, c.scrape_healthy, c.scrape_degraded, c.scrape_shed, c.scrape_closed,
+            c.scrape_malformed, ms(timing.scrape_latency.quantile_ns(0.99)),
+            timing.scrape_latency.count,
+            self.run.mix.ops, timing.elapsed.as_secs_f64() * 1e3, timing.req_per_s,
+            ms(lat.quantile_ns(0.50)), ms(lat.quantile_ns(0.95)), ms(lat.quantile_ns(0.99)),
+            ms(lat.max), lat.count,
+            stats.accepted(), stats.served(), stats.shed(), stats.timeouts(),
+            stats.queue_timeouts(), stats.write_stalls(), stats.demoted(), stats.oversized(),
+            stats.malformed(),
+            stats.admin(), stats.responses_fallback(), stats.request_ids_issued(),
+        )
+    }
+
+    /// The `BENCH_wire.json` snapshot: settings, plan, outcomes,
+    /// timing, the p99 bound, server counters and the invariant
+    /// verdicts.
+    pub fn bench_json(&self) -> String {
+        let (run, mix, plan) = (&self.run, &self.run.mix, &self.plan);
+        let (c, timing, stats, inv) =
+            (&self.report.counts, &self.report.timing, &self.stats, &self.invariants);
+        let lat = &timing.latency;
+        format!(
+            "{{\n  \"seed\": {},\n  \"ops\": {},\n  \"clients\": {},\n  \"stride\": {},\n  \
+             \"workers\": {},\n  \"queue_depth\": {},\n  \"read_timeout_ms\": {},\n  \
+             \"mix\": {{ \"slow_pct\": {}, \"abort_pct\": {}, \"oversized_pct\": {}, \
+             \"keep_alive_pct\": {}, \"scrape_pct\": {} }},\n  \
+             \"plan\": {{ \"normal\": {}, \"keep_alive\": {}, \"slow\": {}, \"abort\": {}, \
+             \"oversized\": {}, \"scrape\": {} }},\n  \
+             \"outcomes\": {{ \"ok\": {}, \"fault\": {}, \"shed\": {}, \"timeout_408\": {}, \
+             \"too_large\": {}, \"aborted\": {}, \"closed\": {}, \"demoted\": {}, \
+             \"malformed\": {} }},\n  \
+             \"scrape\": {{ \"metrics_ok\": {}, \"healthy\": {}, \"degraded\": {}, \"shed\": {}, \
+             \"closed\": {}, \"malformed\": {} }},\n  \
+             \"elapsed_ms\": {:.3},\n  \"req_per_s\": {:.3},\n  \
+             \"latency_ns\": {{ \"count\": {}, \"p50\": {}, \"p95\": {}, \"p99\": {}, \
+             \"max\": {} }},\n  \"p99_bound_ns\": {},\n  \"scrape_p99_ns\": {},\n  \
+             \"server\": {{ \"accepted\": {}, \"served\": {}, \"shed\": {}, \"timeouts\": {}, \
+             \"queue_timeouts\": {}, \"write_stalls\": {}, \"demoted\": {}, \"admin\": {}, \
+             \"request_ids_issued\": {} }},\n  \
+             \"invariants\": {{ \"accounted\": {}, \"scrape_accounted\": {}, \
+             \"malformed_responses\": {}, \"scrape_malformed\": {}, \"response_fallbacks\": {}, \
+             \"admin_excluded\": {}, \"connection_leaks\": {}, \"server_stopped\": true }}\n}}\n",
+            mix.seed, mix.ops, mix.clients, run.stride, run.workers, run.queue,
+            run.read_timeout_ms,
+            mix.slow_pct, mix.abort_pct, mix.oversized_pct, mix.keep_alive_pct, mix.scrape_pct,
+            plan.planned_normal, plan.planned_keep_alive, plan.planned_slow, plan.planned_abort,
+            plan.planned_oversized, plan.planned_scrape,
+            c.ok, c.fault, c.shed, c.timeout_408, c.too_large, c.aborted, c.closed, c.demoted,
+            c.malformed,
+            c.scrape_ok, c.scrape_healthy, c.scrape_degraded, c.scrape_shed, c.scrape_closed,
+            c.scrape_malformed,
+            timing.elapsed.as_secs_f64() * 1e3, timing.req_per_s,
+            lat.count, lat.quantile_ns(0.50), lat.quantile_ns(0.95), lat.quantile_ns(0.99),
+            lat.max, p99_bound_ns(run.read_timeout_ms), timing.scrape_latency.quantile_ns(0.99),
+            stats.accepted(), stats.served(), stats.shed(), stats.timeouts(),
+            stats.queue_timeouts(), stats.write_stalls(), stats.demoted(), stats.admin(),
+            stats.request_ids_issued(),
+            inv.accounted == inv.exchange_ops, inv.scrape_accounted == inv.scrape_requests,
+            inv.malformed, inv.scrape_malformed, inv.response_fallbacks, inv.admin_excluded,
+            inv.connection_leaks,
+        )
+    }
+}
+
+/// Counts one exchange read. A status in the op's `vocabulary` lands in
+/// its counter and the response is handed back; a quiet close counts as
+/// `closed`; any other status or read error is `malformed`.
+fn classify(
+    read: Result<http::Response, http::HttpError>,
+    vocabulary: &[u16],
+    counts: &mut LoadgenCounts,
+) -> Option<http::Response> {
+    match read {
+        Ok(response) if vocabulary.contains(&response.status) => {
+            *match response.status {
+                200 => &mut counts.ok,
+                500 => &mut counts.fault,
+                503 => &mut counts.shed,
+                408 => &mut counts.timeout_408,
+                413 => &mut counts.too_large,
+                _ => &mut counts.malformed,
+            } += 1;
+            return Some(response);
+        }
+        Err(e) if closed_quietly(&e) => counts.closed += 1,
+        _ => counts.malformed += 1,
+    }
+    None
+}
+
+/// A read that ended in a transport-level close, reset or timeout —
+/// silence the ladder allows, as opposed to a malformed answer.
+fn closed_quietly(error: &http::HttpError) -> bool {
+    use http::HttpError::{ConnectionClosed, Reset, Timeout, TruncatedBody};
+    matches!(error, ConnectionClosed | Reset | Timeout | TruncatedBody { .. })
 }
 
 /// Classifies one admin response into the scrape closed set. The
@@ -631,6 +932,128 @@ mod tests {
         let scraping =
             LoadgenConfig { ops: 400, seed: 7, scrape_pct: 15, ..LoadgenConfig::default() };
         assert!(plan_counts(&scraping).planned_scrape > 0);
+    }
+
+    /// A clean run of a fixed plan — three normal ops, one slow loris,
+    /// one scrape — and the server state it leaves: three served
+    /// requests, two admin requests, five request ids.
+    fn fixture() -> (LoadgenReport, LoadgenCounts, WireStats) {
+        let plan = LoadgenCounts {
+            planned_normal: 3, planned_keep_alive: 1, planned_slow: 1, planned_scrape: 1,
+            ..LoadgenCounts::default()
+        };
+        let (mut latency, mut scrape_latency) = (Histogram::default(), Histogram::default());
+        [40_000, 60_000, 900_000].iter().for_each(|&ns| latency.observe(ns));
+        [120_000, 130_000].iter().for_each(|&ns| scrape_latency.observe(ns));
+        let counts = LoadgenCounts {
+            ok: 2, fault: 1, timeout_408: 1, demoted: 1, scrape_ok: 1, scrape_healthy: 1,
+            ..plan.clone()
+        };
+        let elapsed = Duration::from_millis(250);
+        let timing = LoadgenTiming { elapsed, req_per_s: 20.0, latency, scrape_latency };
+        let stats = WireStats::new(std::sync::Arc::new(crate::obs::MetricsRegistry::new()));
+        for (counter, n) in [(&stats.accepted, 6), (&stats.served, 3), (&stats.timeouts, 1),
+            (&stats.demoted, 1), (&stats.admin, 2)]
+        {
+            counter.add(n);
+        }
+        stats.req_seq.store(5, Ordering::SeqCst);
+        [40_000, 60_000, 900_000].iter().for_each(|&ns| stats.request_ns.observe_ns(ns));
+        [100_000, 110_000].iter().for_each(|&ns| stats.admin_request_ns.observe_ns(ns));
+        (LoadgenReport { counts, timing }, plan, stats)
+    }
+
+    fn check(report: &LoadgenReport, plan: &LoadgenCounts, stats: &WireStats) -> Invariants {
+        Invariants::check(report, plan, stats, &stats.registry.snapshot())
+    }
+
+    #[test]
+    fn invariants_hold_on_a_clean_run() {
+        let (report, plan, stats) = fixture();
+        let invariants = check(&report, &plan, &stats);
+        assert!(invariants.holds());
+        assert_eq!(
+            invariants.to_string(),
+            "loadgen invariants: accounted 4/4, scrape accounted 2/2, malformed 0, scrape \
+             malformed 0, response fallbacks 0, admin excluded true, connection leaks 0, server \
+             stopped true"
+        );
+    }
+
+    /// Applies one defect to the clean fixture and returns the check,
+    /// which must fail.
+    fn with_defect(defect: impl FnOnce(&mut LoadgenReport, &WireStats)) -> Invariants {
+        let (mut report, plan, stats) = fixture();
+        defect(&mut report, &stats);
+        let invariants = check(&report, &plan, &stats);
+        assert!(!invariants.holds(), "{invariants}");
+        invariants
+    }
+
+    #[test]
+    fn invariants_fail_on_a_leaked_connection() {
+        let invariants = with_defect(|_, stats| {
+            stats.gauges.open.fetch_add(1, Ordering::SeqCst);
+        });
+        assert_eq!(invariants.connection_leaks, 1);
+    }
+
+    #[test]
+    fn invariants_fail_on_a_malformed_response() {
+        // Still classified exactly once, but outside the vocabulary.
+        let invariants = with_defect(|report, _| {
+            report.counts.ok -= 1;
+            report.counts.malformed += 1;
+        });
+        assert_eq!((invariants.accounted, invariants.malformed), (4, 1));
+    }
+
+    #[test]
+    fn invariants_fail_on_an_unaccounted_scrape() {
+        let invariants = with_defect(|report, _| report.counts.scrape_healthy = 0);
+        assert_eq!((invariants.scrape_accounted, invariants.scrape_requests), (1, 2));
+    }
+
+    #[test]
+    fn invariants_fail_on_an_admin_observation_in_the_serving_histogram() {
+        // One admin latency recorded as serving: five ids now cover six
+        // observations.
+        let invariants = with_defect(|_, stats| stats.request_ns.observe_ns(100_000));
+        assert!(!invariants.admin_excluded);
+    }
+
+    #[test]
+    fn bench_json_of_a_fixed_report_is_pinned() {
+        let (report, plan, stats) = fixture();
+        let invariants = check(&report, &plan, &stats);
+        let mix = LoadgenConfig {
+            ops: 5, clients: 4, seed: 7, slow_pct: 20, abort_pct: 1, oversized_pct: 2,
+            keep_alive_pct: 30, scrape_pct: 20, ..LoadgenConfig::default()
+        };
+        let run = HostedRun { stride: 200, workers: 2, queue: 3, read_timeout_ms: 150, mix };
+        let hosted = HostedReport { run, plan, corpus_len: 38, report, stats, invariants };
+        let expected = r#"{
+  "seed": 7,
+  "ops": 5,
+  "clients": 4,
+  "stride": 200,
+  "workers": 2,
+  "queue_depth": 3,
+  "read_timeout_ms": 150,
+  "mix": { "slow_pct": 20, "abort_pct": 1, "oversized_pct": 2, "keep_alive_pct": 30, "scrape_pct": 20 },
+  "plan": { "normal": 3, "keep_alive": 1, "slow": 1, "abort": 0, "oversized": 0, "scrape": 1 },
+  "outcomes": { "ok": 2, "fault": 1, "shed": 0, "timeout_408": 1, "too_large": 0, "aborted": 0, "closed": 0, "demoted": 1, "malformed": 0 },
+  "scrape": { "metrics_ok": 1, "healthy": 1, "degraded": 0, "shed": 0, "closed": 0, "malformed": 0 },
+  "elapsed_ms": 250.000,
+  "req_per_s": 20.000,
+  "latency_ns": { "count": 3, "p50": 64000, "p95": 1024000, "p99": 1024000, "max": 900000 },
+  "p99_bound_ns": 2450000000,
+  "scrape_p99_ns": 256000,
+  "server": { "accepted": 6, "served": 3, "shed": 0, "timeouts": 1, "queue_timeouts": 0, "write_stalls": 0, "demoted": 1, "admin": 2, "request_ids_issued": 5 },
+  "invariants": { "accounted": true, "scrape_accounted": true, "malformed_responses": 0, "scrape_malformed": 0, "response_fallbacks": 0, "admin_excluded": true, "connection_leaks": 0, "server_stopped": true }
+}
+"#;
+        assert_eq!(hosted.bench_json(), expected);
     }
 
     #[test]

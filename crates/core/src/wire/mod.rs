@@ -46,14 +46,17 @@ use crate::exchange::{
 
 pub use client::{WireClient, WireClientConfig, WireError};
 pub use http::HttpLimits;
-pub use loadgen::{CorpusEntry, LoadgenConfig, LoadgenCounts, LoadgenReport, OpProfile};
+pub use loadgen::{
+    CorpusEntry, HostedReport, HostedRun, Invariants, LoadgenConfig, LoadgenCounts, LoadgenReport,
+    OpProfile,
+};
 pub use proxy::FaultProxy;
 pub use server::{
     host_survey_services, HostedService, WireServer, WireServerConfig, WireStats, SHUTDOWN_PATH,
 };
 pub use watch::{
-    diff_samples, parse_prometheus, render_diff_table, scrape_text, SampleKind, ScrapeDiff,
-    SnapshotFrame, SnapshotRing,
+    counter_resets, diff_samples, parse_prometheus, render_diff_table, scrape, SampleKind, Scrape,
+    ScrapeDiff, SnapshotFrame, SnapshotRing,
 };
 
 /// Runs one Communication + Execution cycle **over the socket**: build

@@ -302,7 +302,7 @@ pub struct WireStats {
 }
 
 impl WireStats {
-    fn new(registry: Arc<MetricsRegistry>) -> WireStats {
+    pub(crate) fn new(registry: Arc<MetricsRegistry>) -> WireStats {
         let counter = |name: &str| registry.counter_handle(name);
         WireStats {
             accepted: counter("wire_server_accepted_total"),

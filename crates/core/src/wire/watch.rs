@@ -21,7 +21,7 @@ use super::http::{self, HttpLimits};
 /// One `GET` against the admin plane over a fresh connection.
 /// Returns `(status, body)` — a `503 degraded` health check is a
 /// *answer*, not an error, so non-200 statuses come back as data.
-pub fn scrape_text(
+fn scrape_text(
     addr: SocketAddr,
     target: &str,
     timeout: Duration,
@@ -41,6 +41,35 @@ pub fn scrape_text(
     let body = String::from_utf8(response.body)
         .map_err(|_| format!("{target}: response body is not UTF-8"))?;
     Ok((response.status, body))
+}
+
+/// One poll of a running server's admin plane: its `/healthz` answer
+/// and its parsed `/metrics` samples.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Scrape {
+    /// `/healthz` status — a `503 degraded` is an answer, kept as data.
+    pub health_status: u16,
+    /// `/healthz` body (`ok`, `degraded`, `draining`).
+    pub health_body: String,
+    /// `/metrics` samples, per [`parse_prometheus`].
+    pub samples: BTreeMap<String, u64>,
+}
+
+/// Scrapes `/healthz` then `/metrics` on fresh connections. A
+/// `/metrics` answer other than `200` is refused, as is a payload
+/// [`parse_prometheus`] rejects; each error names the step that
+/// failed.
+pub fn scrape(addr: SocketAddr, timeout: Duration) -> Result<Scrape, String> {
+    let (health_status, health_body) =
+        scrape_text(addr, "/healthz", timeout).map_err(|e| format!("healthz scrape failed: {e}"))?;
+    let (status, text) =
+        scrape_text(addr, "/metrics", timeout).map_err(|e| format!("metrics scrape failed: {e}"))?;
+    if status != 200 {
+        return Err(format!("/metrics answered {status}, expected 200"));
+    }
+    let samples =
+        parse_prometheus(&text).map_err(|e| format!("unparseable /metrics payload: {e}"))?;
+    Ok(Scrape { health_status, health_body, samples })
 }
 
 /// Parses Prometheus text exposition into `name → value` samples.
@@ -151,6 +180,11 @@ pub fn diff_samples(
         .collect()
 }
 
+/// Counter rows that moved backwards: each one is a counter reset.
+pub fn counter_resets(rows: &[ScrapeDiff]) -> usize {
+    rows.iter().filter(|row| row.kind == SampleKind::Counter && row.delta < 0).count()
+}
+
 /// Renders the diff rows as a fixed-width table. With `only_changed`,
 /// unmoved rows are elided and summarized in the trailer line. The
 /// output is a pure function of the rows.
@@ -161,14 +195,10 @@ pub fn render_diff_table(rows: &[ScrapeDiff], only_changed: bool) -> String {
         "METRIC", "KIND", "PREV", "NEXT", "DELTA", "RATE/S"
     ));
     let mut unchanged = 0usize;
-    let mut resets = 0usize;
     for row in rows {
         if row.delta == 0 && only_changed {
             unchanged += 1;
             continue;
-        }
-        if row.kind == SampleKind::Counter && row.delta < 0 {
-            resets += 1;
         }
         let kind = match row.kind {
             SampleKind::Counter => "ctr",
@@ -188,7 +218,7 @@ pub fn render_diff_table(rows: &[ScrapeDiff], only_changed: bool) -> String {
         "-- {} samples, {} unchanged, {} counter resets\n",
         rows.len(),
         unchanged,
-        resets
+        counter_resets(rows)
     ));
     out
 }
@@ -349,7 +379,7 @@ mod tests {
     use super::*;
     use crate::obs::MetricsRegistry;
 
-    fn scrape(pairs: &[(&str, u64)]) -> BTreeMap<String, u64> {
+    fn samples(pairs: &[(&str, u64)]) -> BTreeMap<String, u64> {
         pairs.iter().map(|(k, v)| (k.to_string(), *v)).collect()
     }
 
@@ -388,8 +418,8 @@ mod tests {
 
     #[test]
     fn diff_and_table_are_deterministic() {
-        let prev = scrape(&[("a_total", 10), ("queued", 5)]);
-        let next = scrape(&[("a_total", 30), ("queued", 2), ("b_total", 1)]);
+        let prev = samples(&[("a_total", 10), ("queued", 5)]);
+        let next = samples(&[("a_total", 30), ("queued", 2), ("b_total", 1)]);
         let rows = diff_samples(&prev, &next, 2_000);
         assert_eq!(rows.len(), 3);
         let a = rows.iter().find(|r| r.name == "a_total").unwrap();
@@ -406,10 +436,30 @@ mod tests {
     }
 
     #[test]
+    fn scrape_refuses_a_non_200_metrics_answer() {
+        // Both requests are answered 503: `/healthz` keeps it as data,
+        // `/metrics` refuses it.
+        use std::io::Read;
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let addr = listener.local_addr().expect("bound address");
+        std::thread::spawn(move || {
+            for mut conn in listener.incoming().take(2).flatten() {
+                let (mut head, mut byte) = (Vec::new(), [0u8; 1]);
+                while !head.ends_with(b"\r\n\r\n") && conn.read(&mut byte).is_ok_and(|n| n == 1) {
+                    head.push(byte[0]);
+                }
+                let _ = conn.write_all(b"HTTP/1.1 503 Service Unavailable\r\nContent-Length: 8\r\n\r\ndegraded");
+            }
+        });
+        let err = scrape(addr, Duration::from_secs(5)).expect_err("a 503 /metrics is refused");
+        assert_eq!(err, "/metrics answered 503, expected 200");
+    }
+
+    #[test]
     fn snapshot_frame_checksum_is_pinned() {
         // Snapshot files written by earlier builds must still verify.
         let mut ring = SnapshotRing::new(1);
-        ring.push(1_000, scrape(&[("a_total", 7), ("wire_server_queued", 2)]));
+        ring.push(1_000, samples(&[("a_total", 7), ("wire_server_queued", 2)]));
         let rendered = ring.render();
         let header = "# snapshot seq=0 at_ms=1000 checksum=175e964def44947f\n";
         assert!(rendered.starts_with(header), "{rendered}");
@@ -418,9 +468,9 @@ mod tests {
     #[test]
     fn snapshot_ring_round_trips_and_rejects_corruption() {
         let mut ring = SnapshotRing::new(2);
-        ring.push(100, scrape(&[("a_total", 1)]));
-        ring.push(200, scrape(&[("a_total", 2)]));
-        ring.push(300, scrape(&[("a_total", 5), ("queued", 1)]));
+        ring.push(100, samples(&[("a_total", 1)]));
+        ring.push(200, samples(&[("a_total", 2)]));
+        ring.push(300, samples(&[("a_total", 5), ("queued", 1)]));
         assert_eq!(ring.evicted, 1);
         assert_eq!(ring.frames.len(), 2);
         let text = ring.render();
@@ -440,8 +490,8 @@ mod tests {
     #[test]
     fn ring_frames_diff_like_live_scrapes() {
         let mut ring = SnapshotRing::new(8);
-        ring.push(0, scrape(&[("ops_total", 0)]));
-        ring.push(1_000, scrape(&[("ops_total", 50)]));
+        ring.push(0, samples(&[("ops_total", 0)]));
+        ring.push(1_000, samples(&[("ops_total", 50)]));
         let frames: Vec<SnapshotFrame> = ring.frames.iter().cloned().collect();
         let rows = diff_samples(
             &frames[0].samples,

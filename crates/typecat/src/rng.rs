@@ -54,11 +54,6 @@ impl DetRng {
         debug_assert!(lo <= hi);
         lo + self.below(hi - lo + 1)
     }
-
-    /// Bernoulli draw with probability `num/den`.
-    pub fn chance(&mut self, num: u64, den: u64) -> bool {
-        self.below(den) < num
-    }
 }
 
 /// Stable 64-bit FNV-1a hash, used to derive per-class deterministic

@@ -12,7 +12,7 @@ use std::fmt;
 
 use wsinterop_xml::{Element, ElementRef};
 use wsinterop_xsd::lexical;
-use wsinterop_xsd::{BuiltIn, ComplexType, ElementDecl, Particle, Schema, TypeRef};
+use wsinterop_xsd::{BuiltIn, ComplexType, ElementDecl, Particle, TypeRef};
 
 use crate::model::Definitions;
 
@@ -308,12 +308,6 @@ pub fn echo_parameter_type(defs: &Definitions) -> Option<TypeRef> {
             }
         }
     }
-}
-
-/// Finds the schema that declares a given namespace (helper for
-/// callers building schemas by hand).
-pub fn schema_for<'a>(defs: &'a Definitions, ns_uri: &str) -> Option<&'a Schema> {
-    defs.schemas.iter().find(|s| s.target_ns == ns_uri)
 }
 
 /// Builds a doc/literal request envelope carrying a **typed** value

@@ -61,11 +61,6 @@ impl Analyzer {
         }
     }
 
-    /// An analyzer with a custom assertion set.
-    pub fn with_assertions(assertions: Vec<Box<dyn Assertion>>) -> Analyzer {
-        Analyzer { assertions }
-    }
-
     /// Identifiers of the configured assertions, in check order.
     pub fn assertion_ids(&self) -> Vec<&'static str> {
         self.assertions.iter().map(|a| a.id()).collect()

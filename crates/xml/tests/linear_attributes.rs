@@ -1,11 +1,10 @@
 //! The parser's cost must grow linearly with the number of attributes
 //! on one element: a request body the serving core parses may carry
-//! any number of them. The check compares two sizes in one process, so
-//! it holds on any host: a linear parser's time ratio for 8× the
-//! attributes sits near 8×, a quadratic one's near 64×.
+//! any number of them. The method is [`timing`]'s alternating minima.
 
-use std::time::{Duration, Instant};
+mod timing;
 
+use timing::{assert_linear, minima};
 use wsinterop_xml::parse_arena;
 
 /// One element with `n` distinct attributes, optionally repeating the
@@ -22,29 +21,12 @@ fn element(n: usize, duplicate_last: bool) -> String {
     xml
 }
 
-/// The fastest of a few parses of `xml`.
-fn best_parse_time(xml: &str) -> Duration {
-    (0..3)
-        .map(|_| {
-            let start = Instant::now();
-            assert!(parse_arena(xml).is_ok());
-            start.elapsed()
-        })
-        .min()
-        .expect("at least one run")
-}
-
 #[test]
 fn attribute_count_scales_linearly() {
     let n = 2_000;
-    let small = best_parse_time(&element(n, false));
-    let large = best_parse_time(&element(8 * n, false));
-    let ratio = large.as_secs_f64() / small.as_secs_f64().max(1e-9);
-    assert!(
-        ratio < 20.0,
-        "{n} attributes took {small:?}, {} took {large:?}: ratio {ratio:.1}",
-        8 * n
-    );
+    let (small, large) = (element(n, false), element(8 * n, false));
+    let parse = |xml: &str| assert!(parse_arena(xml).is_ok());
+    assert_linear("parse", n, "attributes", minima(|| parse(&small), || parse(&large)));
 }
 
 #[test]

@@ -1,14 +1,11 @@
 //! Prefix resolution must cost linear time in the number of namespace
 //! declarations in scope: a request body the serving core parses may
-//! declare any number of prefixes and use each one. The checks compare
-//! two sizes in one process, so they hold on any host: a linear
-//! resolver's time ratio for 8× the declarations sits near 8×, a
-//! quadratic one's near 64×. The two sizes are timed alternately and
-//! their fastest rounds compared, so a load spike during one size's
-//! runs does not read as superlinear cost.
+//! declare any number of prefixes and use each one. The method is
+//! [`timing`]'s alternating minima.
 
-use std::time::{Duration, Instant};
+mod timing;
 
+use timing::{assert_linear, minima};
 use wsinterop_xml::parse_arena;
 use wsinterop_xml::scope::NsBindings;
 
@@ -27,41 +24,12 @@ fn document(n: usize) -> String {
     xml
 }
 
-/// Rounds of [`minima`]: enough that one slow round (a busy host, a
-/// parallel test) leaves the minimum of the others to compare.
-const ROUNDS: usize = 7;
-
-/// The fastest run of `small` and of `large`, timed alternately so
-/// that a slow stretch of the host hits both sizes alike.
-fn minima(mut small: impl FnMut(), mut large: impl FnMut()) -> (Duration, Duration) {
-    fn time(work: &mut dyn FnMut()) -> Duration {
-        let start = Instant::now();
-        work();
-        start.elapsed()
-    }
-    let (mut fast_small, mut fast_large) = (Duration::MAX, Duration::MAX);
-    for _ in 0..ROUNDS {
-        fast_small = fast_small.min(time(&mut small));
-        fast_large = fast_large.min(time(&mut large));
-    }
-    (fast_small, fast_large)
-}
-
-fn assert_linear(what: &str, n: usize, (small, large): (Duration, Duration)) {
-    let ratio = large.as_secs_f64() / small.as_secs_f64().max(1e-9);
-    assert!(
-        ratio < 20.0,
-        "{what}: {n} declarations took {small:?}, {} took {large:?}: ratio {ratio:.1}",
-        8 * n
-    );
-}
-
 #[test]
 fn parser_resolution_scales_linearly() {
     let n = 2_000;
     let (small, large) = (document(n), document(8 * n));
     let parse = |xml: &str| assert!(parse_arena(xml).is_ok());
-    assert_linear("parse", n, minima(|| parse(&small), || parse(&large)));
+    assert_linear("parse", n, "declarations", minima(|| parse(&small), || parse(&large)));
 }
 
 #[test]
@@ -79,7 +47,7 @@ fn binding_resolution_scales_linearly() {
             scope.pop();
         }
     };
-    assert_linear("NsBindings", n, minima(|| resolve(&small), || resolve(&large)));
+    assert_linear("NsBindings", n, "declarations", minima(|| resolve(&small), || resolve(&large)));
 }
 
 #[test]

@@ -37,9 +37,7 @@ use wsinterop::core::wire;
 use wsinterop::core::Campaign;
 use wsinterop::compilers::{compiler_for, instantiate};
 use wsinterop::frameworks::client::{all_clients, CompilationMode};
-use wsinterop::frameworks::server::{
-    all_servers, extension_servers, DeployOutcome, ServerId, ServerSubsystem,
-};
+use wsinterop::frameworks::server::{all_servers, DeployOutcome, ServerId, ServerSubsystem};
 use wsinterop::typecat::TypeEntry;
 use wsinterop::wsdl::de::from_xml_str;
 use wsinterop::wsdl::values;
@@ -1423,31 +1421,6 @@ fn shard_worker(opts: &RunOpts, spec: ShardSpec) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Maps `(server, fqcn)` to its strided entry index — the same grid
-/// [`Campaign`] partitions on — for the supervisor's re-claimed-chunk
-/// accounting.
-fn chunk_index_map(opts: &RunOpts) -> std::collections::BTreeMap<(ServerId, String), usize> {
-    let servers = if opts.extended {
-        extension_servers()
-    } else {
-        all_servers()
-    };
-    let mut map = std::collections::BTreeMap::new();
-    for server in servers {
-        let id = server.info().id;
-        for (j, entry) in server
-            .catalog()
-            .entries()
-            .iter()
-            .step_by(opts.stride)
-            .enumerate()
-        {
-            map.insert((id, entry.fqcn.clone()), j);
-        }
-    }
-    map
-}
-
 /// The supervising parent of a sharded campaign (`--shards N`):
 /// partitions the run across N worker processes, recovers crashed and
 /// hung workers, then merges the per-shard artifacts into output
@@ -1498,9 +1471,8 @@ fn supervise_campaign(opts: &RunOpts, shards: usize) -> ExitCode {
             }
         }
     };
-    let chunk_map = chunk_index_map(opts);
-    let chunk_index =
-        |server: ServerId, fqcn: &str| chunk_map.get(&(server, fqcn.to_string())).copied();
+    let grid = opts.base().strided_index();
+    let chunk_index = |server: ServerId, fqcn: &str| grid.get(&(server, fqcn.to_string())).copied();
     let defaults = opts.recovery.supervision();
     let supervision = SupervisorConfig {
         heartbeat: opts.heartbeat_ms.map_or(defaults.heartbeat, std::time::Duration::from_millis),
@@ -1778,391 +1750,67 @@ fn serve(opts: &ServeOpts) -> ExitCode {
 
 /// Options for `wsitool loadgen`.
 struct LoadgenOpts {
-    ops: usize,
-    clients: usize,
-    seed: u64,
-    stride: usize,
-    workers: usize,
-    queue: usize,
-    /// Server read/write deadline in milliseconds; the slow-loris
-    /// dawdle is derived from it (2× + margin) so the deadline always
-    /// fires.
-    read_timeout_ms: u64,
-    slow_pct: u8,
-    abort_pct: u8,
-    oversized_pct: u8,
-    keep_alive_pct: u8,
-    /// Share of ops that scrape the admin plane (`/metrics` +
-    /// `/healthz`) mid-load instead of exchanging SOAP.
-    scrape_pct: u8,
+    run: wire::HostedRun,
     /// Where to write the BENCH_wire.json snapshot (`None` = don't).
     bench_out: Option<String>,
 }
 
 impl LoadgenOpts {
     fn parse(mut args: Args) -> Result<LoadgenOpts, String> {
-        let server_defaults = wire::WireServerConfig::default();
-        let mix_defaults = wire::LoadgenConfig::default();
-        let mut o = LoadgenOpts {
-            ops: mix_defaults.ops,
-            clients: mix_defaults.clients,
-            seed: mix_defaults.seed,
-            stride: 200,
-            workers: server_defaults.workers,
-            queue: server_defaults.queue_depth,
-            read_timeout_ms: 250,
-            slow_pct: mix_defaults.slow_pct,
-            abort_pct: mix_defaults.abort_pct,
-            oversized_pct: mix_defaults.oversized_pct,
-            keep_alive_pct: mix_defaults.keep_alive_pct,
-            scrape_pct: mix_defaults.scrape_pct,
-            bench_out: None,
-        };
+        let mut run = wire::HostedRun::default();
+        let mut bench_out = None;
+        let mix = &mut run.mix;
         while let Some(arg) = args.next() {
             match arg {
-                "--ops" => o.ops = args.num(arg)?,
-                "--clients" => o.clients = args.num(arg)?,
-                "--seed" => o.seed = args.num(arg)?,
-                "--stride" => o.stride = args.num(arg)?,
-                "--workers" => o.workers = args.num(arg)?,
-                "--queue" => o.queue = args.num(arg)?,
-                "--read-timeout-ms" => o.read_timeout_ms = args.num(arg)?,
-                "--slow-pct" => o.slow_pct = args.num(arg)?,
-                "--abort-pct" => o.abort_pct = args.num(arg)?,
-                "--oversized-pct" => o.oversized_pct = args.num(arg)?,
-                "--keep-alive-pct" => o.keep_alive_pct = args.num(arg)?,
-                "--scrape-pct" => o.scrape_pct = args.num(arg)?,
-                "--bench-out" => o.bench_out = args.path(arg)?,
+                "--ops" => mix.ops = args.num(arg)?,
+                "--clients" => mix.clients = args.num(arg)?,
+                "--seed" => mix.seed = args.num(arg)?,
+                "--stride" => run.stride = args.num(arg)?,
+                "--workers" => run.workers = args.num(arg)?,
+                "--queue" => run.queue = args.num(arg)?,
+                "--read-timeout-ms" => run.read_timeout_ms = args.num(arg)?,
+                "--slow-pct" => mix.slow_pct = args.num(arg)?,
+                "--abort-pct" => mix.abort_pct = args.num(arg)?,
+                "--oversized-pct" => mix.oversized_pct = args.num(arg)?,
+                "--keep-alive-pct" => mix.keep_alive_pct = args.num(arg)?,
+                "--scrape-pct" => mix.scrape_pct = args.num(arg)?,
+                "--bench-out" => bench_out = args.path(arg)?,
                 bare => return Err(unrecognized(bare)),
             }
         }
-        let [slow, abort, oversized, scrape] = [o.slow_pct, o.abort_pct, o.oversized_pct, o.scrape_pct];
-        if slow.saturating_add(abort).saturating_add(oversized).saturating_add(scrape) > 100 {
+        let pcts = [mix.slow_pct, mix.abort_pct, mix.oversized_pct, mix.scrape_pct];
+        if pcts.iter().map(|&pct| u16::from(pct)).sum::<u16>() > 100 {
             return Err("--slow-pct + --abort-pct + --oversized-pct + --scrape-pct must not exceed 100".into());
         }
-        o.ops = o.ops.max(1);
-        o.clients = o.clients.max(1);
-        o.stride = o.stride.max(1);
-        o.workers = o.workers.max(1);
-        o.read_timeout_ms = o.read_timeout_ms.max(1);
-        Ok(o)
+        mix.ops = mix.ops.max(1);
+        mix.clients = mix.clients.max(1);
+        run.stride = run.stride.max(1);
+        run.workers = run.workers.max(1);
+        run.read_timeout_ms = run.read_timeout_ms.max(1);
+        Ok(LoadgenOpts { run, bench_out })
     }
-}
-
-/// Builds the replayable request corpus from the hosted survey
-/// services: for each deployed description, the first operation and
-/// its serialized survey-probe envelope — the same construction
-/// `exchange_over_http` performs per exchange, done once up front.
-fn build_loadgen_corpus(
-    services: &std::collections::BTreeMap<String, wire::HostedService>,
-) -> Vec<wire::CorpusEntry> {
-    use wsinterop::core::exchange::{first_survey_operation, SURVEY_PROBE};
-    use wsinterop::wsdl::soap;
-
-    let mut corpus = Vec::new();
-    for (path, hosted) in services {
-        let Ok(defs) = &hosted.defs else { continue };
-        let Some(operation) = first_survey_operation(&hosted.wsdl_xml) else {
-            continue;
-        };
-        let Ok(doc) = soap::request(defs, &operation, SURVEY_PROBE) else {
-            continue;
-        };
-        let body = write_document(&doc, &WriteOptions::compact()).into_bytes();
-        corpus.push(wire::CorpusEntry {
-            path: path.clone(),
-            operation,
-            body,
-        });
-    }
-    corpus
-}
-
-/// Documented p99 latency bound for a loadgen run: a served request
-/// can queue for up to the read deadline, then be read and written
-/// under one deadline each, plus scheduler slack. DESIGN.md §15 pins
-/// the same formula; the CI gate asserts against the value recorded
-/// in BENCH_wire.json, never a magic constant.
-fn loadgen_p99_bound_ns(read_timeout_ms: u64) -> u64 {
-    (3 * read_timeout_ms + 2_000) * 1_000_000
 }
 
 /// Seeded deterministic load run against a self-hosted endpoint
-/// (DESIGN.md §15). Stdout carries only the byte-stable half — the
-/// plan and the invariant verdicts — so CI can diff two runs; measured
-/// outcomes and timing go to stderr and into `--bench-out`.
+/// (DESIGN.md §15, [`wire::loadgen::run_hosted`]). Stdout carries only
+/// the byte-stable half — the plan and the invariant verdicts — so CI
+/// can diff two runs; measured outcomes and timing go to stderr and
+/// into `--bench-out`.
 fn loadgen_cmd(opts: &LoadgenOpts) -> ExitCode {
-    let services = wire::host_survey_services(opts.stride);
-    let corpus = build_loadgen_corpus(&services);
-    if corpus.is_empty() {
-        return fail(format!(
-            "stride {} deploys no invokable service; nothing to replay",
-            opts.stride
-        ));
-    }
-
-    let read_timeout = std::time::Duration::from_millis(opts.read_timeout_ms);
-    // Shared registry so the run can cross-check the server's
-    // histograms (admin-plane exclusion, §16) after the drain.
-    let registry = std::sync::Arc::new(wsinterop::core::obs::MetricsRegistry::new());
-    let server_config = wire::WireServerConfig {
-        workers: opts.workers,
-        queue_depth: opts.queue,
-        read_timeout,
-        write_timeout: read_timeout,
-        metrics: Some(std::sync::Arc::clone(&registry)),
-        ..wire::WireServerConfig::default()
+    let hosted = match wire::loadgen::run_hosted(&opts.run) {
+        Ok(hosted) => hosted,
+        Err(e) => return fail(e),
     };
-    let server = match wire::WireServer::start(0, services, server_config) {
-        Ok(server) => server,
-        Err(e) => return fail(format!("cannot bind loopback endpoint: {e}")),
-    };
-    let stats = server.stats();
-
-    let config = wire::LoadgenConfig {
-        ops: opts.ops,
-        clients: opts.clients,
-        seed: opts.seed,
-        slow_pct: opts.slow_pct,
-        abort_pct: opts.abort_pct,
-        oversized_pct: opts.oversized_pct,
-        keep_alive_pct: opts.keep_alive_pct,
-        scrape_pct: opts.scrape_pct,
-        // The dawdle must outlast the server's read deadline or the
-        // slow-loris profile never triggers its 408.
-        dawdle: std::time::Duration::from_millis(2 * opts.read_timeout_ms + 100),
-        client_timeout: std::time::Duration::from_millis(
-            (4 * opts.read_timeout_ms).max(5_000),
-        ),
-        ..wire::LoadgenConfig::default()
-    };
-
-    println!(
-        "run config: loadgen ops {} clients {} seed {} stride {} workers {} queue {} \
-         read-timeout-ms {} mix {}/{}/{}/{}/{}",
-        opts.ops,
-        opts.clients,
-        opts.seed,
-        opts.stride,
-        opts.workers,
-        opts.queue,
-        opts.read_timeout_ms,
-        opts.slow_pct,
-        opts.abort_pct,
-        opts.oversized_pct,
-        opts.keep_alive_pct,
-        opts.scrape_pct,
-    );
-    let plan = wire::loadgen::plan_counts(&config);
-    println!(
-        "loadgen plan: normal {} (keep-alive {}) / slow {} / abort {} / oversized {} / \
-         scrape {} over {} corpus path(s)",
-        plan.planned_normal,
-        plan.planned_keep_alive,
-        plan.planned_slow,
-        plan.planned_abort,
-        plan.planned_oversized,
-        plan.planned_scrape,
-        corpus.len(),
-    );
-
-    let report = wire::loadgen::run(server.addr(), &corpus, &config);
-    server.request_stop();
-    server.shutdown();
-
-    let c = &report.counts;
-    eprintln!(
-        "loadgen outcomes: ok {}, fault {}, shed {}, 408 {}, 413 {}, aborted {}, \
-         closed {}, demoted {}, malformed {}",
-        c.ok, c.fault, c.shed, c.timeout_408, c.too_large, c.aborted, c.closed, c.demoted,
-        c.malformed,
-    );
-    eprintln!(
-        "loadgen scrape: metrics-ok {}, healthy {}, degraded {}, shed {}, closed {}, \
-         malformed {}; p99 {:.3} ms over {} sample(s)",
-        c.scrape_ok,
-        c.scrape_healthy,
-        c.scrape_degraded,
-        c.scrape_shed,
-        c.scrape_closed,
-        c.scrape_malformed,
-        report.timing.scrape_latency.quantile_ns(0.99) as f64 / 1e6,
-        report.timing.scrape_latency.count,
-    );
-    let lat = &report.timing.latency;
-    eprintln!(
-        "loadgen timing: {} op(s) in {:.1} ms ({:.1} req/s); served latency \
-         p50 {:.3} ms p95 {:.3} ms p99 {:.3} ms max {:.3} ms over {} sample(s)",
-        opts.ops,
-        report.timing.elapsed.as_secs_f64() * 1e3,
-        report.timing.req_per_s,
-        lat.quantile_ns(0.50) as f64 / 1e6,
-        lat.quantile_ns(0.95) as f64 / 1e6,
-        lat.quantile_ns(0.99) as f64 / 1e6,
-        lat.max as f64 / 1e6,
-        lat.count,
-    );
-    eprintln!(
-        "loadgen server: accepted {}, served {}, shed {}, timeouts {}, queue-timeouts {}, \
-         write-stalls {}, demoted {}, oversized {}, malformed {}",
-        stats.accepted(),
-        stats.served(),
-        stats.shed(),
-        stats.timeouts(),
-        stats.queue_timeouts(),
-        stats.write_stalls(),
-        stats.demoted(),
-        stats.oversized(),
-        stats.malformed(),
-    );
-    eprintln!(
-        "loadgen admin: requests {}, response fallbacks {}, request ids issued {}",
-        stats.admin(),
-        stats.responses_fallback(),
-        stats.request_ids_issued(),
-    );
-
-    // Invariants: every op classified exactly once into the closed
-    // set, nothing outside the ladder's vocabulary, and after the
-    // drain every connection-lifecycle gauge is back to zero. Scrape
-    // ops have their own closed world: each one issues exactly two
-    // admin requests (/metrics + /healthz), so their classifications
-    // must sum to twice the planned count.
-    let accounted = c.ok
-        + c.fault
-        + c.shed
-        + c.timeout_408
-        + c.too_large
-        + c.aborted
-        + c.closed
-        + c.malformed;
-    let scrape_accounted = c.scrape_ok
-        + c.scrape_healthy
-        + c.scrape_degraded
-        + c.scrape_shed
-        + c.scrape_closed
-        + c.scrape_malformed;
-    let exchange_ops = opts.ops - plan.planned_scrape;
-    let scrape_requests = 2 * plan.planned_scrape;
-    let leaks = stats.open() + stats.in_flight() + stats.queued();
-    // Admin-plane exclusion (DESIGN.md §16): serving and admin
-    // latencies land in disjoint histograms, and every observation
-    // maps back to a dispatched request id.
-    stats.sync_gauges();
-    let snap = registry.snapshot();
-    let hist_count =
-        |name: &str| snap.histograms.get(name).map_or(0, |h| h.count);
-    let serving_ns = hist_count("wire_server_request_ns");
-    let admin_ns = hist_count("wire_server_admin_request_ns");
-    let ids_issued = stats.request_ids_issued();
-    let admin_excluded = admin_ns <= stats.admin() as u64
-        && serving_ns + admin_ns <= ids_issued
-        && serving_ns <= ids_issued.saturating_sub(stats.admin() as u64);
-    let ok = accounted == exchange_ops
-        && scrape_accounted == scrape_requests
-        && c.malformed == 0
-        && c.scrape_malformed == 0
-        && stats.responses_fallback() == 0
-        && admin_excluded
-        && leaks == 0;
-    println!(
-        "loadgen invariants: accounted {accounted}/{exchange_ops}, scrape accounted \
-         {scrape_accounted}/{scrape_requests}, malformed {}, scrape malformed {}, \
-         response fallbacks {}, admin excluded {admin_excluded}, connection leaks \
-         {leaks}, server stopped true",
-        c.malformed,
-        c.scrape_malformed,
-        stats.responses_fallback(),
-    );
-
+    print!("{}", hosted.header());
+    eprint!("{}", hosted.summary());
+    println!("{}", hosted.invariants);
     if let Some(path) = &opts.bench_out {
-        let p99_bound_ns = loadgen_p99_bound_ns(opts.read_timeout_ms);
-        let json = format!(
-            "{{\n  \"seed\": {seed},\n  \"ops\": {ops},\n  \"clients\": {clients},\n  \
-             \"stride\": {stride},\n  \"workers\": {workers},\n  \"queue_depth\": {queue},\n  \
-             \"read_timeout_ms\": {rt},\n  \
-             \"mix\": {{ \"slow_pct\": {sp}, \"abort_pct\": {ap}, \"oversized_pct\": {op}, \
-             \"keep_alive_pct\": {kp}, \"scrape_pct\": {scp} }},\n  \
-             \"plan\": {{ \"normal\": {pn}, \"keep_alive\": {pk}, \"slow\": {ps}, \
-             \"abort\": {pa}, \"oversized\": {po}, \"scrape\": {psc} }},\n  \
-             \"outcomes\": {{ \"ok\": {ok_n}, \"fault\": {fault}, \"shed\": {shed}, \
-             \"timeout_408\": {t408}, \"too_large\": {t413}, \"aborted\": {aborted}, \
-             \"closed\": {closed}, \"demoted\": {demoted}, \"malformed\": {malformed} }},\n  \
-             \"scrape\": {{ \"metrics_ok\": {sc_ok}, \"healthy\": {sc_h}, \
-             \"degraded\": {sc_deg}, \"shed\": {sc_shed}, \"closed\": {sc_cl}, \
-             \"malformed\": {sc_mal} }},\n  \
-             \"elapsed_ms\": {elapsed:.3},\n  \"req_per_s\": {rps:.3},\n  \
-             \"latency_ns\": {{ \"count\": {lc}, \"p50\": {p50}, \"p95\": {p95}, \
-             \"p99\": {p99}, \"max\": {lmax} }},\n  \"p99_bound_ns\": {p99_bound_ns},\n  \
-             \"scrape_p99_ns\": {scrape_p99},\n  \
-             \"server\": {{ \"accepted\": {s_acc}, \"served\": {s_srv}, \"shed\": {s_shed}, \
-             \"timeouts\": {s_to}, \"queue_timeouts\": {s_qto}, \"write_stalls\": {s_ws}, \
-             \"demoted\": {s_dem}, \"admin\": {s_adm}, \"request_ids_issued\": {s_ids} }},\n  \
-             \"invariants\": {{ \"accounted\": {acc_ok}, \"scrape_accounted\": {scr_ok}, \
-             \"malformed_responses\": {malformed}, \"scrape_malformed\": {sc_mal}, \
-             \"response_fallbacks\": {s_fb}, \"admin_excluded\": {admin_excluded}, \
-             \"connection_leaks\": {leaks}, \"server_stopped\": true }}\n}}\n",
-            seed = opts.seed,
-            ops = opts.ops,
-            clients = opts.clients,
-            stride = opts.stride,
-            workers = opts.workers,
-            queue = opts.queue,
-            rt = opts.read_timeout_ms,
-            sp = opts.slow_pct,
-            ap = opts.abort_pct,
-            op = opts.oversized_pct,
-            kp = opts.keep_alive_pct,
-            scp = opts.scrape_pct,
-            pn = plan.planned_normal,
-            pk = plan.planned_keep_alive,
-            ps = plan.planned_slow,
-            pa = plan.planned_abort,
-            po = plan.planned_oversized,
-            psc = plan.planned_scrape,
-            sc_ok = c.scrape_ok,
-            sc_h = c.scrape_healthy,
-            sc_deg = c.scrape_degraded,
-            sc_shed = c.scrape_shed,
-            sc_cl = c.scrape_closed,
-            sc_mal = c.scrape_malformed,
-            scrape_p99 = report.timing.scrape_latency.quantile_ns(0.99),
-            ok_n = c.ok,
-            fault = c.fault,
-            shed = c.shed,
-            t408 = c.timeout_408,
-            t413 = c.too_large,
-            aborted = c.aborted,
-            closed = c.closed,
-            demoted = c.demoted,
-            malformed = c.malformed,
-            elapsed = report.timing.elapsed.as_secs_f64() * 1e3,
-            rps = report.timing.req_per_s,
-            lc = lat.count,
-            p50 = lat.quantile_ns(0.50),
-            p95 = lat.quantile_ns(0.95),
-            p99 = lat.quantile_ns(0.99),
-            lmax = lat.max,
-            s_acc = stats.accepted(),
-            s_srv = stats.served(),
-            s_shed = stats.shed(),
-            s_to = stats.timeouts(),
-            s_qto = stats.queue_timeouts(),
-            s_ws = stats.write_stalls(),
-            s_dem = stats.demoted(),
-            s_adm = stats.admin(),
-            s_ids = stats.request_ids_issued(),
-            s_fb = stats.responses_fallback(),
-            acc_ok = accounted == exchange_ops,
-            scr_ok = scrape_accounted == scrape_requests,
-        );
-        if let Err(e) = std::fs::write(path, json) {
+        if let Err(e) = std::fs::write(path, hosted.bench_json()) {
             return fail(format!("cannot write {path}: {e}"));
         }
         eprintln!("wrote {path}");
     }
-
-    if ok {
+    if hosted.invariants.holds() {
         ExitCode::SUCCESS
     } else {
         fail("loadgen invariants violated")
@@ -2233,43 +1881,29 @@ fn watch_cmd(opts: &WatchOpts) -> ExitCode {
         if iteration > 0 {
             std::thread::sleep(std::time::Duration::from_millis(opts.interval_ms));
         }
-        let (health_status, health_body) =
-            match wire::scrape_text(opts.addr, "/healthz", timeout) {
-                Ok(reply) => reply,
-                Err(e) => return fail(format!("healthz scrape failed: {e}")),
-            };
-        let (status, text) = match wire::scrape_text(opts.addr, "/metrics", timeout) {
-            Ok(reply) => reply,
-            Err(e) => return fail(format!("metrics scrape failed: {e}")),
-        };
-        if status != 200 {
-            return fail(format!("/metrics answered {status}, expected 200"));
-        }
-        let samples = match wire::parse_prometheus(&text) {
-            Ok(samples) => samples,
-            Err(e) => return fail(format!("unparseable /metrics payload: {e}")),
+        let scrape = match wire::scrape(opts.addr, timeout) {
+            Ok(scrape) => scrape,
+            Err(e) => return fail(e),
         };
         let at_ms = started.elapsed().as_millis() as u64;
-        let seq = ring.push(at_ms, samples.clone());
+        let seq = ring.push(at_ms, scrape.samples.clone());
         println!(
-            "scrape {seq}: {} sample(s), healthz {health_status} {}",
-            samples.len(),
-            health_body.trim_end(),
+            "scrape {seq}: {} sample(s), healthz {} {}",
+            scrape.samples.len(),
+            scrape.health_status,
+            scrape.health_body.trim_end(),
         );
         if let Some(prev) = &prev {
-            let rows = wire::diff_samples(prev, &samples, opts.interval_ms);
+            let rows = wire::diff_samples(prev, &scrape.samples, opts.interval_ms);
             print!("{}", wire::render_diff_table(&rows, !opts.all));
-            let resets = rows
-                .iter()
-                .filter(|row| row.kind == wire::SampleKind::Counter && row.delta < 0)
-                .count();
+            let resets = wire::counter_resets(&rows);
             if resets > 0 {
                 return fail(format!(
                     "counter regression: {resets} monotonic sample(s) moved backwards"
                 ));
             }
         }
-        prev = Some(samples);
+        prev = Some(scrape.samples);
     }
     if let Some(path) = &opts.snapshots {
         if let Err(e) = ring.persist(std::path::Path::new(path)) {

@@ -17,6 +17,9 @@
 //!    `wire_server_request_ns` buckets resolve to ids that were
 //!    actually issued to clients.
 
+mod common;
+
+use common::wait_for;
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
@@ -26,14 +29,6 @@ use wsinterop::core::obs::{MetricsRegistry, TracePhase, TraceSink};
 use wsinterop::core::wire::{self, http, HttpLimits, WireServer, WireServerConfig};
 
 const TIMEOUT: Duration = Duration::from_secs(5);
-
-fn header<'r>(response: &'r http::Response, name: &str) -> Option<&'r str> {
-    response
-        .headers
-        .iter()
-        .find(|(n, _)| n == name)
-        .map(|(_, v)| v.as_str())
-}
 
 /// One close-mode GET; returns the response. Panics on any framing
 /// failure — these tests only drive well-formed requests.
@@ -47,7 +42,7 @@ fn get(addr: SocketAddr, target: &str) -> http::Response {
 
 /// The `X-Request-Id` header parsed back to the u64 it renders.
 fn request_id(response: &http::Response) -> u64 {
-    let id = header(response, "x-request-id").expect("every dispatched response carries an id");
+    let id = response.header("x-request-id").expect("every dispatched response carries an id");
     assert_eq!(id.len(), 16, "ids render as exactly 16 hex digits, got {id:?}");
     u64::from_str_radix(id, 16).expect("id is hex")
 }
@@ -112,7 +107,7 @@ fn admin_endpoints_are_served_but_excluded_from_serving_metrics() {
         let response = get(addr, "/metrics");
         assert_eq!(response.status, 200);
         assert_eq!(
-            header(&response, "content-type"),
+            response.header("content-type"),
             Some("text/plain; version=0.0.4"),
             "Prometheus text exposition content type"
         );
@@ -127,7 +122,7 @@ fn admin_endpoints_are_served_but_excluded_from_serving_metrics() {
     }
     let statusz = get(addr, "/statusz");
     assert_eq!(statusz.status, 200);
-    assert_eq!(header(&statusz, "content-type"), Some("application/json"));
+    assert_eq!(statusz.header("content-type"), Some("application/json"));
     issued.insert(request_id(&statusz));
     let status_body = statusz.body_str().expect("utf-8 statusz");
     for key in [
@@ -219,17 +214,12 @@ fn admin_endpoints_are_served_but_excluded_from_serving_metrics() {
 /// every keep-alive exchange would be observed as 0 ns.
 #[test]
 fn keep_alive_soap_latency_is_measured_at_flush_completion() {
-    use wsinterop::core::exchange::{first_survey_operation, SURVEY_PROBE};
-    use wsinterop::wsdl::soap;
-    use wsinterop::xml::writer::{write_document, WriteOptions};
-
     const REQUESTS: u64 = 20;
     let (server, registry, _sink, path) = start_instrumented(11);
-    let hosted = &wire::host_survey_services(400)[&path];
-    let defs = hosted.defs.as_ref().expect("the service re-parses its description");
-    let operation = first_survey_operation(&hosted.wsdl_xml).expect("an invocable operation");
-    let doc = soap::request(defs, &operation, SURVEY_PROBE).expect("a request envelope");
-    let request = write_document(&doc, &WriteOptions::compact());
+    let entry = wire::loadgen::survey_corpus(&wire::host_survey_services(400))
+        .into_iter()
+        .find(|entry| entry.path == path)
+        .expect("the service has an invocable operation");
 
     let mut stream = TcpStream::connect(server.addr()).expect("connect");
     stream.set_read_timeout(Some(TIMEOUT)).expect("deadline");
@@ -239,8 +229,8 @@ fn keep_alive_soap_latency_is_measured_at_flush_completion() {
             "POST",
             &path,
             "127.0.0.1",
-            Some(&operation),
-            request.as_bytes(),
+            Some(&entry.operation),
+            &entry.body,
             false,
         )
         .expect("write request");
@@ -288,23 +278,16 @@ fn healthz_degrades_under_queue_pressure_and_saturation_sheds_the_probe() {
     let stats = server.stats();
     let limits = HttpLimits::default();
 
-    let wait_for = |label: &str, want: usize, get: &dyn Fn() -> usize| {
-        let deadline = std::time::Instant::now() + TIMEOUT;
-        while get() != want {
-            assert!(std::time::Instant::now() < deadline, "{label} never reached {want}");
-            std::thread::sleep(Duration::from_millis(2));
-        }
-    };
 
     // Occupy the single worker with an idle peer, then queue a
     // healthz probe and one more idle peer behind it.
     let held = TcpStream::connect(addr).expect("connect held");
-    wait_for("in_flight", 1, &|| stats.in_flight());
+    wait_for("in_flight", 1, || stats.in_flight());
     let mut probe = TcpStream::connect(addr).expect("connect probe");
     probe.set_read_timeout(Some(TIMEOUT)).expect("deadline");
-    wait_for("queued", 1, &|| stats.queued());
+    wait_for("queued", 1, || stats.queued());
     let backlog = TcpStream::connect(addr).expect("connect backlog");
-    wait_for("queued", 2, &|| stats.queued());
+    wait_for("queued", 2, || stats.queued());
 
     // The probe's request bytes sit in the kernel until promotion.
     http::write_request(&mut probe, "GET", "/healthz", "127.0.0.1", None, b"", true)
@@ -328,7 +311,7 @@ fn healthz_degrades_under_queue_pressure_and_saturation_sheds_the_probe() {
     let response = http::read_response(&probe, &limits).expect("healthz under pressure");
     assert_eq!(response.status, 503, "queued backlog must degrade readiness");
     assert_eq!(response.body_str(), Some("degraded"));
-    assert!(header(&response, "x-request-id").is_some(), "degraded healthz is dispatched");
+    assert!(response.header("x-request-id").is_some(), "degraded healthz is dispatched");
 
     drop(backlog);
     server.request_stop();
@@ -407,17 +390,16 @@ fn snapshot_ring_journal_round_trips_a_live_scrape() {
     let (server, _registry, _sink, path) = start_instrumented(99);
     let addr = server.addr();
 
-    let (status, first) = wire::scrape_text(addr, "/metrics", TIMEOUT).expect("scrape");
-    assert_eq!(status, 200);
+    // `wsitool watch`'s scrape step: /healthz, then a parsed /metrics.
+    let parsed_first = wire::scrape(addr, TIMEOUT).expect("scrape").samples;
     let _ = get(addr, &format!("{path}?wsdl"));
-    let (status, second) = wire::scrape_text(addr, "/metrics", TIMEOUT).expect("scrape");
-    assert_eq!(status, 200);
+    let second = wire::scrape(addr, TIMEOUT).expect("scrape");
+    assert_eq!((second.health_status, second.health_body.as_str()), (200, "ok"));
+    let parsed_second = second.samples;
     server.request_stop();
     server.shutdown();
 
     let mut ring = wire::SnapshotRing::new(8);
-    let parsed_first = wire::parse_prometheus(&first).expect("parse");
-    let parsed_second = wire::parse_prometheus(&second).expect("parse");
     ring.push(0, parsed_first.clone());
     ring.push(250, parsed_second.clone());
 

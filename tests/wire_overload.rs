@@ -10,36 +10,17 @@
 //! within the documented bound, and every lifecycle gauge back at
 //! zero after the drain.
 
+mod common;
+
+use common::wait_for;
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::net::TcpStream;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use wsinterop::core::wire::{
-    self, http, loadgen, CorpusEntry, HttpLimits, LoadgenConfig, WireServer, WireServerConfig,
+    self, http, loadgen, HostedRun, HttpLimits, LoadgenConfig, WireServer, WireServerConfig,
 };
-
-/// Spin until `get()` returns `want` (bounded; the reactor promotes
-/// and sheds asynchronously to the connecting thread).
-fn wait_for(label: &str, want: usize, get: impl Fn() -> usize) {
-    let deadline = Instant::now() + Duration::from_secs(5);
-    while get() != want {
-        assert!(
-            Instant::now() < deadline,
-            "{label} never reached {want} (still {})",
-            get()
-        );
-        std::thread::sleep(Duration::from_millis(2));
-    }
-}
-
-fn header<'r>(response: &'r http::Response, name: &str) -> Option<&'r str> {
-    response
-        .headers
-        .iter()
-        .find(|(n, _)| n == name)
-        .map(|(_, v)| v.as_str())
-}
 
 /// Rung by rung: with capacity `workers + queue_depth` saturated by
 /// held connections, every additional peer is shed *deterministically*
@@ -73,11 +54,11 @@ fn peers_past_capacity_get_a_well_formed_503_with_retry_after() {
             .unwrap_or_else(|e| panic!("shed peer {i} expected a 503, got {e:?}"));
         assert_eq!(response.status, 503, "shed peer {i}");
         assert_eq!(
-            header(&response, "retry-after"),
+            response.header("retry-after"),
             Some("7"),
             "the 503 must name the configured retry window"
         );
-        assert_eq!(header(&response, "connection"), Some("close"));
+        assert_eq!(response.header("connection"), Some("close"));
         assert!(
             response.body_str().unwrap_or("").contains("worker pool saturated"),
             "shed reason must be in the body"
@@ -123,7 +104,7 @@ fn keep_alive_is_demoted_the_moment_the_queue_backs_up() {
     let first = http::read_response(&conn, &limits).expect("first response");
     assert_eq!(first.status, 200);
     assert_eq!(
-        header(&first, "connection"),
+        first.header("connection"),
         Some("keep-alive"),
         "uncontended keep-alive must be honored"
     );
@@ -139,7 +120,7 @@ fn keep_alive_is_demoted_the_moment_the_queue_backs_up() {
     let second = http::read_response(&conn, &limits).expect("second response");
     assert_eq!(second.status, 200, "demotion never degrades the answer itself");
     assert_eq!(
-        header(&second, "connection"),
+        second.header("connection"),
         Some("close"),
         "a queued peer must demote the keep-alive connection"
     );
@@ -176,90 +157,65 @@ fn mid_exchange_resets_are_absorbed_without_leaks() {
     assert_eq!(stats.served(), 0);
 }
 
-/// The seeded 4× overload property: 8 concurrent clients against a
-/// 2-worker/2-queue endpoint, full abusive mix. The plan is
+/// The seeded 4× overload property, run exactly as `wsitool loadgen`
+/// runs CI's smoke: 8 concurrent clients against a 2-worker/2-queue
+/// endpoint, full abusive mix plus admin-plane scrapes. The plan is
 /// byte-stable; the outcomes are a *closed world* — every op lands in
-/// the ladder's vocabulary (`malformed == 0`), the accounting
-/// identity holds, served p99 stays within the documented bound, and
-/// after the drain every lifecycle gauge reads zero.
+/// the ladder's vocabulary (`malformed == 0`), the accounting identity
+/// holds, served p99 stays within the documented bound, and after the
+/// drain every lifecycle gauge reads zero. This asserts everything
+/// CI's BENCH_wire.json gate asserts.
 #[test]
 fn seeded_four_x_overload_degrades_gracefully() {
-    let read_timeout_ms: u64 = 150;
-    let services = wire::host_survey_services(200);
-    let corpus: Vec<CorpusEntry> = {
-        use wsinterop::core::exchange::{first_survey_operation, SURVEY_PROBE};
-        use wsinterop::wsdl::soap;
-        use wsinterop::xml::writer::{write_document, WriteOptions};
-        services
-            .iter()
-            .filter_map(|(path, hosted)| {
-                let defs = hosted.defs.as_ref().ok()?;
-                let operation = first_survey_operation(&hosted.wsdl_xml)?;
-                let doc = soap::request(defs, &operation, SURVEY_PROBE).ok()?;
-                Some(CorpusEntry {
-                    path: path.clone(),
-                    operation,
-                    body: write_document(&doc, &WriteOptions::compact()).into_bytes(),
-                })
-            })
-            .collect()
-    };
-    assert!(!corpus.is_empty());
-
-    let server_config = WireServerConfig {
+    let run = HostedRun {
+        stride: 200,
         workers: 2,
-        queue_depth: 2,
-        read_timeout: Duration::from_millis(read_timeout_ms),
-        write_timeout: Duration::from_millis(read_timeout_ms),
-        ..WireServerConfig::default()
-    };
-    let server = WireServer::start(0, services, server_config).expect("bind loopback");
-    let stats = server.stats();
-
-    let config = LoadgenConfig {
-        ops: 160,
-        clients: 8, // 4× the in-flight budget
-        seed: 42,
-        slow_pct: 5,
-        abort_pct: 5,
-        oversized_pct: 5,
-        keep_alive_pct: 50,
-        dawdle: Duration::from_millis(2 * read_timeout_ms + 100),
-        client_timeout: Duration::from_millis(5_000),
-        ..LoadgenConfig::default()
+        queue: 2,
+        read_timeout_ms: 150,
+        mix: LoadgenConfig {
+            ops: 160,
+            clients: 8, // 4× the in-flight budget
+            seed: 42,
+            slow_pct: 5,
+            abort_pct: 5,
+            oversized_pct: 5,
+            keep_alive_pct: 50,
+            scrape_pct: 10,
+            ..LoadgenConfig::default()
+        },
     };
     // The deterministic half: the same config plans the same mix,
     // byte for byte, before a single socket is opened.
-    assert_eq!(loadgen::plan_counts(&config), loadgen::plan_counts(&config));
+    assert_eq!(loadgen::plan_counts(&run.mix), loadgen::plan_counts(&run.mix));
 
-    let report = loadgen::run(server.addr(), &corpus, &config);
-    server.request_stop();
-    server.shutdown();
+    let hosted = loadgen::run_hosted(&run).expect("stride 200 hosts an invokable corpus");
+    let (c, inv, stats) = (&hosted.report.counts, &hosted.invariants, &hosted.stats);
+    // The whole closed-world check, as wsitool gates its exit code on it.
+    assert!(inv.holds(), "{inv}");
 
-    let c = &report.counts;
     // Closed-world accounting: every op classified exactly once, and
     // nothing outside what the degradation ladder is allowed to say.
-    let accounted = c.ok
-        + c.fault
-        + c.shed
-        + c.timeout_408
-        + c.too_large
-        + c.aborted
-        + c.closed
-        + c.malformed;
-    assert_eq!(accounted, config.ops, "every op must be classified exactly once");
+    assert_eq!(
+        inv.accounted + hosted.plan.planned_scrape,
+        run.mix.ops,
+        "every op must be classified exactly once"
+    );
+    assert_eq!(inv.scrape_accounted, 2 * hosted.plan.planned_scrape, "a scrape escaped");
     assert_eq!(c.malformed, 0, "the ladder never emits an out-of-vocabulary response");
     assert!(c.ok > 0, "overload must degrade, not deny all service");
-
-    // Served latency honors the documented bound: queue wait + read +
-    // write deadlines plus scheduler slack (the same formula wsitool
-    // records as p99_bound_ns in BENCH_wire.json).
-    let p99_bound_ns = (3 * read_timeout_ms + 2_000) * 1_000_000;
-    let p99 = report.timing.latency.quantile_ns(0.99);
     assert!(
-        p99 <= p99_bound_ns,
-        "served p99 {p99}ns exceeds the documented bound {p99_bound_ns}ns"
+        c.scrape_ok + c.scrape_healthy + c.scrape_degraded > 0,
+        "the scrape leg never reached the admin plane"
     );
+
+    // Served latency honors the documented bound, measured over served
+    // responses only.
+    let lat = &hosted.report.timing.latency;
+    assert_eq!(lat.count as usize, c.ok + c.fault, "latency covers served responses only");
+    assert!(lat.quantile_ns(0.50) > 0, "a served exchange cannot take 0 ns");
+    let bound = loadgen::p99_bound_ns(run.read_timeout_ms);
+    let p99 = lat.quantile_ns(0.99);
+    assert!(p99 <= bound, "served p99 {p99}ns exceeds the documented bound {bound}ns");
 
     // No leaks: after the drain, every lifecycle gauge reads zero and
     // the open/close ledger balances.

@@ -4,6 +4,9 @@
 //! fault proxy's socket faults, and thread-count invariance of the
 //! socket-fault chaos campaign.
 
+mod common;
+
+use common::wait_for;
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -12,26 +15,13 @@ use std::time::{Duration, Instant};
 use wsinterop::core::campaign::ExchangeTransport;
 use wsinterop::core::exchange::survey_sites;
 use wsinterop::core::faults::{sock_site, FaultPlan, SocketFault};
+use wsinterop::core::wire::loadgen::survey_corpus;
 use wsinterop::core::wire::{
-    host_survey_services, http, survey_tcp, FaultProxy, HostedService, HttpLimits, WireClient,
-    WireClientConfig, WireError, WireServer, WireServerConfig,
+    host_survey_services, http, survey_tcp, CorpusEntry, FaultProxy, HostedService, HttpLimits,
+    WireClient, WireClientConfig, WireError, WireServer, WireServerConfig,
 };
 use wsinterop::core::Campaign;
 use wsinterop::frameworks::server::{all_servers, DeployOutcome};
-
-/// Polls a gauge/counter until it reaches `want` (the socket tests'
-/// only synchronization primitive — no sleeps baked into assertions).
-fn wait_for(what: &str, want: usize, read: impl Fn() -> usize) {
-    let deadline = Instant::now() + Duration::from_secs(5);
-    while read() != want {
-        assert!(
-            Instant::now() < deadline,
-            "timed out waiting for {what} == {want} (currently {})",
-            read()
-        );
-        std::thread::sleep(Duration::from_millis(2));
-    }
-}
 
 /// E15: the loopback survey is bit-identical to the in-process one —
 /// same sites, same outcomes, same bytes-on-the-wire accounting.
@@ -239,21 +229,16 @@ fn keep_alive_serves_multiple_requests() {
 /// put this run past 2 s.
 #[test]
 fn keep_alive_soap_posts_do_not_stall() {
-    use wsinterop::core::exchange::{first_survey_operation, serve_echo, SURVEY_PROBE};
-    use wsinterop::wsdl::soap;
-    use wsinterop::xml::writer::{write_document, WriteOptions};
+    use wsinterop::core::exchange::serve_echo;
 
     const REQUESTS: usize = 50;
     let services = host_survey_services(200);
-    let corpus: Vec<(String, String, String, String)> = services
-        .iter()
-        .filter_map(|(path, hosted)| {
-            let defs = hosted.defs.as_ref().ok()?;
-            let operation = first_survey_operation(&hosted.wsdl_xml)?;
-            let doc = soap::request(defs, &operation, SURVEY_PROBE).ok()?;
-            let request = write_document(&doc, &WriteOptions::compact());
-            let expected = serve_echo(defs, &request);
-            Some((path.clone(), operation, request, expected))
+    let corpus: Vec<(CorpusEntry, String)> = survey_corpus(&services)
+        .into_iter()
+        .map(|entry| {
+            let defs = services[&entry.path].defs.as_ref().expect("corpus services parse");
+            let expected = serve_echo(defs, std::str::from_utf8(&entry.body).expect("UTF-8"));
+            (entry, expected)
         })
         .collect();
     assert!(!corpus.is_empty(), "survey must host invocable services");
@@ -267,19 +252,19 @@ fn keep_alive_soap_posts_do_not_stall() {
         .unwrap();
     let limits = HttpLimits::default();
     for i in 0..REQUESTS {
-        let (path, operation, request, expected) = &corpus[i % corpus.len()];
+        let (entry, expected) = &corpus[i % corpus.len()];
         http::write_request(
             &mut stream,
             "POST",
-            path,
+            &entry.path,
             "127.0.0.1",
-            Some(operation),
-            request.as_bytes(),
+            Some(&entry.operation),
+            &entry.body,
             false,
         )
         .expect("write request");
         let response = http::read_response(&stream, &limits).expect("read response");
-        assert_eq!(response.body, expected.as_bytes(), "request {i} to {path}");
+        assert_eq!(response.body, expected.as_bytes(), "request {i} to {}", entry.path);
     }
     let elapsed = started.elapsed();
     assert!(
